@@ -26,11 +26,11 @@ class RunConfig:
     command: str
     input_path: str
     eps: float | None = None
-    grid: int | None = None
-    samples: int | None = None
-    seed: int | None = None
-    max_depth: int | None = None
-    tol: float | None = None
+    grid: int = 33
+    samples: int = 1_000_000
+    seed: int = 0
+    max_depth: int = 12
+    tol: float = 0.01
     norm: str = "spectral"
     output_path: str | None = None
 
@@ -43,13 +43,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", required=True, dest="input_path")
     parser.add_argument("--output", dest="output_path")
     parser.add_argument("--eps", type=float)
-    parser.add_argument("--grid", type=int, default=33)
-    parser.add_argument("--samples", type=int, default=1_000_000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-depth", type=int, default=12, dest="max_depth")
-    parser.add_argument("--tol", type=float, default=0.01)
+    parser.add_argument("--grid", type=int, default=RunConfig.grid)
+    parser.add_argument("--samples", type=int, default=RunConfig.samples)
+    parser.add_argument("--seed", type=int, default=RunConfig.seed)
+    parser.add_argument("--max-depth", type=int, default=RunConfig.max_depth,
+                        dest="max_depth")
+    parser.add_argument("--tol", type=float, default=RunConfig.tol)
     parser.add_argument("--norm", choices=projective.NORM_KINDS,
-                        default="spectral")
+                        default=RunConfig.norm)
     return parser
 
 
@@ -99,9 +100,7 @@ def _dispatch(config: RunConfig):
         return {**formats.bounds_to_dict(rep), **meta}
 
     if config.command == "profile":
-        workers = _worker_cap()
-        prof = neighbourhood.neighbourhood_profile(
-            body, grid_size=config.grid or 33, workers=workers)
+        prof = neighbourhood.neighbourhood_profile(body, grid_size=config.grid)
         provenance = "inbody {} {}".format(
             __version__,
             json.dumps(_config_dict(config), sort_keys=True))
@@ -131,9 +130,7 @@ def _dispatch(config: RunConfig):
 
 
 def _oracle_payload(body, config: RunConfig) -> dict:
-    samples = config.samples or 1_000_000
-    seed = config.seed or 0
-    est = oracle.mc_volume(body, samples, seed)
+    est = oracle.mc_volume(body, config.samples, config.seed)
     exact = metrics.volume(body)
     payload = {
         "exact_volume": exact,
@@ -141,7 +138,8 @@ def _oracle_payload(body, config: RunConfig) -> dict:
         "volume_within_4_sigma": bool(abs(exact - est.mean) <= 4 * est.stddev),
     }
     if config.eps is not None:
-        est_in = oracle.mc_inner_volume(body, config.eps, samples, seed + 1)
+        est_in = oracle.mc_inner_volume(body, config.eps, config.samples,
+                                        config.seed + 1)
         exact_in = neighbourhood.vol_inner_neighbourhood(body, config.eps)
         payload.update({
             "exact_inner_volume": exact_in,
@@ -163,14 +161,6 @@ def _default_resolutions(holes) -> list[float]:
             break
         res.append(nxt)
     return res
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("INBODY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _config_dict(config: RunConfig) -> dict:

@@ -63,10 +63,6 @@ def polytope_to_dict(H: HalfspaceSystem) -> dict:
     }
 
 
-def vertexset_to_dict(V: VertexSet) -> dict:
-    return {"dim": V.dim, "vertices": V.points.tolist()}
-
-
 def load_ifs(obj: dict):
     """(system, seed holes, assume_measure_zero) from IFS JSON."""
     if not isinstance(obj, dict):

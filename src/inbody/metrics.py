@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
 from .errors import BadParameter, DegenerateFacet, GeometryError, OutsideBody
 from .polytope import (
     TAU_FACET,
@@ -25,6 +24,8 @@ from .polytope import (
     Facet,
     HalfspaceSystem,
     VertexSet,
+    _affine_rank,
+    _chebyshev,
     as_vector,
     body_scale,
     contains_point,
@@ -72,29 +73,23 @@ def distance_to_boundary(H: HalfspaceSystem, x) -> float:
 def incentre(H: HalfspaceSystem) -> IncentreResult:
     """Chebyshev centre: maximize r s.t. a_i.x + r ||a_i|| <= b_i, r >= 0.
 
-    Any optimizer is accepted when the incentre is non-unique (slab-like
-    bodies); downstream results are stated for the fixed returned point.
+    The centre and radius are read from ``H.cheb_center``/``H.cheb_radius``
+    when a producer has set them, and otherwise solved once and stored
+    there.  Any optimizer is accepted when the incentre is non-unique
+    (slab-like bodies); downstream results are stated for the fixed
+    returned point.
     """
     if not H.validated:
         raise BadParameter("incentre requires a validated body")
-    if "incentre" in H._cache:
-        return H._cache["incentre"]
     An, bn, _ = H.unit_form()
-    m, n = An.shape
-    A_lp = np.hstack([An, np.ones((m, 1))])
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    nonneg = np.zeros(n + 1, dtype=bool)
-    nonneg[-1] = True
-    res = lp.solve_lp(c, A_lp, bn, nonneg=nonneg, maximize=True)
-    x_star = res.x[:n]
-    r = float(res.value)
+    if H.cheb_center is None:
+        H.cheb_center, H.cheb_radius = _chebyshev(An, bn)
+    x_star = H.cheb_center.copy()
+    r = H.cheb_radius
     tol = TAU_FACET * body_scale(H)
     touching = np.flatnonzero(np.abs(bn - An @ x_star - r) <= tol)
-    out = IncentreResult(incentre=x_star, inradius=r,
-                         touching_facets=[int(i) for i in touching])
-    H._cache["incentre"] = out
-    return out
+    return IncentreResult(incentre=x_star, inradius=r,
+                          touching_facets=[int(i) for i in touching])
 
 
 def facet_volume(F: Facet) -> float:
@@ -103,20 +98,14 @@ def facet_volume(F: Facet) -> float:
     n = pts.shape[1]
     scale = max(float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max(initial=0.0)),
                 1e-12)
-    if _embedded_rank(pts, scale) != n - 1:
+    if _affine_rank(pts, scale) != n - 1:
         raise DegenerateFacet("facet does not have affine dimension n-1")
+    if n == 1:
+        return 1.0
     a = F.support.a / np.linalg.norm(F.support.a)
     basis = _orthonormal_complement(a)
     embedded = (pts - pts.mean(axis=0)) @ basis.T
-    return _volume_of_points(embedded, scale)
-
-
-def _embedded_rank(pts, scale):
-    if pts.shape[0] < 2:
-        return 0
-    centered = pts - pts.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    return int(np.sum(svals > 1e-7 * scale))
+    return volume(convex_hull(VertexSet(embedded)))
 
 
 def _orthonormal_complement(a):
@@ -132,34 +121,6 @@ def _orthonormal_complement(a):
     w[0] += 1.0 if w[0] >= 0 else -1.0
     H = np.eye(m) - (2.0 / (w @ w)) * np.outer(w, w)
     return H[1:]
-
-
-def _volume_of_points(pts, scale):
-    """Volume of the hull of a full-dimensional point set in R^m.
-
-    Base cases: m = 0 counts 1, m = 1 is segment length, m = 2 is the
-    shoelace area of the angularly ordered polygon.  Higher dimensions
-    take the hull and recurse over its facets as cones from the centroid.
-    """
-    m = pts.shape[1] if pts.ndim == 2 else 0
-    if m == 0 or pts.shape[0] == 0:
-        return 1.0
-    if m == 1:
-        return float(pts.max() - pts.min())
-    if m == 2:
-        return _polygon_area(pts)
-    hull = convex_hull(VertexSet(pts))
-    V, active = vertex_incidence(hull)
-    An, bn, _ = hull.unit_form()
-    apex = V.points.mean(axis=0)
-    total = 0.0
-    for i in range(hull.m):
-        face_pts = V.points[active[i]]
-        dist = float(bn[i] - An[i] @ apex)
-        basis = _orthonormal_complement(An[i])
-        embedded = (face_pts - face_pts.mean(axis=0)) @ basis.T
-        total += _volume_of_points(embedded, scale) * dist / m
-    return total
 
 
 def _polygon_area(pts):
@@ -229,7 +190,7 @@ def _h_face_volume(A, b, pts, act, scale):
     for j in cands:
         sel = act[j]
         sub = pts[sel]
-        if m >= 4 and _embedded_rank(sub, scale) != m - 1:
+        if m >= 4 and _affine_rank(sub, scale) != m - 1:
             continue
         dist = (b[j] - A[j] @ apex) / nrms[j]
         basis = _orthonormal_complement(A[j] / nrms[j])

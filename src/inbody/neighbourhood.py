@@ -17,13 +17,12 @@ The curve eps -> vol(L_eps) is concave with a non-increasing derivative.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParameter, EpsOutOfRange, GeometryError
-from .metrics import IncentreResult, incentre, volume
+from .metrics import incentre, volume
 from .polytope import (
     TAU_FACET,
     TAU_REP,
@@ -90,16 +89,9 @@ def inner_parallel_body(H: HalfspaceSystem, eps: float) -> HalfspaceSystem | Non
     norms = np.linalg.norm(H.A, axis=1)
     inner = HalfspaceSystem(H.A.copy(), H.b - eps * norms, validated=True,
                             scale=H.scale, bbox=H.bbox,
-                            cheb_center=inc.incentre.copy(),
+                            cheb_center=inc.incentre,
                             cheb_radius=inc.inradius - eps)
-    minimal = remove_redundant_halfspaces(inner)
-    An, bn, _ = minimal.unit_form()
-    r = inc.inradius - eps
-    touch = np.flatnonzero(np.abs(bn - An @ inc.incentre - r) <= TAU_FACET * scale)
-    minimal._cache["incentre"] = IncentreResult(
-        incentre=inc.incentre.copy(), inradius=r,
-        touching_facets=[int(i) for i in touch])
-    return minimal
+    return remove_redundant_halfspaces(inner)
 
 
 def vol_inner_neighbourhood(H: HalfspaceSystem, eps: float) -> float:
@@ -149,13 +141,13 @@ def scale_copy_containment_check(H: HalfspaceSystem, eps: float) -> bool:
     return bool(np.all(resid <= TAU_FACET * scale))
 
 
-def neighbourhood_profile(H: HalfspaceSystem, grid_size: int = 33,
-                          workers: int = 1) -> NeighbourhoodProfile:
+def neighbourhood_profile(H: HalfspaceSystem,
+                          grid_size: int = 33) -> NeighbourhoodProfile:
     """Sample eps -> vol(L_eps) on a uniform grid over [0, inradius].
 
+    Each grid point erodes the body once and takes one exact volume.
     Discrete concavity (second differences <= report tolerance) is asserted
-    before returning.  Grid points are independent; ``workers`` > 1 spreads
-    them over a thread pool without changing the result.
+    before returning.
     """
     if grid_size < 3:
         raise BadParameter("grid_size must be >= 3")
@@ -168,12 +160,7 @@ def neighbourhood_profile(H: HalfspaceSystem, grid_size: int = 33,
         inner = inner_parallel_body(H, float(eps))
         return 0.0 if inner is None else volume(inner)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            inner_vols = list(pool.map(inner_vol, grid))
-    else:
-        inner_vols = [inner_vol(e) for e in grid]
-    l_vol = vol - np.asarray(inner_vols)
+    l_vol = vol - np.array([inner_vol(e) for e in grid])
 
     g_vals = np.array([g_formula(vol, inc.inradius, float(e), n) for e in grid])
     chord = grid * vol / inc.inradius

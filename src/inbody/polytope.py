@@ -35,6 +35,7 @@ TAU_FACET = 1e-7  # on-facet residual (scale-relative)
 TAU_REP = 1e-6    # report tolerance (relative)
 
 _COMBO_CHUNK = 200_000  # n-subset batch size, bounds peak memory
+_COMBO_CAP = 10**8      # most n-subsets one enumeration may try
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -101,19 +102,6 @@ class HalfspaceSystem:
     def m(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def halfspaces(self) -> list[Halfspace]:
-        return [Halfspace(a, bi) for a, bi in zip(self.A, self.b)]
-
-    @classmethod
-    def from_halfspaces(cls, dim: int, halfspaces) -> "HalfspaceSystem":
-        hs = list(halfspaces)
-        if not hs:
-            raise BadParameter("at least one halfspace required")
-        A = np.vstack([as_vector(h.a, dim) for h in hs])
-        b = np.array([h.b for h in hs], dtype=float)
-        return cls(A, b)
-
     def unit_form(self):
         """Rows normalized to unit normals: (An, bn, norms)."""
         if "unit" not in self._cache:
@@ -140,10 +128,6 @@ class VertexSet:
     @property
     def count(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def vertices(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.points]
 
 
 @dataclass
@@ -291,7 +275,11 @@ def _combo_array(m, n):
 
 
 def _combo_chunks(m, n):
-    if math.comb(m, n) <= _COMBO_CHUNK:
+    total = math.comb(m, n)
+    if total > _COMBO_CAP:
+        raise BadParameter(
+            f"C({m}, {n}) = {total} subsets exceed the enumeration cap {_COMBO_CAP}")
+    if total <= _COMBO_CHUNK:
         yield _combo_array(m, n)
         return
     combos = itertools.combinations(range(m), n)
@@ -345,17 +333,7 @@ def remove_redundant_halfspaces(H: HalfspaceSystem) -> HalfspaceSystem:
     scale = body_scale(H)
 
     keep = np.zeros(H.m, dtype=bool)
-    seen: list[int] = []
-    for i in range(H.m):
-        dup = False
-        for j in seen:
-            if (np.abs(An[i] - An[j]).max() <= 1e-9
-                    and abs(bn[i] - bn[j]) <= 1e-9 * max(scale, 1e-6)):
-                dup = True
-                break
-        if dup:
-            continue
-        seen.append(i)
+    for i in _first_planes(An, bn, scale):
         face_pts = V.points[active[i]]
         if face_pts.shape[0] >= n and _affine_rank(face_pts, scale) == n - 1:
             keep[i] = True
@@ -438,8 +416,9 @@ def convex_hull(V: VertexSet) -> HalfspaceSystem:
 
     if not planes_a:
         raise DegenerateInput("no supporting facets found")
-    A, b = _dedup_planes(planes_a, planes_b, scale)
-    return _hull_result(A, b, pts, centroid, scale)
+    A, b = np.asarray(planes_a), np.asarray(planes_b)
+    first = _first_planes(A, b, scale)
+    return _hull_result(A[first], b[first], pts, centroid, scale)
 
 
 def _batched_normals(diffs):
@@ -452,20 +431,19 @@ def _batched_normals(diffs):
     return s[:, -1] if s.shape[1] else np.ones(diffs.shape[0]), vh[:, -1, :]
 
 
-def _dedup_planes(planes_a, planes_b, scale):
-    A = np.asarray(planes_a)
-    b = np.asarray(planes_b)
+def _first_planes(An, bn, scale):
+    """Indices of the first occurrence of each plane among unit rows.
+
+    Two rows are the same plane when their unit normals agree within 1e-9
+    and their offsets within 1e-9 of the body scale.
+    """
+    b_tol = 1e-9 * max(scale, 1e-6)
     keep: list[int] = []
-    for i in range(A.shape[0]):
-        dup = False
-        for j in keep:
-            if (np.abs(A[i] - A[j]).max() <= 1e-9
-                    and abs(b[i] - b[j]) <= 1e-9 * max(scale, 1e-6)):
-                dup = True
-                break
-        if not dup:
+    for i in range(An.shape[0]):
+        if not np.any((np.abs(An[keep] - An[i]).max(axis=1) <= 1e-9)
+                      & (np.abs(bn[keep] - bn[i]) <= b_tol)):
             keep.append(i)
-    return A[keep], b[keep]
+    return keep
 
 
 def _hull_result(A, b, pts, centroid, scale):

@@ -36,16 +36,17 @@ from .errors import (
     BadParameter,
     DegenerateImage,
     IfsValidationError,
+    Infeasible,
     InsufficientDepth,
     SingularMatrix,
     Unstable,
 )
-from .lp import solve_lp
 from .polytope import (
     TAU_PT,
     TAU_REP,
     HalfspaceSystem,
     VertexSet,
+    _chebyshev,
     convex_hull,
     validate_body,
 )
@@ -260,18 +261,11 @@ def _interiors_intersect(H1: HalfspaceSystem, H2: HalfspaceSystem) -> bool:
     A = np.vstack([H1.A, H2.A])
     b = np.concatenate([H1.b, H2.b])
     norms = np.linalg.norm(A, axis=1)
-    An, bn = A / norms[:, None], b / norms
-    m, n = An.shape
-    A_lp = np.hstack([An, np.ones((m, 1))])
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    nonneg = np.zeros(n + 1, dtype=bool)
-    nonneg[-1] = True
     try:
-        res = solve_lp(c, A_lp, bn, nonneg=nonneg, maximize=True)
-    except Exception:
+        _, radius = _chebyshev(A / norms[:, None], b / norms)
+    except Infeasible:
         return False
-    return res.value > TAU_PT
+    return radius > TAU_PT
 
 
 def generate_holes(ifs: ProjectiveIFS, seed_holes: list[VertexSet],

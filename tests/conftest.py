@@ -15,6 +15,14 @@ def box(n, lo=0.0, hi=1.0):
     return hrep(A, b)
 
 
+def wide_rows():
+    """A 12-d body with 40 half-spaces: C(40, 12) = 5.6e9 vertex candidates."""
+    extra = np.random.default_rng(0).standard_normal((16, 12))
+    A = np.vstack([np.eye(12), -np.eye(12), extra])
+    b = np.concatenate([np.ones(24), 2.0 * np.linalg.norm(extra, axis=1)])
+    return A, b
+
+
 @pytest.fixture(scope="session")
 def unit_square():
     return box(2)

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from inbody.cli import RunConfig, run
+from inbody.cli import RunConfig, config_from_args, run
+from tests.conftest import wide_rows
 
 
 @pytest.fixture
@@ -16,6 +17,15 @@ def cube_file(tmp_path):
         rows.append({"a": e, "b": 1.0})
         rows.append({"a": [-v for v in e], "b": 0.0})
     path.write_text(json.dumps({"dim": 3, "halfspaces": rows}))
+    return path
+
+
+@pytest.fixture
+def wide_file(tmp_path):
+    A, b = wide_rows()
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"dim": 12, "halfspaces": [
+        {"a": a.tolist(), "b": float(bi)} for a, bi in zip(A, b)]}))
     return path
 
 
@@ -109,6 +119,12 @@ class TestCommands:
         assert 0.0 <= rep["s_star"] <= 1.0
 
 
+class TestConfig:
+    def test_parser_defaults_are_run_config_defaults(self):
+        assert config_from_args(["metrics", "--input", "x.json"]) == RunConfig(
+            command="metrics", input_path="x.json")
+
+
 class TestDeterminism:
     def test_same_config_byte_identical(self, cube_file, tmp_path):
         _, out = run_to_file("oracle", cube_file, tmp_path / "r.json",
@@ -148,3 +164,17 @@ class TestExitCodes:
         assert run(RunConfig(command="metrics", input_path=str(path))) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "Unbounded"
+
+    @pytest.mark.parametrize("command, flag", [
+        ("profile", "--grid"), ("oracle", "--samples")])
+    def test_zero_count_is_validation_error(self, cube_file, tmp_path, capsys,
+                                            command, flag):
+        out = tmp_path / "zero.out"
+        argv = [command, "--input", str(cube_file), "--output", str(out), flag, "0"]
+        assert run(config_from_args(argv)) == 1
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "BadParameter"
+
+    def test_subset_cap_is_validation_error(self, wide_file, capsys):
+        assert run(RunConfig(command="metrics", input_path=str(wide_file))) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "BadParameter"

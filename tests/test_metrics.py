@@ -1,10 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 import inbody as ib
+from inbody import lp
 from inbody.errors import BadParameter, OutsideBody
+from tests.conftest import box, hrep
 
 
 def triangle_incircle_radius(p0, p1, p2):
@@ -146,12 +150,72 @@ class TestFacetsAndSurface:
             expected, abs=1e-9)
 
     def test_both_facet_volume_paths_agree(self, small_suite):
-        # surface_area recurses on vertex-facet incidence; facet_volume
-        # rebuilds hulls of embedded faces -- independent routes
+        # surface_area recurses on the body's vertex-facet incidence;
+        # facet_volume builds a fresh hull of each embedded facet
         for n in (2, 3, 4):
             for H in small_suite[n][:4]:
                 via_facets = sum(ib.facet_volume(f) for f in ib.facets(H))
                 assert ib.surface_area(H) == pytest.approx(via_facets, rel=1e-9)
+
+    def test_random_bodies_agree_with_qhull(self, small_suite):
+        for n in (2, 3, 4):
+            for H in small_suite[n]:
+                assert_matches_qhull(H)
+
+    @pytest.mark.parametrize("build", [
+        lambda: cross_polytope(3), lambda: cross_polytope(4),
+        lambda: box(4), lambda: twenty_four_cell()],
+        ids=["cross3", "cross4", "cube4", "24-cell"])
+    def test_named_bodies_agree_with_qhull(self, build):
+        # all but the cube are non-simple
+        assert_matches_qhull(build())
+
+
+def assert_matches_qhull(H):
+    """Qhull of the enumerated vertices is an independent reference for
+    volume, surface_area and the sum of facet_volume."""
+    ref = ConvexHull(ib.vertex_enumeration(H).points)
+    via_facets = sum(ib.facet_volume(f) for f in ib.facets(H))
+    assert ib.volume(H) == pytest.approx(ref.volume, rel=1e-9)
+    assert ib.surface_area(H) == pytest.approx(ref.area, rel=1e-9)
+    assert via_facets == pytest.approx(ref.area, rel=1e-9)
+
+
+def cross_polytope(n):
+    A = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    return hrep(A, np.ones(len(A)))
+
+
+def twenty_four_cell():
+    rows = []
+    for i, j in itertools.combinations(range(4), 2):
+        for si, sj in itertools.product((-1.0, 1.0), repeat=2):
+            a = np.zeros(4)
+            a[i], a[j] = si, sj
+            rows.append(a)
+    return hrep(rows, np.ones(len(rows)))
+
+
+class TestLpCount:
+    def test_validated_body_needs_no_further_lp(self, monkeypatch, small_suite):
+        # validate_body's Chebyshev LP is reused by the minimal form and
+        # by every erosion, so the reports solve nothing new
+        calls = []
+        solve = lp.solve_lp
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "solve_lp", counting)
+        for n in (2, 3, 4):
+            raw = small_suite[n][0]
+            calls.clear()
+            H = ib.validate_body(ib.HalfspaceSystem(raw.A, raw.b))
+            assert len(calls) == 2 * n + 1
+            ib.heron_bounds(H)
+            ib.bounds_report(H, 0.5 * ib.incentre(H).inradius)
+            assert len(calls) == 2 * n + 1
 
 
 class TestHeronBounds:

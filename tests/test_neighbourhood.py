@@ -169,8 +169,3 @@ class TestNeighbourhoodProfile:
     def test_small_grid_rejected(self, unit_square):
         with pytest.raises(BadParameter):
             ib.neighbourhood_profile(unit_square, 2)
-
-    def test_workers_do_not_change_result(self, unit_cube):
-        a = ib.neighbourhood_profile(unit_cube, 9, workers=1)
-        b = ib.neighbourhood_profile(unit_cube, 9, workers=4)
-        assert np.array_equal(a.l_vol, b.l_vol)

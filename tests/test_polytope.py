@@ -10,7 +10,7 @@ from inbody.errors import (
     Infeasible,
     Unbounded,
 )
-from tests.conftest import hrep
+from tests.conftest import hrep, wide_rows
 
 
 class TestValidateBody:
@@ -53,6 +53,18 @@ class TestVertexEnumeration:
             for H in bodies:
                 for p in ib.vertex_enumeration(H).points:
                     assert ib.contains_point(H, p, ib.TAU_FACET * H.scale)
+
+
+class TestSubsetCap:
+    def test_wide_h_form_rejected(self):
+        H = hrep(*wide_rows())
+        with pytest.raises(BadParameter):
+            ib.vertex_enumeration(H)
+
+    def test_wide_point_cloud_rejected(self):
+        pts = np.random.default_rng(0).standard_normal((40, 12))
+        with pytest.raises(BadParameter):
+            ib.convex_hull(ib.VertexSet(pts))
 
 
 class TestContainsPoint:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import inbody as ib
+from inbody import lp
 from inbody.errors import (
     BadParameter,
     IfsValidationError,
     InsufficientDepth,
+    SolverFailure,
     Unstable,
 )
 
@@ -96,6 +98,18 @@ class TestValidateIfs:
         report = ib.validate_ifs(bad, seeds)
         names = {c.name for c in report.violations()}
         assert "disjoint_image_interiors" in names
+
+    def test_solver_failure_propagates(self, monkeypatch):
+        # only an infeasible overlap LP means disjoint interiors
+        ifs, seeds = ib.middle_thirds_ifs()
+
+        def fail(*args, **kwargs):
+            raise SolverFailure("pivot cap exceeded")
+
+        monkeypatch.setattr(lp, "solve_lp", fail)
+        with pytest.raises(SolverFailure) as info:
+            ib.validate_ifs(ifs, seeds)
+        assert any(e.name == "_interiors_intersect" for e in info.traceback)
 
     def test_hole_touching_boundary_flagged(self):
         ifs, _ = ib.middle_thirds_ifs()
