@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 
 from . import __version__, formats, metrics, neighbourhood, oracle, projective
 from .errors import GeometryError
+from .polytope import TAU_REP
 
 _COMMANDS = ("metrics", "inner", "bounds", "profile", "oracle", "attractor", "norms")
 
@@ -135,7 +136,7 @@ def _oracle_payload(body, config: RunConfig) -> dict:
     payload = {
         "exact_volume": exact,
         "mc_volume": formats.mc_to_dict(est),
-        "volume_within_4_sigma": bool(abs(exact - est.mean) <= 4 * est.stddev),
+        "volume_within_4_sigma": _within_4_sigma(exact, est),
     }
     if config.eps is not None:
         est_in = oracle.mc_inner_volume(body, config.eps, config.samples,
@@ -144,10 +145,17 @@ def _oracle_payload(body, config: RunConfig) -> dict:
         payload.update({
             "exact_inner_volume": exact_in,
             "mc_inner_volume": formats.mc_to_dict(est_in),
-            "inner_within_4_sigma":
-                bool(abs(exact_in - est_in.mean) <= 4 * est_in.stddev),
+            "inner_within_4_sigma": _within_4_sigma(exact_in, est_in),
         })
     return payload
+
+
+def _within_4_sigma(exact: float, est) -> bool:
+    """Exact value within 4 standard deviations of the estimate, or within
+    the report tolerance of it: a box fills its bounding box, so its
+    estimate is exact with standard deviation 0."""
+    miss = abs(exact - est.mean)
+    return bool(miss <= 4 * est.stddev or miss <= TAU_REP * max(1.0, abs(exact)))
 
 
 def _default_resolutions(holes) -> list[float]:

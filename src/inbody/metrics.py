@@ -1,18 +1,21 @@
 """Scalar metrics of convex polytopes: volume, surface area, inradius.
 
-The volume of a body is the sum over facets of cone volumes with apex at
-an incentre: vol = sum (1/n) * vol_{n-1}(S) * dist(apex, plane of S).
-Facet volumes embed each facet isometrically one dimension down and
-recurse.  The inradius is the optimum of the Chebyshev-centre linear
-program.  The "pancake" boxes [0,1] x [0,K]^{n-1} realise the extreme
-ratios between the inradius and volume/perimeter, which pins both
-constants of the inradius sandwich
+One kernel gives the volume and every facet volume.  It walks the flags
+F_{n-1} > ... > F_0 of the boundary, read off the vertex-facet incidence,
+and cones the barycentric simplex of each flag from the incentre, so
+vol = sum |det| / n! over one batched determinant; a facet's
+(n-1)-volume follows from its cone and its distance to the incentre.
+The inradius is the optimum of the Chebyshev-centre linear program.  The
+"pancake" boxes [0,1] x [0,K]^{n-1} realise the extreme ratios between
+the inradius and volume/perimeter, which pins both constants of the
+inradius sandwich
 
     vol / per  <=  inradius  <=  n * vol / per.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +27,10 @@ from .polytope import (
     Facet,
     HalfspaceSystem,
     VertexSet,
+    _affine_basis,
     _affine_rank,
     _chebyshev,
+    _first_rows,
     as_vector,
     body_scale,
     contains_point,
@@ -93,54 +98,34 @@ def incentre(H: HalfspaceSystem) -> IncentreResult:
 
 
 def facet_volume(F: Facet) -> float:
-    """(n-1)-volume of a facet via isometric embedding one dimension down."""
+    """(n-1)-volume of a facet via isometric embedding one dimension down.
+
+    The chart is the SVD basis of the centred facet points, the same
+    decomposition that measures their affine rank.
+    """
     pts = F.vertices.points
     n = pts.shape[1]
-    scale = max(float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max(initial=0.0)),
-                1e-12)
-    if _affine_rank(pts, scale) != n - 1:
+    centred = pts - pts.mean(axis=0)
+    scale = max(float(np.linalg.norm(centred, axis=1).max(initial=0.0)), 1e-12)
+    basis = _affine_basis(pts, scale)
+    if basis.shape[0] != n - 1:
         raise DegenerateFacet("facet does not have affine dimension n-1")
     if n == 1:
         return 1.0
-    a = F.support.a / np.linalg.norm(F.support.a)
-    basis = _orthonormal_complement(a)
-    embedded = (pts - pts.mean(axis=0)) @ basis.T
-    return volume(convex_hull(VertexSet(embedded)))
-
-
-def _orthonormal_complement(a):
-    """Rows form an orthonormal basis of the hyperplane orthogonal to unit a.
-
-    Householder construction: the reflection taking e_1 to -sign(a_1) a is
-    orthogonal, so its remaining rows span the complement of a.
-    """
-    m = a.size
-    if m == 1:
-        return np.empty((0, 1))
-    w = a.copy()
-    w[0] += 1.0 if w[0] >= 0 else -1.0
-    H = np.eye(m) - (2.0 / (w @ w)) * np.outer(w, w)
-    return H[1:]
-
-
-def _polygon_area(pts):
-    center = pts.mean(axis=0)
-    d = pts - center
-    order = np.argsort(np.arctan2(d[:, 1], d[:, 0]))
-    p = pts[order]
-    x, y = p[:, 0], p[:, 1]
-    xn, yn = np.empty_like(x), np.empty_like(y)
-    xn[:-1], xn[-1] = x[1:], x[0]
-    yn[:-1], yn[-1] = y[1:], y[0]
-    return 0.5 * abs(float(x @ yn - y @ xn))
+    return volume(convex_hull(VertexSet(centred @ basis.T)))
 
 
 def _cone_decomposition(H: HalfspaceSystem):
-    """Per-facet (n-1)-volumes and incentre distances of the minimal form.
+    """Volume, per-facet (n-1)-volumes and incentre of the minimal form.
 
-    Face volumes recurse on the vertex-facet incidence: restricted to a
-    face, the parent constraints become the face's own H-form (normals
-    projected onto the face plane), so sub-faces never need a fresh hull.
+    The boundary is cut along its flags F_{n-1} > ... > F_0, read off the
+    vertex-facet incidence alone: the facets of a k-face G are the distinct
+    proper intersections of G with facet rows that keep at least k
+    vertices (and, for k >= 4, have affine rank k-1).  With the incentre
+    c, each flag spans the simplex conv(c, centroid F_{n-1}, ...,
+    centroid F_0).  These simplices tile the body, so vol = sum |det| / n!,
+    and facet i, whose simplices make a cone of height dist(c, F_i),
+    has vol_{n-1}(F_i) = n cone_i / dist(c, F_i).
     """
     Hm = remove_redundant_halfspaces(H)
     if "cone" in Hm._cache:
@@ -148,78 +133,53 @@ def _cone_decomposition(H: HalfspaceSystem):
     V, active = vertex_incidence(Hm)
     An, bn, _ = Hm.unit_form()
     inc = incentre(Hm)
+    n = Hm.dim
     scale = body_scale(Hm)
-    fvols = np.empty(Hm.m)
-    dists = np.empty(Hm.m)
-    for i in range(Hm.m):
-        sel = active[i]
-        face_pts = V.points[sel]
-        x0 = face_pts.mean(axis=0)
-        basis = _orthonormal_complement(An[i])
-        fvols[i] = _h_face_volume(An @ basis.T, bn - An @ x0,
-                                  (face_pts - x0) @ basis.T,
-                                  active[:, sel], scale)
-        dists[i] = bn[i] - An[i] @ inc.incentre
-    result = (fvols, dists, inc, Hm)
+
+    def offsets(faces):
+        return (faces @ V.points) / faces.sum(axis=1)[:, None] - inc.incentre
+
+    owner = np.arange(Hm.m)
+    faces = active
+    edges = offsets(faces)[:, None, :]
+    for k in range(n - 1, 0, -1):
+        counts = faces.astype(float) @ active.T.astype(float)
+        chain, j = np.nonzero((counts >= k) & (counts < faces.sum(axis=1)[:, None]))
+        sub = faces[chain] & active[j]
+        if k >= 4:
+            ok = [_affine_rank(V.points[s], scale) == k - 1 for s in sub]
+            chain, sub = chain[ok], sub[ok]
+        # a sub-face is distinct within its chain: key each row by chain too
+        tag = chain.astype(">u4").view(np.uint8).reshape(-1, 4)
+        first = _first_rows(np.hstack([tag, sub]))
+        chain, faces = chain[first], sub[first]
+        owner = owner[chain]
+        edges = np.concatenate([edges[chain], offsets(faces)[:, None, :]], axis=1)
+    cones = np.bincount(owner, weights=np.abs(np.linalg.det(edges)), minlength=Hm.m)
+    dists = bn - An @ inc.incentre
+    nfact = math.factorial(n)
+    result = (float(cones.sum() / nfact), n * cones / dists / nfact, inc)
     Hm._cache["cone"] = result
     H._cache["cone"] = result
     return result
 
 
-def _h_face_volume(A, b, pts, act, scale):
-    """Volume of a face given in its own chart, by cone decomposition.
-
-    ``pts`` are the face's vertices in R^m, ``A``/``b`` the parent
-    constraints expressed in the chart, ``act`` the full activity matrix
-    restricted to these vertices.  Each constraint active on >= m vertices
-    supports a sub-face; at the desk scale (m <= 3 here) the vertex count
-    alone identifies genuine (m-1)-dimensional sub-faces.
-    """
-    m = pts.shape[1]
-    if m == 0 or pts.shape[0] == 0:
-        return 1.0
-    if m == 1:
-        return float(pts.max() - pts.min())
-    if m == 2:
-        return _polygon_area(pts)
-    apex = pts.mean(axis=0)
-    counts = act.sum(axis=1)
-    nrms = np.sqrt(np.einsum("ij,ij->i", A, A))
-    cands = np.flatnonzero((counts >= m) & (nrms > 1e-9))
-    total = 0.0
-    for j in cands:
-        sel = act[j]
-        sub = pts[sel]
-        if m >= 4 and _affine_rank(sub, scale) != m - 1:
-            continue
-        dist = (b[j] - A[j] @ apex) / nrms[j]
-        basis = _orthonormal_complement(A[j] / nrms[j])
-        x0 = sub.mean(axis=0)
-        total += dist * _h_face_volume(A @ basis.T, b - A @ x0,
-                                       (sub - x0) @ basis.T,
-                                       act[:, sel], scale) / m
-    return total
-
-
 def volume(H: HalfspaceSystem) -> float:
-    """n-volume by the cone decomposition over facets from the incentre."""
-    fvols, dists, _, Hm = _cone_decomposition(H)
-    return float(np.dot(fvols, dists) / Hm.dim)
+    """n-volume by the flag subdivision coned from the incentre."""
+    return _cone_decomposition(H)[0]
 
 
 def surface_area(H: HalfspaceSystem) -> float:
     """(n-1)-volume of the boundary: sum of facet volumes of the minimal form."""
-    fvols, _, _, _ = _cone_decomposition(H)
-    return float(fvols.sum())
+    return float(_cone_decomposition(H)[1].sum())
 
 
 def heron_bounds(H: HalfspaceSystem) -> HeronReport:
     """Evaluate vol/per <= inradius <= n vol/per and report both sides."""
-    fvols, dists, inc, Hm = _cone_decomposition(H)
-    vol = float(np.dot(fvols, dists) / Hm.dim)
+    vol, fvols, inc = _cone_decomposition(H)
     per = float(fvols.sum())
     lower = vol / per
-    upper = Hm.dim * vol / per
+    upper = H.dim * vol / per
     tol = TAU_REP * max(1.0, inc.inradius)
     satisfied = (lower - tol <= inc.inradius <= upper + tol)
     return HeronReport(volume=vol, perimeter=per, inradius=inc.inradius,

@@ -50,26 +50,29 @@ def mc_inner_volume(H: HalfspaceSystem, eps: float, samples: int,
     return _estimate(H, samples, seed, eps=float(eps))
 
 
+def _box_draws(H: HalfspaceSystem, rng: np.random.Generator, sizes):
+    """Yield, for each size k, k uniform bounding-box points and their
+    unit-row slacks ``b - A x`` (non-negative on the body)."""
+    lo, hi = bounding_box(H)
+    An, bn, _ = H.unit_form()
+    for k in sizes:
+        pts = rng.uniform(lo, hi, size=(k, lo.size))
+        yield pts, bn - pts @ An.T
+
+
 def _estimate(H, samples, seed, eps):
     if samples < 10_000:
         raise BadParameter("at least 10^4 samples required")
     lo, hi = bounding_box(H)
     box_vol = float(np.prod(hi - lo))
-    An, bn, _ = H.unit_form()
     rng = np.random.default_rng(int(seed))
+    sizes = (min(_CHUNK, samples - start) for start in range(0, samples, _CHUNK))
     hits = 0
-    remaining = samples
-    while remaining > 0:
-        k = min(_CHUNK, remaining)
-        pts = rng.uniform(lo, hi, size=(k, lo.size))
-        resid = bn - pts @ An.T
-        if eps is None:
-            hits += int(np.count_nonzero(np.all(resid >= 0.0, axis=1)))
-        else:
-            inside = np.all(resid >= 0.0, axis=1)
-            near = resid.min(axis=1) <= eps
-            hits += int(np.count_nonzero(inside & near))
-        remaining -= k
+    for _, resid in _box_draws(H, rng, sizes):
+        inside = np.all(resid >= 0.0, axis=1)
+        if eps is not None:
+            inside &= resid.min(axis=1) <= eps
+        hits += int(np.count_nonzero(inside))
     p = hits / samples
     return McEstimate(mean=p * box_vol,
                       stddev=float(np.sqrt(p * (1.0 - p) / samples)) * box_vol,

@@ -319,8 +319,8 @@ def remove_redundant_halfspaces(H: HalfspaceSystem) -> HalfspaceSystem:
     """Drop halfspaces that do not support a facet; region is unchanged.
 
     A halfspace is retained iff its active vertex set has affine dimension
-    n-1.  Exact duplicates (same unit normal and offset within tolerance)
-    are collapsed to their first occurrence.
+    n-1.  Duplicates are merged by incidence row: of the halfspaces active
+    on the same vertex set only the first is kept.
     """
     if not H.validated:
         raise BadParameter("redundancy removal requires a validated body")
@@ -328,12 +328,11 @@ def remove_redundant_halfspaces(H: HalfspaceSystem) -> HalfspaceSystem:
         return H._cache["minimal"]
 
     V, active = vertex_incidence(H)
-    An, bn, _ = H.unit_form()
     n = H.dim
     scale = body_scale(H)
 
     keep = np.zeros(H.m, dtype=bool)
-    for i in _first_planes(An, bn, scale):
+    for i in _first_rows(active):
         face_pts = V.points[active[i]]
         if face_pts.shape[0] >= n and _affine_rank(face_pts, scale) == n - 1:
             keep[i] = True
@@ -347,12 +346,24 @@ def remove_redundant_halfspaces(H: HalfspaceSystem) -> HalfspaceSystem:
     return out
 
 
-def _affine_rank(pts, scale):
+def _affine_basis(pts, scale):
+    """Orthonormal rows spanning the directions of the affine hull of pts."""
     if pts.shape[0] < 2:
-        return 0
-    centered = pts - pts.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    return int(np.sum(svals > 1e-7 * scale))
+        return np.empty((0, pts.shape[1]))
+    _, svals, vt = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)
+    return vt[svals > 1e-7 * scale]
+
+
+def _affine_rank(pts, scale):
+    return _affine_basis(pts, scale).shape[0]
+
+
+def _first_rows(M):
+    """Ascending indices of the first occurrence of each distinct row of M."""
+    M = np.ascontiguousarray(M)
+    keys = M.view(np.dtype((np.void, M.itemsize * M.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    return np.sort(first)
 
 
 def facets(H: HalfspaceSystem) -> list[Facet]:
@@ -370,7 +381,8 @@ def convex_hull(V: VertexSet) -> HalfspaceSystem:
 
     Candidate facets come from all n-subsets of points; each candidate is
     oriented so the centroid is feasible and kept iff it supports the whole
-    set.  Intended for desk scale (<= ~200 points, n <= 4).
+    set.  Candidates active on the same points are one facet, and the first
+    of them is kept.  Intended for desk scale (<= ~200 points, n <= 4).
     """
     pts = np.atleast_2d(np.asarray(V.points, dtype=float))
     n = pts.shape[1]
@@ -389,7 +401,8 @@ def convex_hull(V: VertexSet) -> HalfspaceSystem:
                             pts, centroid, scale)
 
     planes_a: list[np.ndarray] = []
-    planes_b: list[float] = []
+    planes_b: list[np.ndarray] = []
+    rows: list[np.ndarray] = []
     sup_tol = TAU_FACET * scale
     for chunk in _combo_chunks(k, n):
         base = pts[chunk[:, 0]]
@@ -409,15 +422,17 @@ def convex_hull(V: VertexSet) -> HalfspaceSystem:
         if not usable.any():
             continue
         normals, offs = normals[usable], offs[usable]
-        support = np.max(normals @ pts.T - offs[:, None], axis=1) <= sup_tol
-        for a, b0 in zip(normals[support], offs[support]):
-            planes_a.append(a)
-            planes_b.append(float(b0))
+        resid = normals @ pts.T - offs[:, None]
+        support = np.max(resid, axis=1) <= sup_tol
+        if support.any():
+            planes_a.append(normals[support])
+            planes_b.append(offs[support])
+            rows.append(np.abs(resid[support]) <= sup_tol)
 
-    if not planes_a:
+    if not rows:
         raise DegenerateInput("no supporting facets found")
-    A, b = np.asarray(planes_a), np.asarray(planes_b)
-    first = _first_planes(A, b, scale)
+    A, b = np.vstack(planes_a), np.concatenate(planes_b)
+    first = _first_rows(np.vstack(rows))
     return _hull_result(A[first], b[first], pts, centroid, scale)
 
 
@@ -429,21 +444,6 @@ def _batched_normals(diffs):
     """
     u, s, vh = np.linalg.svd(diffs, full_matrices=True)
     return s[:, -1] if s.shape[1] else np.ones(diffs.shape[0]), vh[:, -1, :]
-
-
-def _first_planes(An, bn, scale):
-    """Indices of the first occurrence of each plane among unit rows.
-
-    Two rows are the same plane when their unit normals agree within 1e-9
-    and their offsets within 1e-9 of the body scale.
-    """
-    b_tol = 1e-9 * max(scale, 1e-6)
-    keep: list[int] = []
-    for i in range(An.shape[0]):
-        if not np.any((np.abs(An[keep] - An[i]).max(axis=1) <= 1e-9)
-                      & (np.abs(bn[keep] - bn[i]) <= b_tol)):
-            keep.append(i)
-    return keep
 
 
 def _hull_result(A, b, pts, centroid, scale):

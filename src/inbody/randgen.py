@@ -9,9 +9,12 @@ validation is still run and failures rejected.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import GeometryError
+from .oracle import _box_draws
 from .polytope import HalfspaceSystem, validate_body
 
 
@@ -52,16 +55,10 @@ def random_suite(n: int, count: int, seed: int) -> list[HalfspaceSystem]:
 def sample_interior(H: HalfspaceSystem, count: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Uniform interior points by rejection from the bounding box."""
-    if H.bbox is None:
-        H = validate_body(H)
-    lo, hi = H.bbox
-    An, bn, _ = H.unit_form()
     out = []
     got = 0
-    for _ in range(1000):
-        pts = rng.uniform(lo, hi, size=(max(4 * count, 64), lo.size))
-        inside = np.all(pts @ An.T <= bn, axis=1)
-        hit = pts[inside]
+    for pts, resid in _box_draws(H, rng, itertools.repeat(max(4 * count, 64), 1000)):
+        hit = pts[np.all(resid >= 0.0, axis=1)]
         if hit.size:
             out.append(hit)
             got += hit.shape[0]

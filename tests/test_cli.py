@@ -99,6 +99,21 @@ class TestCommands:
         assert rep["inner_within_4_sigma"] is True
         assert rep["mc_volume"]["samples"] == 50_000
 
+    def test_oracle_verdict_on_tesseract(self, tmp_path):
+        # a box fills its bounding box: the estimate is exact with stddev 0,
+        # so the verdict rests on the report tolerance
+        path = tmp_path / "tesseract.json"
+        rows = [{"a": [s * (i == j) for j in range(4)], "b": (s + 1) / 2}
+                for i in range(4) for s in (1.0, -1.0)]
+        path.write_text(json.dumps({"dim": 4, "halfspaces": rows}))
+        code, out = run_to_file("oracle", path, tmp_path / "o.json",
+                                samples=50_000, seed=11, eps=0.1)
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert rep["mc_volume"]["stddev"] == 0.0
+        assert rep["volume_within_4_sigma"] is True
+        assert rep["inner_within_4_sigma"] is True
+
     def test_attractor_estimate(self, cantor_file, tmp_path):
         code, out = run_to_file("attractor", cantor_file, tmp_path / "a.json",
                                 max_depth=10, tol=0.01)

@@ -98,6 +98,25 @@ class TestVolume:
         assert ib.volume(simplex3) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(1 / 6)
 
+    @pytest.mark.parametrize("build, vol, area", [
+        (lambda: cross_polytope(5), 4 / 15, 32 * math.sqrt(5) / 24),
+        (lambda: box(5), 1.0, 10.0),
+        (lambda: hrep(np.vstack([-np.eye(5), np.ones(5)]), [0.0] * 5 + [1.0]),
+         1 / 120, (5 + math.sqrt(5)) / 24)],
+        ids=["cross5", "cube5", "simplex5"])
+    def test_five_dimensional_closed_forms(self, build, vol, area):
+        # 2^n / n! and 2^n sqrt(n) / (n-1)! for the cross-polytope; the
+        # simplex has five facets of volume 1/4! and a regular one of edge
+        # sqrt(2) and volume sqrt(5)/4!
+        H = build()
+        assert ib.volume(H) == pytest.approx(vol, rel=1e-12)
+        assert ib.surface_area(H) == pytest.approx(area, rel=1e-12)
+
+    def test_interval(self):
+        H = hrep([[1.0], [-1.0]], [2.0, 1.0])
+        assert ib.volume(H) == pytest.approx(3.0, rel=1e-15)
+        assert ib.surface_area(H) == pytest.approx(2.0, rel=1e-15)
+
     def test_agrees_with_monte_carlo(self, small_suite):
         for n, bodies in small_suite.items():
             for i, H in enumerate(bodies[:4]):
@@ -150,8 +169,8 @@ class TestFacetsAndSurface:
             expected, abs=1e-9)
 
     def test_both_facet_volume_paths_agree(self, small_suite):
-        # surface_area recurses on the body's vertex-facet incidence;
-        # facet_volume builds a fresh hull of each embedded facet
+        # surface_area sums the flag simplices of the body's vertex-facet
+        # incidence; facet_volume hulls each embedded facet
         for n in (2, 3, 4):
             for H in small_suite[n][:4]:
                 via_facets = sum(ib.facet_volume(f) for f in ib.facets(H))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 import inbody as ib
 from inbody.errors import (
@@ -111,6 +112,16 @@ class TestConvexHull:
         assert H.m == 4
         assert ib.vertex_enumeration(H).count == 4
 
+    def test_noisy_coplanar_base_is_one_facet(self):
+        # every plane through three of the noisy base points is active on
+        # all eight, so the base is one facet however the planes tilt
+        t = 2 * np.pi * np.arange(8) / 8
+        z = 1e-8 * np.random.default_rng(0).standard_normal(8)
+        pts = np.vstack([np.column_stack([np.cos(t), np.sin(t), z]), [0.0, 0.0, -1.0]])
+        H = ib.convex_hull(ib.VertexSet(pts))
+        assert H.m == 9
+        assert ib.volume(H) == pytest.approx(ConvexHull(pts).volume, rel=1e-6)
+
 
 class TestRemoveRedundant:
     def test_slack_constraint_dropped(self, unit_square):
@@ -134,6 +145,14 @@ class TestRemoveRedundant:
         b = np.concatenate([unit_square.b, [2.0]])
         H = hrep(A, b)
         assert ib.remove_redundant_halfspaces(H).m == 4
+
+    def test_near_duplicate_plane_merged(self, unit_square):
+        # x + 1e-8 y <= 1 + 1e-8 is active on the same two corners as x <= 1
+        A = np.vstack([unit_square.A, [[1.0, 1e-8]]])
+        b = np.concatenate([unit_square.b, [1.0 + 1e-8]])
+        H = hrep(A, b)
+        assert ib.remove_redundant_halfspaces(H).m == 4
+        assert ib.surface_area(H) == pytest.approx(4.0, abs=1e-7)
 
     def test_inner_body_of_triangle_keeps_three(self, triangle):
         inner = ib.inner_parallel_body(triangle, 0.05)
