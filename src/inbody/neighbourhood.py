@@ -70,11 +70,14 @@ def g_formula(vol: float, inradius: float, eps: float, n: int) -> float:
 def inner_parallel_body(H: HalfspaceSystem, eps: float) -> HalfspaceSystem | None:
     """The body {x : distance_to_boundary(x) >= eps}, or None when empty.
 
-    Offsets every halfspace inward by eps and removes redundancy.  Returns
-    None once eps reaches the inradius (the erosion loses its interior).
-    The eroded body inherits the parent incentre: the distance function
-    drops uniformly by eps, so its maximizer is unchanged and the new
-    inradius is inradius - eps.
+    Offsets each facet of the minimal form inward by eps and removes
+    redundancy.  The erosion of a polytope is the intersection of its
+    eroded facet half-spaces (Matheron 1978), so the rows that support no
+    facet are left out before the offset.  Returns None once eps reaches
+    the inradius (the erosion loses its interior).  The eroded body
+    inherits the parent incentre: the distance function drops uniformly by
+    eps, so its maximizer is unchanged and the new inradius is
+    inradius - eps.
     """
     if eps < 0:
         raise BadParameter("offset must be non-negative")
@@ -86,8 +89,9 @@ def inner_parallel_body(H: HalfspaceSystem, eps: float) -> HalfspaceSystem | Non
     scale = body_scale(H)
     if inc.inradius - eps <= TAU_FACET * scale:
         return None
-    norms = np.linalg.norm(H.A, axis=1)
-    inner = HalfspaceSystem(H.A.copy(), H.b - eps * norms, validated=True,
+    Hm = remove_redundant_halfspaces(H)
+    norms = np.linalg.norm(Hm.A, axis=1)
+    inner = HalfspaceSystem(Hm.A.copy(), Hm.b - eps * norms, validated=True,
                             scale=H.scale, bbox=H.bbox,
                             cheb_center=inc.incentre,
                             cheb_radius=inc.inradius - eps)
@@ -145,9 +149,10 @@ def neighbourhood_profile(H: HalfspaceSystem,
                           grid_size: int = 33) -> NeighbourhoodProfile:
     """Sample eps -> vol(L_eps) on a uniform grid over [0, inradius].
 
-    Each grid point erodes the body once and takes one exact volume.
-    Discrete concavity (second differences <= report tolerance) is asserted
-    before returning.
+    Each grid point erodes the minimal form once (see
+    :func:`inner_parallel_body`) and takes one exact volume, so a row that
+    supports no facet costs nothing after the first.  Discrete concavity
+    (second differences <= report tolerance) is asserted before returning.
     """
     if grid_size < 3:
         raise BadParameter("grid_size must be >= 3")

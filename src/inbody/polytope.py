@@ -8,7 +8,10 @@ circumradius estimate, so small eroded bodies keep meaningful comparisons.
 
 Vertex enumeration and hull construction are exhaustive over n-subsets,
 which is the simplest correct algorithm at the intended desk scale
-(dimension <= ~4, a few dozen half-spaces, a couple hundred points).
+(dimension <= ~4, a few dozen half-spaces, a couple hundred points).  The
+subsets are solved in batches, and the steps after them (merging
+candidates, refining vertices, testing facets) are array operations over
+all vertices or faces at once, in blocks that bound memory.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ TAU_REP = 1e-6    # report tolerance (relative)
 
 _COMBO_CHUNK = 200_000  # n-subset batch size, bounds peak memory
 _COMBO_CAP = 10**8      # most n-subsets one enumeration may try
+_DEDUP_BLOCK = 256      # points per distance block in _dedup_points
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -222,8 +226,10 @@ def vertex_enumeration(H: HalfspaceSystem) -> VertexSet:
 
     Every n-subset of halfspaces with an invertible normal matrix is
     solved; solutions are kept iff feasible within the facet tolerance,
-    merged within the point tolerance, then refined against their full
-    active set by least squares.
+    merged within the point tolerance (an earlier kept point absorbs every
+    later one near it), then refined against their full active set: a
+    simple vertex solves its n active rows, any other takes the least
+    squares solution of its active rows.
     """
     V, _ = vertex_incidence(H)
     return V
@@ -258,7 +264,7 @@ def vertex_incidence(H: HalfspaceSystem):
     pts = np.vstack(candidates)
 
     pts = _dedup_points(pts, TAU_PT * scale)
-    pts = _refine_vertices(pts, An, bn, feas_tol, scale)
+    pts = _refine_vertices(pts, An, bn, feas_tol)
     pts = _dedup_points(pts, TAU_PT * scale)
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
@@ -291,27 +297,60 @@ def _combo_chunks(m, n):
 
 
 def _dedup_points(pts, tol):
+    """Drop each point that lies within tol of an earlier kept point.
+
+    The rule is that of a sequential scan in input order.  Distances are
+    taken for a block of points at a time, against each earlier block of
+    kept points and within the block, so memory stays bounded by
+    ``_DEDUP_BLOCK**2`` distances however many points come in.
+    """
     kept: list[np.ndarray] = []
-    for p in pts:
-        if kept:
-            d = np.linalg.norm(np.asarray(kept) - p, axis=1)
-            if d.min() <= tol:
-                continue
-        kept.append(p)
-    return np.asarray(kept)
+    for start in range(0, pts.shape[0], _DEDUP_BLOCK):
+        block = pts[start:start + _DEDUP_BLOCK]
+        for other in kept:
+            block = block[~(_distances(block, other) <= tol).any(axis=1)]
+        # earlier[i, j]: j < i and the two are within tol.  A point is kept
+        # iff no earlier kept point is near it; the rule is triangular, so
+        # iterating it from "keep all" fixes one more leading entry per
+        # round and stops at its unique solution, usually in two rounds.
+        earlier = np.tril(_distances(block, block) <= tol, -1)
+        keep = np.ones(block.shape[0], dtype=bool)
+        while True:
+            new = ~(earlier & keep).any(axis=1)
+            if np.array_equal(new, keep):
+                break
+            keep = new
+        if keep.any():
+            kept.append(block[keep])
+    return np.vstack(kept) if kept else pts[:0]
 
 
-def _refine_vertices(pts, An, bn, feas_tol, scale):
-    """Re-solve each vertex against its full active set (least squares)."""
+def _distances(P, Q):
+    """Euclidean distance of every row of P to every row of Q."""
+    return np.linalg.norm(P[:, None, :] - Q[None, :, :], axis=2)
+
+
+def _refine_vertices(pts, An, bn, feas_tol):
+    """Re-solve each vertex against its full active set.
+
+    One product gives every active set.  The simple vertices, with exactly
+    n active rows, solve their square systems in one batch; any other vertex
+    takes the least-squares solution of its active rows.  A vertex whose
+    refined point leaves an active row by more than feas_tol is an error.
+    """
+    n = An.shape[1]
+    act = np.abs(bn[:, None] - An @ pts.T) <= feas_tol      # (m, N)
     refined = np.empty_like(pts)
-    for k, p in enumerate(pts):
-        act = np.abs(bn - An @ p) <= feas_tol
-        sol, *_ = np.linalg.lstsq(An[act], bn[act], rcond=None)
-        resid = np.abs(An[act] @ sol - bn[act]).max()
-        if resid > feas_tol:
-            raise DegenerateNumerics(
-                f"vertex residual {resid:.3e} exceeds tolerance after refinement")
-        refined[k] = sol
+    simple = act.sum(axis=0) == n
+    if simple.any():
+        rows = np.nonzero(act[:, simple].T)[1].reshape(-1, n)
+        refined[simple] = np.linalg.solve(An[rows], bn[rows][..., None])[..., 0]
+    for k in np.flatnonzero(~simple):
+        refined[k], *_ = np.linalg.lstsq(An[act[:, k]], bn[act[:, k]], rcond=None)
+    resid = np.where(act, np.abs(An @ refined.T - bn[:, None]), 0.0).max()
+    if resid > feas_tol:
+        raise DegenerateNumerics(
+            f"vertex residual {resid:.3e} exceeds tolerance after refinement")
     return refined
 
 
@@ -331,11 +370,14 @@ def remove_redundant_halfspaces(H: HalfspaceSystem) -> HalfspaceSystem:
     n = H.dim
     scale = body_scale(H)
 
+    # one stacked rank test per vertex count over the distinct rows
+    first = _first_rows(active)
+    counts = active[first].sum(axis=1)
     keep = np.zeros(H.m, dtype=bool)
-    for i in _first_rows(active):
-        face_pts = V.points[active[i]]
-        if face_pts.shape[0] >= n and _affine_rank(face_pts, scale) == n - 1:
-            keep[i] = True
+    for c in np.flatnonzero(np.bincount(counts)[n:]) + n:
+        rows = first[counts == c]
+        face_pts = V.points[np.nonzero(active[rows])[1].reshape(-1, c)]
+        keep[rows] = _affine_rank(face_pts, scale) == n - 1
 
     out = HalfspaceSystem(H.A[keep], H.b[keep], validated=True, scale=H.scale,
                           bbox=H.bbox, cheb_center=H.cheb_center,
@@ -355,7 +397,9 @@ def _affine_basis(pts, scale):
 
 
 def _affine_rank(pts, scale):
-    return _affine_basis(pts, scale).shape[0]
+    """Affine rank of a point set (k, n), or of each set of a stack (..., k, n)."""
+    centred = pts - pts.mean(axis=-2, keepdims=True)
+    return (np.linalg.svd(centred, compute_uv=False) > 1e-7 * scale).sum(axis=-1)
 
 
 def _first_rows(M):

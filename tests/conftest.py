@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,21 @@ def box(n, lo=0.0, hi=1.0):
     A = np.vstack([np.eye(n), -np.eye(n)])
     b = np.concatenate([np.full(n, hi), np.full(n, -lo)])
     return hrep(A, b)
+
+
+def cross_polytope(n):
+    A = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    return hrep(A, np.ones(len(A)))
+
+
+def twenty_four_cell():
+    rows = []
+    for i, j in itertools.combinations(range(4), 2):
+        for si, sj in itertools.product((-1.0, 1.0), repeat=2):
+            a = np.zeros(4)
+            a[i], a[j] = si, sj
+            rows.append(a)
+    return hrep(rows, np.ones(len(rows)))
 
 
 def wide_rows():

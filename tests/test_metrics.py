@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ from scipy.spatial import ConvexHull
 import inbody as ib
 from inbody import lp
 from inbody.errors import BadParameter, OutsideBody
-from tests.conftest import box, hrep
+from tests.conftest import box, cross_polytope, hrep, twenty_four_cell
 
 
 def triangle_incircle_radius(p0, p1, p2):
@@ -198,21 +197,6 @@ def assert_matches_qhull(H):
     assert ib.volume(H) == pytest.approx(ref.volume, rel=1e-9)
     assert ib.surface_area(H) == pytest.approx(ref.area, rel=1e-9)
     assert via_facets == pytest.approx(ref.area, rel=1e-9)
-
-
-def cross_polytope(n):
-    A = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-    return hrep(A, np.ones(len(A)))
-
-
-def twenty_four_cell():
-    rows = []
-    for i, j in itertools.combinations(range(4), 2):
-        for si, sj in itertools.product((-1.0, 1.0), repeat=2):
-            a = np.zeros(4)
-            a[i], a[j] = si, sj
-            rows.append(a)
-    return hrep(rows, np.ones(len(rows)))
 
 
 class TestLpCount:

@@ -3,6 +3,7 @@ import pytest
 
 import inbody as ib
 from inbody.errors import BadParameter, EpsOutOfRange
+from tests.conftest import hrep
 
 
 class TestInnerParallelBody:
@@ -30,6 +31,42 @@ class TestInnerParallelBody:
             inner = ib.inner_parallel_body(H, eps)
             for p in ib.sample_interior(inner, 50, rng):
                 assert ib.distance_to_boundary(H, p) >= eps - 1e-9
+
+
+class TestErodesMinimalForm:
+    """Eroding the minimal form gives the same rows as eroding every row."""
+
+    @staticmethod
+    def raw_body():
+        # a pentagon with a strictly redundant row first and x <= 1 repeated
+        # as 2x <= 2
+        A = [[1.0, 2.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [-1.0, 0.0],
+             [0.0, -1.0], [1.0, 1.0]]
+        return hrep(A, [4.0, 1.0, 1.0, 2.0, 0.0, 0.0, 1.5])
+
+    @staticmethod
+    def eroded_rows(H, eps):
+        offset = ib.HalfspaceSystem(H.A, H.b - eps * np.linalg.norm(H.A, axis=1),
+                                    validated=True, scale=H.scale, bbox=H.bbox)
+        return ib.remove_redundant_halfspaces(offset)
+
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+    def test_same_rows_as_raw_erosion(self, frac):
+        H = self.raw_body()
+        Hm = ib.remove_redundant_halfspaces(H)
+        assert Hm.m == 5
+        eps = frac * ib.incentre(H).inradius
+        inner = ib.inner_parallel_body(H, eps)
+        for ref in (self.eroded_rows(Hm, eps), self.eroded_rows(H, eps)):
+            assert np.array_equal(inner.A, ref.A)
+            assert np.array_equal(inner.b, ref.b)
+
+    def test_profile_equals_minimal_form_profile(self):
+        prof = ib.neighbourhood_profile(self.raw_body(), 9)
+        ref = ib.neighbourhood_profile(
+            ib.remove_redundant_halfspaces(self.raw_body()), 9)
+        for name in ("eps_grid", "l_vol", "g_vals", "g_over_n", "chord", "deriv"):
+            assert np.array_equal(getattr(prof, name), getattr(ref, name))
 
 
 class TestVolInnerNeighbourhood:

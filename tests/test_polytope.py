@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
 import inbody as ib
+from inbody import polytope
 from inbody.errors import (
     BadParameter,
     DegenerateInput,
@@ -11,7 +14,7 @@ from inbody.errors import (
     Infeasible,
     Unbounded,
 )
-from tests.conftest import hrep, wide_rows
+from tests.conftest import box, cross_polytope, hrep, twenty_four_cell, wide_rows
 
 
 class TestValidateBody:
@@ -54,6 +57,91 @@ class TestVertexEnumeration:
             for H in bodies:
                 for p in ib.vertex_enumeration(H).points:
                     assert ib.contains_point(H, p, ib.TAU_FACET * H.scale)
+
+
+def sequential_dedup(pts, tol):
+    """Reference: scan in order, keep a point unless a kept one is near."""
+    kept = []
+    for p in pts:
+        if kept and np.linalg.norm(np.asarray(kept) - p, axis=1).min() <= tol:
+            continue
+        kept.append(p)
+    return np.asarray(kept)
+
+
+def lstsq_refine(pts, An, bn, feas_tol):
+    """Reference: each vertex by least squares on its own active rows."""
+    refined = np.empty_like(pts)
+    for k, p in enumerate(pts):
+        act = np.abs(bn - An @ p) <= feas_tol
+        refined[k], *_ = np.linalg.lstsq(An[act], bn[act], rcond=None)
+    return refined
+
+
+def fresh(H):
+    """The same validated body with nothing memoized."""
+    return ib.HalfspaceSystem(H.A, H.b, validated=True, scale=H.scale,
+                              bbox=H.bbox, cheb_center=H.cheb_center,
+                              cheb_radius=H.cheb_radius)
+
+
+class TestDedup:
+    def test_chain_follows_sequential_rule(self):
+        # the middle point is near both ends, the ends are not near each other
+        tol = 1e-3
+        pts = np.array([[0.0, 0.0], [0.6 * tol, 0.0], [1.2 * tol, 0.0]])
+        kept = polytope._dedup_points(pts, tol)
+        assert np.array_equal(kept, pts[[0, 2]])
+
+    def test_clusters_across_blocks_match_reference(self):
+        # jittered copies of 40 centres with chains longer than one block
+        rng = np.random.default_rng(5)
+        tol = 1e-6
+        centres = rng.standard_normal((40, 3))
+        pts = centres[rng.integers(0, 40, 900)]
+        pts = pts + rng.uniform(-1.5, 1.5, pts.shape) * tol
+        assert pts.shape[0] > 3 * polytope._DEDUP_BLOCK
+        assert np.array_equal(polytope._dedup_points(pts, tol),
+                              sequential_dedup(pts, tol))
+
+    def test_five_cross_polytope_memory(self):
+        # 30,080 candidate points for 10 vertices: a candidates x candidates
+        # distance array would need tens of GB
+        H = cross_polytope(5)
+        tracemalloc.start()
+        try:
+            V, _ = polytope.vertex_incidence(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert V.count == 10
+        assert peak <= 130e6
+        assert ib.volume(H) == pytest.approx(0.2666666666666664, rel=1e-15)
+
+
+class TestRefineReference:
+    @pytest.mark.parametrize("which", [
+        "suite2", "suite3", "suite4", "cube4", "cross4", "24-cell"])
+    def test_batched_refine_matches_lstsq(self, monkeypatch, small_suite, which):
+        named = {"cube4": lambda: box(4), "cross4": lambda: cross_polytope(4),
+                 "24-cell": twenty_four_cell}
+        bodies = [named[which]()] if which in named else small_suite[int(which[-1])]
+        for H in bodies:
+            V, active = polytope.vertex_incidence(fresh(H))
+            with monkeypatch.context() as patch:
+                patch.setattr(polytope, "_refine_vertices", lstsq_refine)
+                V_ref, active_ref = polytope.vertex_incidence(fresh(H))
+            assert V.count == V_ref.count
+            # the sort may swap vertices whose keys tie within rounding, so
+            # pair each vertex with its nearest reference vertex.  Against
+            # exact rational solutions of the simple vertices of these
+            # bodies, lstsq is off by up to 6.3e-14 * scale and the batched
+            # solve by 2.0e-14, hence the bound.
+            dist = np.linalg.norm(V.points[:, None] - V_ref.points[None], axis=2)
+            pair = dist.argmin(axis=1)
+            assert sorted(pair) == list(range(V.count))
+            assert dist[np.arange(V.count), pair].max() <= 1e-13 * H.scale
+            assert np.array_equal(active, active_ref[:, pair])
 
 
 class TestSubsetCap:
