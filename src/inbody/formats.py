@@ -33,26 +33,51 @@ def load_polytope(obj: dict) -> HalfspaceSystem:
         raise ValueError("polytope JSON must be an object")
     if "dim" not in obj:
         raise ValueError("polytope JSON needs a 'dim' field")
-    dim = int(obj["dim"])
+    dim = _integer(obj, "dim")
     if "halfspaces" in obj:
         rows, offs = [], []
-        for h in obj["halfspaces"]:
-            if "a" not in h or "b" not in h:
+        for h in _list(obj, "halfspaces"):
+            if not isinstance(h, dict) or "a" not in h or "b" not in h:
                 raise ValueError("each halfspace needs fields 'a' and 'b'")
-            a = np.asarray(h["a"], dtype=float)
+            a = _floats(h["a"], "halfspace normal")
             if a.shape != (dim,):
                 raise ValueError("halfspace normal has the wrong dimension")
+            b = _floats(h["b"], "halfspace offset")
+            if b.shape != ():
+                raise ValueError("halfspace offset must be a number")
             rows.append(a)
-            offs.append(float(h["b"]))
+            offs.append(float(b))
         if not rows:
             raise ValueError("empty halfspace list")
         return validate_body(HalfspaceSystem(np.vstack(rows), np.array(offs)))
     if "vertices" in obj:
-        pts = np.asarray(obj["vertices"], dtype=float)
+        pts = _floats(obj["vertices"], "vertex coordinates")
         if pts.ndim != 2 or pts.shape[1] != dim:
             raise ValueError("vertex array has the wrong shape")
         return convex_hull(VertexSet(pts))
     raise ValueError("polytope JSON needs 'halfspaces' or 'vertices'")
+
+
+def _integer(obj: dict, key: str) -> int:
+    value = obj[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ValueError(f"'{key}' must be an integer")
+    return int(value)
+
+
+def _list(obj: dict, key: str) -> list:
+    if not isinstance(obj[key], list):
+        raise ValueError(f"'{key}' must be a list")
+    return obj[key]
+
+
+def _floats(data, what: str) -> np.ndarray:
+    """Float array of JSON data; anything non-numeric is a ValueError."""
+    try:
+        return np.asarray(data, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be numeric") from exc
 
 
 def polytope_to_dict(H: HalfspaceSystem) -> dict:
@@ -70,13 +95,15 @@ def load_ifs(obj: dict):
     for key in ("n", "alphabet", "matrices"):
         if key not in obj:
             raise ValueError(f"IFS JSON needs field '{key}'")
-    n = int(obj["n"])
-    labels = [str(lab) for lab in obj["alphabet"]]
+    n = _integer(obj, "n")
+    labels = [str(lab) for lab in _list(obj, "alphabet")]
+    if not isinstance(obj["matrices"], dict):
+        raise ValueError("'matrices' must be an object")
     mats = []
     for lab in labels:
         if lab not in obj["matrices"]:
             raise ValueError(f"matrix for label '{lab}' missing")
-        M = np.asarray(obj["matrices"][lab], dtype=float)
+        M = _floats(obj["matrices"][lab], f"matrix '{lab}'")
         if M.shape != (n + 1, n + 1):
             raise ValueError(f"matrix '{lab}' must be {n + 1}x{n + 1}")
         mats.append(M)
@@ -84,8 +111,8 @@ def load_ifs(obj: dict):
 
     if obj.get("seed_holes"):
         seeds = []
-        for hole in obj["seed_holes"]:
-            pts = np.asarray(hole, dtype=float)
+        for hole in _list(obj, "seed_holes"):
+            pts = _floats(hole, "seed hole")
             if pts.ndim != 2 or pts.shape[1] != n:
                 raise ValueError("each seed hole is a list of n-d points")
             seeds.append(VertexSet(pts))

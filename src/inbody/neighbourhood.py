@@ -4,6 +4,9 @@ For a polytope the set of points at distance >= eps from the boundary is
 again a polytope: the same normals with every offset pulled in by
 ``eps * ||a||``.  The volume of the eps-inner neighbourhood (points within
 eps of the boundary) is therefore the difference of two exact volumes.
+Only the offsets move with eps, so a whole profile shares one solve of
+the minimal form's n-subsets: each gives a vertex path linear in eps and
+the window of offsets on which it is a vertex candidate.
 
 The envelope
 
@@ -27,6 +30,8 @@ from .polytope import (
     TAU_FACET,
     TAU_REP,
     HalfspaceSystem,
+    _incidence_from_candidates,
+    _vertex_paths,
     body_scale,
     remove_redundant_halfspaces,
     vertex_incidence,
@@ -85,17 +90,23 @@ def inner_parallel_body(H: HalfspaceSystem, eps: float) -> HalfspaceSystem | Non
         raise BadParameter("inner_parallel_body requires a validated body")
     if eps == 0.0:
         return remove_redundant_halfspaces(H)
+    inner = _offset_minimal_form(H, eps)
+    return None if inner is None else remove_redundant_halfspaces(inner)
+
+
+def _offset_minimal_form(H: HalfspaceSystem, eps: float) -> HalfspaceSystem | None:
+    """The minimal form of H with every row pulled in by eps, unreduced.
+
+    None once eps comes within the facet tolerance of the inradius.
+    """
     inc = incentre(H)
-    scale = body_scale(H)
-    if inc.inradius - eps <= TAU_FACET * scale:
+    if inc.inradius - eps <= TAU_FACET * body_scale(H):
         return None
     Hm = remove_redundant_halfspaces(H)
     norms = np.linalg.norm(Hm.A, axis=1)
-    inner = HalfspaceSystem(Hm.A.copy(), Hm.b - eps * norms, validated=True,
-                            scale=H.scale, bbox=H.bbox,
-                            cheb_center=inc.incentre,
-                            cheb_radius=inc.inradius - eps)
-    return remove_redundant_halfspaces(inner)
+    return HalfspaceSystem(Hm.A.copy(), Hm.b - eps * norms, validated=True,
+                           scale=H.scale, bbox=H.bbox, cheb_center=inc.incentre,
+                           cheb_radius=inc.inradius - eps)
 
 
 def vol_inner_neighbourhood(H: HalfspaceSystem, eps: float) -> float:
@@ -149,10 +160,15 @@ def neighbourhood_profile(H: HalfspaceSystem,
                           grid_size: int = 33) -> NeighbourhoodProfile:
     """Sample eps -> vol(L_eps) on a uniform grid over [0, inradius].
 
-    Each grid point erodes the minimal form once (see
-    :func:`inner_parallel_body`) and takes one exact volume, so a row that
-    supports no facet costs nothing after the first.  Discrete concavity
-    (second differences <= report tolerance) is asserted before returning.
+    The grid shares one vertex enumeration.  Every eroded body has the
+    minimal form's normals, so each n-subset of its rows is solved once for
+    a vertex path and the window of offsets on which that vertex is
+    feasible (see :func:`polytope._vertex_paths`).  At each grid point the
+    subsets whose window holds eps are the candidates of the eroded body's
+    vertex enumeration; the rest of it, redundancy removal and the volume
+    run on that body as in :func:`inner_parallel_body`, which stays the
+    per-offset reference.  Discrete concavity (second differences <= report
+    tolerance) is asserted before returning.
     """
     if grid_size < 3:
         raise BadParameter("grid_size must be >= 3")
@@ -160,12 +176,21 @@ def neighbourhood_profile(H: HalfspaceSystem,
     vol = volume(H)
     n = H.dim
     grid = np.linspace(0.0, inc.inradius, grid_size)
+    Hm = remove_redundant_halfspaces(H)
+    x, d, lo, hi = _vertex_paths(Hm)
 
     def inner_vol(eps: float) -> float:
-        inner = inner_parallel_body(H, float(eps))
-        return 0.0 if inner is None else volume(inner)
+        if eps == 0.0:
+            return volume(Hm)
+        inner = _offset_minimal_form(H, eps)
+        if inner is None:
+            return 0.0
+        on = (lo <= eps) & (eps <= hi)
+        inner._cache["incidence"] = _incidence_from_candidates(
+            inner, x[on] - eps * d[on])
+        return volume(remove_redundant_halfspaces(inner))
 
-    l_vol = vol - np.array([inner_vol(e) for e in grid])
+    l_vol = vol - np.array([inner_vol(float(e)) for e in grid])
 
     g_vals = np.array([g_formula(vol, inc.inradius, float(e), n) for e in grid])
     chord = grid * vol / inc.inradius

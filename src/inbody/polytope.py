@@ -9,9 +9,12 @@ circumradius estimate, so small eroded bodies keep meaningful comparisons.
 Vertex enumeration and hull construction are exhaustive over n-subsets,
 which is the simplest correct algorithm at the intended desk scale
 (dimension <= ~4, a few dozen half-spaces, a couple hundred points).  The
-subsets are solved in batches, and the steps after them (merging
-candidates, refining vertices, testing facets) are array operations over
-all vertices or faces at once, in blocks that bound memory.
+subsets are solved in batches, one routine for a right-hand side of one
+column (the vertices of one body) or two (the vertex paths of all the
+inner parallel bodies of one minimal form, see :func:`_vertex_paths`).  The
+steps after them (merging candidates, refining vertices, testing facets)
+are array operations over all vertices or faces at once, in blocks that
+bound memory, and one helper turns candidates into vertices for both.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ TAU_PT = 1e-9     # point dedup / interior threshold (scale-relative)
 TAU_FACET = 1e-7  # on-facet residual (scale-relative)
 TAU_REP = 1e-6    # report tolerance (relative)
 
-_COMBO_CHUNK = 200_000  # n-subset batch size, bounds peak memory
+_COMBO_CHUNK = 20_000   # n-subset batch size, bounds peak memory
 _COMBO_CAP = 10**8      # most n-subsets one enumeration may try
 _DEDUP_BLOCK = 256      # points per distance block in _dedup_points
 
@@ -243,36 +246,79 @@ def vertex_incidence(H: HalfspaceSystem):
         return H._cache["incidence"]
 
     An, bn, _ = H.unit_form()
-    m, n = An.shape
-    scale = body_scale(H)
-    feas_tol = TAU_FACET * scale
+    feas_tol = TAU_FACET * body_scale(H)
+    candidates = [np.empty((0, H.dim))]
+    for sols in _subset_solves(An, bn[:, None]):
+        sols = sols[..., 0]
+        feas = np.all(sols @ An.T - bn <= feas_tol, axis=1)
+        candidates.append(sols[feas])
+    result = _incidence_from_candidates(H, np.vstack(candidates))
+    H._cache["incidence"] = result
+    return result
 
-    candidates = []
+
+def _vertex_paths(H: HalfspaceSystem):
+    """Vertex candidates of every inner parallel body of H, from one solve.
+
+    The body eroded by eps is {x : An x <= bn - eps} in H's unit form, so an
+    n-subset S of rows meets at v_S(eps) = x_S - eps * d_S, with
+    A_S x_S = b_S and A_S d_S = 1 (Matheron 1978).  Its residuals
+    p - eps * q are linear too, so S is feasible within the facet tolerance
+    exactly on a window lo_S <= eps <= hi_S.  Returns (x, d, lo, hi) for the
+    subsets whose window meets eps >= 0, in subset order; the candidates at
+    one eps are ``x[on] - eps * d[on]`` with ``on = (lo <= eps) & (eps <= hi)``.
+    """
+    An, bn, _ = H.unit_form()
+    n = H.dim
+    feas_tol = TAU_FACET * body_scale(H)
+    paths = [np.empty((0, 2 * n + 2))]
+    for sols in _subset_solves(An, np.column_stack([bn, np.ones_like(bn)])):
+        x, d = sols[..., 0], sols[..., 1]
+        p = x @ An.T - bn
+        q = d @ An.T - 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (p - feas_tol) / q
+        lo = np.where(q > 0, t, -np.inf).max(axis=1)
+        hi = np.where(q < 0, t, np.inf).min(axis=1)
+        never = ((q == 0) & (p > feas_tol)).any(axis=1)
+        on = (lo <= hi) & (hi >= 0) & ~never
+        paths.append(np.column_stack([x[on], d[on], lo[on], hi[on]]))
+    paths = np.vstack(paths)
+    return paths[:, :n], paths[:, n:2 * n], paths[:, -2], paths[:, -1]
+
+
+def _subset_solves(An, rhs):
+    """Solutions of A_S y = rhs_S for the n-subsets S with invertible A_S.
+
+    Yields one (C, n, k) array per chunk of subsets, in subset order, for a
+    right-hand side of k columns.
+    """
+    m, n = An.shape
     for chunk in _combo_chunks(m, n):
         sub = An[chunk]                      # (C, n, n)
-        dets = np.linalg.det(sub)
-        good = np.abs(dets) > 1e-10
-        if not good.any():
-            continue
-        sols = np.linalg.solve(sub[good], bn[chunk[good]][..., None])[..., 0]
-        resid = sols @ An.T - bn             # (C_good, m)
-        feas = np.all(resid <= feas_tol, axis=1)
-        if feas.any():
-            candidates.append(sols[feas])
-    if not candidates:
-        raise GeometryError("no vertices found for a validated body")
-    pts = np.vstack(candidates)
+        good = np.abs(np.linalg.det(sub)) > 1e-10
+        if good.any():
+            yield np.linalg.solve(sub[good], rhs[chunk[good]])
 
+
+def _incidence_from_candidates(H: HalfspaceSystem, pts):
+    """Vertices and incidence of H from candidate points, in H's unit form.
+
+    The candidates are merged within the point tolerance (an earlier kept
+    point absorbs every later one near it), refined against their full
+    active sets, merged again and sorted.
+    """
+    if pts.shape[0] == 0:
+        raise GeometryError("no vertices found for a validated body")
+    An, bn, _ = H.unit_form()
+    scale = body_scale(H)
+    feas_tol = TAU_FACET * scale
     pts = _dedup_points(pts, TAU_PT * scale)
     pts = _refine_vertices(pts, An, bn, feas_tol)
     pts = _dedup_points(pts, TAU_PT * scale)
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-
+    pts = pts[np.lexsort(pts.T[::-1])]
     active = np.abs(bn[:, None] - An @ pts.T) <= feas_tol
-    result = (VertexSet(pts), active)
-    H._cache["incidence"] = result
-    return result
+    return VertexSet(pts), active
 
 
 @functools.lru_cache(maxsize=64)

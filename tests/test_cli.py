@@ -29,14 +29,16 @@ def wide_file(tmp_path):
     return path
 
 
+CANTOR = {"n": 1, "alphabet": ["a", "b"],
+          "matrices": {"a": [[3, 2], [0, 1]], "b": [[1, 0], [2, 3]]},
+          "seed_holes": [[[1 / 3], [2 / 3]]],
+          "assume_measure_zero": True}
+
+
 @pytest.fixture
 def cantor_file(tmp_path):
     path = tmp_path / "cantor.json"
-    path.write_text(json.dumps({
-        "n": 1, "alphabet": ["a", "b"],
-        "matrices": {"a": [[3, 2], [0, 1]], "b": [[1, 0], [2, 3]]},
-        "seed_holes": [[[1 / 3], [2 / 3]]],
-        "assume_measure_zero": True}))
+    path.write_text(json.dumps(CANTOR))
     return path
 
 
@@ -171,6 +173,23 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dim": 2}))
         assert run(RunConfig(command="metrics", input_path=str(path))) == 2
+
+    @pytest.mark.parametrize("command, obj", [
+        ("metrics", {"dim": None, "vertices": [[0, 0], [1, 0], [0, 1]]}),
+        ("metrics", {"dim": 2, "halfspaces": ["ab"]}),
+        ("metrics", {"dim": 2, "halfspaces": 5}),
+        ("metrics", {"dim": 2, "halfspaces": [{"a": [1, 0], "b": [1]}]}),
+        ("metrics", {"dim": 2, "vertices": [[0, {}], [1, 0], [0, 1]]}),
+        ("attractor", {**CANTOR, "n": 1.5}),
+        ("attractor", {**CANTOR, "n": None}),
+        ("attractor", {**CANTOR, "alphabet": "ab"}),
+        ("attractor", {**CANTOR, "matrices": 5}),
+    ])
+    def test_malformed_fields_are_parse_errors(self, tmp_path, capsys, command, obj):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert run(RunConfig(command=command, input_path=str(path))) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
     def test_unbounded_body_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "halfline.json"

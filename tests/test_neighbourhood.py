@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import inbody as ib
+from inbody import polytope
 from inbody.errors import BadParameter, EpsOutOfRange
-from tests.conftest import hrep
+from tests.conftest import box, cross_polytope, hrep, twenty_four_cell
 
 
 class TestInnerParallelBody:
@@ -206,3 +209,72 @@ class TestNeighbourhoodProfile:
     def test_small_grid_rejected(self, unit_square):
         with pytest.raises(BadParameter):
             ib.neighbourhood_profile(unit_square, 2)
+
+
+def per_eps_l_vol(H, grid_size):
+    """Reference profile: one inner_parallel_body and one volume per offset."""
+    grid = np.linspace(0.0, ib.incentre(H).inradius, grid_size)
+    inner = [ib.inner_parallel_body(H, float(e)) for e in grid]
+    return ib.volume(H) - np.array([0.0 if K is None else ib.volume(K) for K in inner])
+
+
+def cut_square():
+    """The unit square with its corner (1, 1) cut by x + y <= 1.9.
+
+    The cut facet vanishes at eps = 0.1 / (2 - sqrt 2), and from there on
+    the subset {x <= 1, y <= 1}, infeasible at eps = 0, gives a vertex.
+    """
+    return hrep([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                [1.0, 1.0, 0.0, 0.0, 1.9])
+
+
+class TestWindowedProfile:
+    """The profile's shared vertex paths give the per-offset volumes exactly."""
+
+    @pytest.mark.parametrize("which", [
+        "suite2", "suite3", "suite4", "cube", "simplex", "cross4", "24-cell",
+        "cut-square"])
+    def test_equals_per_eps_profile(self, small_suite, unit_cube,
+                                    regular_tetrahedron, which):
+        named = {"cube": lambda: unit_cube, "simplex": lambda: regular_tetrahedron,
+                 "cross4": lambda: cross_polytope(4), "24-cell": twenty_four_cell,
+                 "cut-square": cut_square}
+        bodies = [named[which]()] if which in named else small_suite[int(which[-1])]
+        for H in bodies:
+            prof = ib.neighbourhood_profile(H, 17)
+            assert np.array_equal(prof.l_vol, per_eps_l_vol(H, 17))
+
+    def test_vertex_born_inside_the_grid(self):
+        H = cut_square()
+        born = 0.1 / (2.0 - np.sqrt(2.0))
+        x, d, lo, hi = polytope._vertex_paths(ib.remove_redundant_halfspaces(H))
+        corner = np.flatnonzero(np.all(x == 1.0, axis=1) & np.all(d == 1.0, axis=1))
+        assert corner.size == 1
+        assert lo[corner[0]] == pytest.approx(born, abs=1e-6)
+        assert hi[corner[0]] > 0.5
+        eps = np.linspace(0.0, 0.5, 33)
+        assert np.count_nonzero((eps > born) & (eps < 0.5)) >= 15
+        inner = ib.inner_parallel_body(H, 0.3)
+        assert inner.m == 4
+        assert ib.vertex_enumeration(inner).points == pytest.approx(
+            np.array([[0.3, 0.3], [0.3, 0.7], [0.7, 0.3], [0.7, 0.7]]), abs=1e-12)
+
+    def test_combo_cap_raises(self, monkeypatch):
+        # C(6, 3) = 20 subsets; the whole body's enumeration is done first
+        H = box(3)
+        ib.volume(H)
+        monkeypatch.setattr(polytope, "_COMBO_CAP", 19)
+        with pytest.raises(BadParameter):
+            ib.neighbourhood_profile(H, 5)
+
+    def test_five_cross_polytope_memory(self):
+        # 201,376 subsets solved once with two right-hand sides
+        H = cross_polytope(5)
+        tracemalloc.start()
+        try:
+            prof = ib.neighbourhood_profile(H, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
+        assert np.array_equal(prof.l_vol, per_eps_l_vol(cross_polytope(5), 5))

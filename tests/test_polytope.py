@@ -115,7 +115,7 @@ class TestDedup:
         finally:
             tracemalloc.stop()
         assert V.count == 10
-        assert peak <= 130e6
+        assert peak <= 24e6
         assert ib.volume(H) == pytest.approx(0.2666666666666664, rel=1e-15)
 
 
