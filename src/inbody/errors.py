@@ -30,7 +30,7 @@ class DegenerateInput(GeometryError):
 
 
 class DegenerateNumerics(GeometryError):
-    """A computed vertex failed its residual check after refinement."""
+    """A computed result failed a numerical consistency check."""
 
 
 class DegenerateFacet(GeometryError):

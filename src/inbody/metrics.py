@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, DegenerateFacet, GeometryError, OutsideBody
+from .errors import (BadParameter, DegenerateFacet, DegenerateNumerics, GeometryError,
+                     OutsideBody)
 from .polytope import (
     TAU_FACET,
     TAU_REP,
@@ -126,6 +127,16 @@ def _cone_decomposition(H: HalfspaceSystem):
     centroid F_0).  These simplices tile the body, so vol = sum |det| / n!,
     and facet i, whose simplices make a cone of height dist(c, F_i),
     has vol_{n-1}(F_i) = n cone_i / dist(c, F_i).
+
+    Minkowski's relation sum vol(F_i) u_i = 0 certifies the result: an
+    incidence that is not the body's face lattice breaks it.  A sum above
+    the report tolerance TAU_REP of the surface raises DegenerateNumerics
+    rather than return a wrong volume.  Vertices up to the facet tolerance
+    off their planes break it by at most about TAU_FACET * scale / (4 r),
+    r the inradius (measured with a redundant row active at a vertex of
+    random polygons and polyhedra), so below TAU_REP while scale / r < 40.
+    Thinner such bodies can raise, and their volumes were then off by up
+    to 6.1e-6 as well.
     """
     Hm = remove_redundant_halfspaces(H)
     if "cone" in Hm._cache:
@@ -158,7 +169,12 @@ def _cone_decomposition(H: HalfspaceSystem):
     cones = np.bincount(owner, weights=np.abs(np.linalg.det(edges)), minlength=Hm.m)
     dists = bn - An @ inc.incentre
     nfact = math.factorial(n)
-    result = (float(cones.sum() / nfact), n * cones / dists / nfact, inc)
+    fvols = n * cones / dists / nfact
+    closure = float(np.linalg.norm(fvols @ An) / fvols.sum())
+    if closure > TAU_REP:
+        raise DegenerateNumerics(
+            f"facet vectors sum to {closure:.3e} of the surface, not to zero")
+    result = (float(cones.sum() / nfact), fvols, inc)
     Hm._cache["cone"] = result
     H._cache["cone"] = result
     return result

@@ -6,9 +6,10 @@ stored unnormalized and every distance formula divides by the row norm
 explicitly.  Tolerances are relative to a per-body scale derived from a
 circumradius estimate, so small eroded bodies keep meaningful comparisons.
 
-Vertex enumeration and hull construction are exhaustive over n-subsets,
-which is the simplest correct algorithm at the intended desk scale
-(dimension <= ~4, a few dozen half-spaces, a couple hundred points).  The
+Vertex enumeration is exhaustive over n-subsets, which is the simplest
+correct algorithm at the intended desk scale (dimension <= ~4, a few dozen
+half-spaces, a couple hundred points).  The convex hull of k points is the
+vertex enumeration of their polar body, so it too tries C(k, n) subsets.  The
 subsets are solved in batches, one routine for a right-hand side of one
 column (the vertices of one body) or two (the vertex paths of all the
 inner parallel bodies of one minimal form, see :func:`_vertex_paths`).  The
@@ -469,10 +470,17 @@ def facets(H: HalfspaceSystem) -> list[Facet]:
 def convex_hull(V: VertexSet) -> HalfspaceSystem:
     """Minimal H-representation of the hull of an affinely spanning set.
 
-    Candidate facets come from all n-subsets of points; each candidate is
-    oriented so the centroid is feasible and kept iff it supports the whole
-    set.  Candidates active on the same points are one facet, and the first
-    of them is kept.  Intended for desk scale (<= ~200 points, n <= 4).
+    For n >= 2 the hull is read off the polar body {y : (p_i - c) . y <= 1}
+    of the points p_i about their centroid c (Avis & Fukuda 1992).  Its
+    vertices are the hull's facets: y gives the unit normal y / |y| at
+    distance 1 / |y| from c.  Its non-redundant rows are the hull's
+    vertices, so the hull's incidence is the polar one transposed.  Polar
+    vertices active on the same points are one facet, and the first of them
+    is kept.  The polar body is validated for a scale of its own, because
+    the hull's scale would make its tolerances too tight on facets far
+    from c.  The enumeration tries C(k, n) subsets for k points, so this is
+    meant for desk scale (<= ~200 points, n <= 4).  An interval is written
+    directly.
     """
     pts = np.atleast_2d(np.asarray(V.points, dtype=float))
     n = pts.shape[1]
@@ -487,73 +495,28 @@ def convex_hull(V: VertexSet) -> HalfspaceSystem:
 
     if n == 1:
         lo, hi = float(pts.min()), float(pts.max())
-        return _hull_result(np.array([[1.0], [-1.0]]), np.array([hi, -lo]),
-                            pts, centroid, scale)
-
-    planes_a: list[np.ndarray] = []
-    planes_b: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-    sup_tol = TAU_FACET * scale
-    for chunk in _combo_chunks(k, n):
-        base = pts[chunk[:, 0]]
-        diffs = pts[chunk[:, 1:]] - base[:, None, :]      # (C, n-1, n)
-        svals, vh = _batched_normals(diffs)
-        normals = vh                                       # (C, n) unit
-        ok = svals > 1e-13 * max(1.0, scale)
-        if not ok.any():
-            continue
-        normals = normals[ok]
-        offs = np.einsum("ij,ij->i", normals, base[ok])
-        side = normals @ centroid - offs
-        flip = side > 0
-        normals[flip] *= -1.0
-        offs = np.where(flip, -offs, offs)
-        usable = np.abs(side) > TAU_PT * scale
-        if not usable.any():
-            continue
-        normals, offs = normals[usable], offs[usable]
-        resid = normals @ pts.T - offs[:, None]
-        support = np.max(resid, axis=1) <= sup_tol
-        if support.any():
-            planes_a.append(normals[support])
-            planes_b.append(offs[support])
-            rows.append(np.abs(resid[support]) <= sup_tol)
-
-    if not rows:
-        raise DegenerateInput("no supporting facets found")
-    A, b = np.vstack(planes_a), np.concatenate(planes_b)
-    first = _first_rows(np.vstack(rows))
-    return _hull_result(A[first], b[first], pts, centroid, scale)
-
-
-def _batched_normals(diffs):
-    """Unit normals to the row spaces of a stack of (n-1, n) matrices.
-
-    Returns the smallest nonzero singular value (affine-independence
-    signal) and the corresponding null direction for each matrix.
-    """
-    u, s, vh = np.linalg.svd(diffs, full_matrices=True)
-    return s[:, -1] if s.shape[1] else np.ones(diffs.shape[0]), vh[:, -1, :]
-
-
-def _hull_result(A, b, pts, centroid, scale):
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+        A, b = np.array([[1.0], [-1.0]]), np.array([hi, -lo])
+        vpts, active = np.array([[lo], [hi]]), np.array([[False, True], [True, False]])
+    else:
+        # c is interior, so a point on it is no vertex; it would also give
+        # the polar body a zero row
+        cand = pts[np.linalg.norm(pts - centroid, axis=1) > TAU_PT * scale]
+        rows = cand - centroid
+        polar = remove_redundant_halfspaces(
+            validate_body(HalfspaceSystem(rows, np.ones(len(rows)))))
+        Y, polar_active = vertex_incidence(polar)
+        first = _first_rows(polar_active.T)
+        y, active = Y.points[first], polar_active[:, first].T
+        norms = np.linalg.norm(y, axis=1)
+        A = y / norms[:, None]
+        b = 1.0 / norms + A @ centroid
+        # the kept rows, read back as the input points themselves
+        vpts = cand[(rows[:, None] == polar.A).all(axis=2).any(axis=1)]
+        order = np.lexsort(vpts.T[::-1])
+        vpts, active = vpts[order], active[:, order]
     out = HalfspaceSystem(A, b, validated=True, scale=scale,
-                          bbox=np.vstack([lo, hi]))
-    norms = np.linalg.norm(A, axis=1)
-    active = np.abs(b[:, None] - A @ pts.T) <= TAU_FACET * scale * norms[:, None]
-    # Hull vertices are the points whose active normals span the space.
-    n = pts.shape[1]
-    is_vertex = np.zeros(pts.shape[0], dtype=bool)
-    for j in range(pts.shape[0]):
-        rows = A[active[:, j]]
-        if rows.shape[0] >= n:
-            # unit-normal rows, so a fixed tolerance is appropriate
-            is_vertex[j] = np.linalg.matrix_rank(rows, tol=1e-9) == n
-    vpts = pts[is_vertex]
-    order = np.lexsort(vpts.T[::-1])
-    out._cache["incidence"] = (VertexSet(vpts[order]), active[:, is_vertex][:, order])
+                          bbox=np.vstack([pts.min(axis=0), pts.max(axis=0)]))
+    out._cache["incidence"] = (VertexSet(vpts), active)
     out._cache["minimal"] = out
     return out
 

@@ -32,6 +32,19 @@ def twenty_four_cell():
     return hrep(rows, np.ones(len(rows)))
 
 
+def noisy_cone(k):
+    """k points on the unit circle lifted by 1e-8 noise, plus the apex (0, 0, -1)."""
+    t = 2 * np.pi * np.arange(k) / k
+    z = 1e-8 * np.random.default_rng(0).standard_normal(k)
+    return np.vstack([np.column_stack([np.cos(t), np.sin(t), z]), [0.0, 0.0, -1.0]])
+
+
+def cut_cube_rows():
+    """The unit cube cut by a plane 5e-7 rad off its top face."""
+    A = np.vstack([np.eye(3), -np.eye(3), [[5e-7, 0.0, 1.0]]])
+    return A, np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0 + 4.5e-7])
+
+
 def wide_rows():
     """A 12-d body with 40 half-spaces: C(40, 12) = 5.6e9 vertex candidates."""
     extra = np.random.default_rng(0).standard_normal((16, 12))

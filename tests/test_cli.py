@@ -4,7 +4,7 @@ import math
 import pytest
 
 from inbody.cli import RunConfig, config_from_args, run
-from tests.conftest import wide_rows
+from tests.conftest import noisy_cone, wide_rows
 
 
 @pytest.fixture
@@ -190,6 +190,12 @@ class TestExitCodes:
         path.write_text(json.dumps(obj))
         assert run(RunConfig(command=command, input_path=str(path))) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+    def test_inconsistent_incidence_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"dim": 3, "vertices": noisy_cone(16).tolist()}))
+        assert run(RunConfig(command="metrics", input_path=str(path))) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "DegenerateNumerics"
 
     def test_unbounded_body_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "halfline.json"

@@ -5,9 +5,10 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import inbody as ib
-from inbody import lp
-from inbody.errors import BadParameter, OutsideBody
-from tests.conftest import box, cross_polytope, hrep, twenty_four_cell
+from inbody import lp, polytope
+from inbody.errors import BadParameter, DegenerateNumerics, OutsideBody
+from tests.conftest import (box, cross_polytope, cut_cube_rows, hrep, noisy_cone,
+                            twenty_four_cell)
 
 
 def triangle_incircle_radius(p0, p1, p2):
@@ -197,6 +198,36 @@ def assert_matches_qhull(H):
     assert ib.volume(H) == pytest.approx(ref.volume, rel=1e-9)
     assert ib.surface_area(H) == pytest.approx(ref.area, rel=1e-9)
     assert via_facets == pytest.approx(ref.area, rel=1e-9)
+
+
+class TestMinkowskiCertificate:
+    # neither body's incidence is its face lattice, so the kernel cannot
+    # give the right volume (Qhull 1.0205 and exactly 1.0)
+    def test_noisy_sixteen_point_cone_raises(self):
+        H = ib.convex_hull(ib.VertexSet(noisy_cone(16)))
+        with pytest.raises(DegenerateNumerics):
+            ib.volume(H)
+
+    def test_nearly_coplanar_cut_cube_raises(self):
+        H = hrep(*cut_cube_rows())
+        with pytest.raises(DegenerateNumerics):
+            ib.surface_area(H)
+
+    @pytest.mark.parametrize("length", [1.0, 10.0])
+    def test_vertex_off_its_planes_within_tolerance_passes(self, length):
+        # x + y <= L + 1 + d is redundant but active at (L, 1) within the
+        # facet tolerance, so refinement moves that vertex off both facet
+        # planes, and Minkowski's relation fails by about 2e-8 of the surface
+        A = np.vstack([np.eye(2), -np.eye(2), [[1.0, 1.0]]])
+        b = np.array([length, 1.0, 0.0, 0.0, length + 1.0])
+        tol = polytope.TAU_FACET * polytope.body_scale(hrep(A, b))
+        b[-1] += 0.99 * tol * math.sqrt(2.0)
+        H = hrep(A, b)
+        offsets = ib.vertex_enumeration(H).points - [length, 1.0]
+        corner = offsets[np.argmin(np.linalg.norm(offsets, axis=1))]
+        assert corner.min() > 0.3 * tol
+        assert ib.volume(H) == pytest.approx(length, rel=1e-7)
+        assert ib.surface_area(H) == pytest.approx(2.0 * length + 2.0, rel=1e-7)
 
 
 class TestLpCount:

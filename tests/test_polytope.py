@@ -210,6 +210,52 @@ class TestConvexHull:
         assert H.m == 9
         assert ib.volume(H) == pytest.approx(ConvexHull(pts).volume, rel=1e-6)
 
+    @pytest.mark.parametrize("pts, m, count, vol", [
+        ([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5]], 4, 4, 1.0),
+        ([[x, y] for x in (-1, 0, 1) for y in (-1, 0, 1)], 4, 4, 4.0),
+        (np.vstack([np.eye(3), -np.eye(3), np.zeros((1, 3))]), 8, 6, 4.0 / 3.0),
+    ])
+    def test_point_at_centroid_ignored(self, pts, m, count, vol):
+        # the centroid is exact in floating point and is one of the points
+        H = ib.convex_hull(ib.VertexSet(np.asarray(pts, dtype=float)))
+        assert H.m == m
+        assert ib.vertex_enumeration(H).count == count
+        assert ib.volume(H) == pytest.approx(vol, rel=1e-12)
+
+    def test_interval_from_cloud(self):
+        # interior points and duplicates leave the two end points
+        pts = [[0.3], [-1.5], [2.0], [0.3], [2.0], [-1.5], [1.0]]
+        H = ib.convex_hull(ib.VertexSet(pts))
+        V, active = polytope.vertex_incidence(H)
+        assert H.m == 2
+        assert V.points.ravel().tolist() == [-1.5, 2.0]
+        assert active.tolist() == [[False, True], [True, False]]
+
+    @pytest.mark.parametrize("n, count", [(2, 30), (3, 40), (4, 20)])
+    def test_random_clouds_match_qhull(self, n, count):
+        for seed in range(5):
+            pts = np.random.default_rng(seed).standard_normal((count, n))
+            ref = ConvexHull(pts)
+            H = ib.convex_hull(ib.VertexSet(pts))
+            V = ib.vertex_enumeration(H)
+            expected = pts[ref.vertices]
+            assert np.array_equal(V.points, expected[np.lexsort(expected.T[::-1])])
+            assert ib.volume(H) == pytest.approx(ref.volume, rel=1e-12)
+
+    @pytest.mark.parametrize("n, count", [(2, 30), (3, 40), (4, 20)])
+    def test_similarities_keep_facets_and_scale_volume(self, n, count):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            pts = rng.standard_normal((count, n))
+            H = ib.convex_hull(ib.VertexSet(pts))
+            vol = ib.volume(H)
+            rotation, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            for image, lam in [(1e-3 * pts, 1e-3), (1e3 * pts, 1e3),
+                               (pts @ rotation.T, 1.0), (pts + 1e3, 1.0)]:
+                H2 = ib.convex_hull(ib.VertexSet(image))
+                assert H2.m == H.m
+                assert ib.volume(H2) == pytest.approx(lam ** n * vol, rel=1e-9)
+
 
 class TestRemoveRedundant:
     def test_slack_constraint_dropped(self, unit_square):
