@@ -159,13 +159,19 @@ def _within_4_sigma(exact: float, est) -> bool:
 
 
 def _default_resolutions(holes) -> list[float]:
-    """Thirds ladder from coarse down to (not past) the smallest-hole scale."""
+    """Thirds ladder from coarse down to (not past) the smallest-hole scale.
+
+    Above one dimension it also stops before a grid that box counting
+    would refuse as too fine.  Either stop waits for three resolutions.
+    """
+    n = holes[0].body.dim
     deepest = max(h.depth for h in holes)
     min_in = min(h.inradius for h in holes if h.depth == deepest)
     res = [1.0 / 3.0 ** 2]
     while len(res) < 16:
         nxt = res[-1] / 3.0
-        if nxt < min_in * (1.0 - 1e-9) and len(res) >= 3:
+        if len(res) >= 3 and (nxt < min_in * (1.0 - 1e-9)
+                              or n > 1 and projective._grid_too_fine(n, nxt)):
             break
         res.append(nxt)
     return res

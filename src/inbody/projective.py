@@ -22,6 +22,12 @@ once the matrices are rescaled to determinant +/-1.  Both exponents are
 located by a depth-ratio test plus bisection in s over [n-1, n]; a grid
 box-counting estimator over the explicit holes serves as an independent
 cross-check.
+
+Holes are made one word length at a time: the word products of a depth
+are one stacked matrix product, and each seed hole's vertices are mapped
+through the whole stack at once.  In one dimension a hole is an interval,
+so its length and inradius are closed forms taken over the whole depth;
+above one dimension each image gets its own hull.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from . import metrics
 from .errors import (
     BadParameter,
     DegenerateImage,
+    DegenerateInput,
     IfsValidationError,
     Infeasible,
     InsufficientDepth,
@@ -46,6 +53,7 @@ from .polytope import (
     TAU_REP,
     HalfspaceSystem,
     VertexSet,
+    _affine_rank,
     _chebyshev,
     convex_hull,
     validate_body,
@@ -54,6 +62,7 @@ from .polytope import (
 _RATIO_FLAT = 1e-6       # |ratio - 1| below this carries no signal
 _SPREAD_LIMIT = 0.10     # max relative disagreement of top-depth ratios
 _WORD_CAP = 1 << 21      # guard on the total number of word products
+_CELL_CAP = 20_000_000   # most grid cells one box count above n = 1 may scan
 NORM_KINDS = ("spectral", "frobenius", "maxentry")
 
 
@@ -161,15 +170,20 @@ def image_polytope(N, body: VertexSet) -> VertexSet:
     Valid because a projective map with positive denominators on a convex
     region sends the hull of points to the hull of their images.
     """
-    N = np.asarray(N, dtype=float)
-    pts = body.points
-    rest = 1.0 - pts.sum(axis=1)
-    lifted = np.hstack([rest[:, None], pts])
-    imgs = lifted @ N.T
-    sums = imgs.sum(axis=1)
+    return VertexSet(_chart_images(np.asarray(N, dtype=float), body.points))
+
+
+def _chart_images(N, pts):
+    """Chart images of chart points (k, n) under one matrix or a stack of w.
+
+    Returns (k, n) for one matrix and (w, k, n) for a stack.
+    """
+    lifted = np.hstack([(1.0 - pts.sum(axis=1))[:, None], pts])
+    imgs = lifted @ np.swapaxes(N, -1, -2)
+    sums = imgs.sum(axis=-1)
     if np.any(sums <= TAU_PT):
         raise DegenerateImage("a vertex image has non-positive coordinate sum")
-    return VertexSet(imgs[:, 1:] / sums[:, None])
+    return imgs[..., 1:] / sums[..., None]
 
 
 def chart_simplex_vertices(n: int) -> VertexSet:
@@ -274,7 +288,11 @@ def generate_holes(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
 
     The invariant-set identity pushes every seed hole through every word of
     maps, so the records are exactly {N_w . hole} keyed by (word, seed).
-    Emission order is depth-major with words in label-lexicographic order.
+    Emission order is depth-major with words in label-lexicographic order
+    and seeds innermost.  The holes are made one depth at a time: each seed
+    is mapped through the depth's stack of word products in one product.
+    An interval's length and inradius are closed forms, taken for the whole
+    depth at once; above one dimension each image gets its own hull.
     """
     if max_depth < 0:
         raise BadParameter("max_depth must be >= 0")
@@ -282,29 +300,76 @@ def generate_holes(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
     if not report.ok:
         names = ", ".join(c.name for c in report.violations())
         raise IfsValidationError(f"hypothesis checks failed: {names}")
-    if ifs.matrices and len(ifs.matrices) ** max_depth > _WORD_CAP:
-        raise BadParameter("word tree too large at this depth")
 
     records: list[HoleRecord] = []
-    level: list[tuple[tuple[str, ...], np.ndarray]] = [((), np.eye(ifs.n + 1))]
-    for depth in range(max_depth + 1):
-        for word, P in level:
-            for seed_idx, seed in enumerate(seed_holes):
-                body = seed if depth == 0 else image_polytope(P, seed)
-                hull = convex_hull(body)
-                vol = metrics.volume(hull)
-                inr = metrics.incentre(hull).inradius
-                if vol <= 0 or inr <= 0:
-                    raise DegenerateImage(
-                        f"hole {word}/{seed_idx} degenerated under the maps")
+    words: list[tuple[str, ...]] = [()]
+    for depth, level in enumerate(_word_levels(ifs, max_depth)):
+        if depth:
+            words = [word + (lab,) for word in words for lab in ifs.labels]
+            images = [_chart_images(level, seed.points) for seed in seed_holes]
+        else:
+            images = [seed.points[None] for seed in seed_holes]
+        if not images:
+            continue
+        measured = [_measure_holes(pts) for pts in images]
+        vols = np.stack([m[0] for m in measured], axis=1)      # (words, seeds)
+        inrs = np.stack([m[1] for m in measured], axis=1)
+        bad = np.argwhere((vols <= 0) | (inrs <= 0))
+        if bad.size:
+            w, seed_idx = bad[0]
+            raise DegenerateImage(
+                f"hole {words[w]}/{seed_idx} degenerated under the maps")
+        for w, (word, vol, inr) in enumerate(zip(words, vols.tolist(),
+                                                 inrs.tolist())):
+            for seed_idx, pts in enumerate(images):
                 records.append(HoleRecord(word=word, seed_index=seed_idx,
-                                          body=body, volume=vol, inradius=inr))
-        if depth == max_depth or not ifs.matrices:
-            break
-        level = [(word + (lab,), P @ M)
-                 for word, P in level
-                 for lab, M in zip(ifs.labels, ifs.matrices)]
+                                          body=VertexSet(pts[w]),
+                                          volume=vol[seed_idx],
+                                          inradius=inr[seed_idx]))
     return records
+
+
+def _word_levels(ifs: ProjectiveIFS, max_depth: int):
+    """Word products by word length 0..max_depth, one stack per length.
+
+    Level m holds N_w for every length-m word w in label order, made as one
+    stacked matmul of level m-1 with every matrix.  (``einsum`` sums in
+    another order and moves hole ends by an ulp.)  The word cap is checked
+    before the first level is made.
+    """
+    J = len(ifs.matrices)
+    if J and J ** max_depth > _WORD_CAP:
+        raise BadParameter("word tree too large at this depth")
+    level = np.eye(ifs.n + 1)[None]
+    yield level
+    if not J:
+        return
+    stack = np.stack(ifs.matrices)
+    for _ in range(max_depth):
+        level = (level[:, None] @ stack[None]).reshape(-1, *stack.shape[1:])
+        yield level
+
+
+def _measure_holes(pts):
+    """Volume and inradius of the hull of each point set of a stack (h, k, n).
+
+    An interval is [min, max]: its length is max - min and its inradius
+    half of that.  It collapses as in :func:`convex_hull`, with that
+    function's scale and affine-rank test, which for a two-point set also
+    covers its point merge.  Above one dimension each set gets its hull.
+    """
+    if pts.shape[2] > 1:
+        hulls = [convex_hull(VertexSet(p)) for p in pts]
+        return (np.array([metrics.volume(h) for h in hulls]),
+                np.array([metrics.incentre(h).inradius for h in hulls]))
+    centroid = pts.mean(axis=1)                                  # (h, 1)
+    spread = np.abs(pts - centroid[:, None]).max(axis=(1, 2))
+    scale = np.maximum(np.maximum(spread, 1e-6 * (1.0 + np.abs(centroid[:, 0]))),
+                       1e-12)
+    if np.any(_affine_rank(pts, scale[:, None]) < 1):
+        raise DegenerateInput("points do not affinely span the ambient space")
+    vol = pts.max(axis=(1, 2)) - pts.min(axis=(1, 2))
+    return vol, vol / 2.0
 
 
 def hole_series(holes: list[HoleRecord], s: float, n: int) -> SeriesTable:
@@ -422,19 +487,11 @@ def _word_norms(ifs: ProjectiveIFS, max_depth: int, norm: str):
     """Norms of all word products, grouped by word length 1..max_depth."""
     if norm not in NORM_KINDS:
         raise BadParameter(f"norm must be one of {NORM_KINDS}")
-    J = len(ifs.matrices)
-    if J == 0:
+    if not ifs.matrices:
         raise BadParameter("norm series needs at least one matrix")
-    if J ** max_depth > _WORD_CAP:
-        raise BadParameter("word tree too large at this depth")
-    stack = np.stack(ifs.matrices)
-    level = stack.copy()
-    out = [ _norms_of(level, norm) ]
-    for _ in range(1, max_depth):
-        level = np.einsum("lij,kjm->lkim", level, stack)
-        level = level.reshape(-1, stack.shape[1], stack.shape[2])
-        out.append(_norms_of(level, norm))
-    return out
+    levels = _word_levels(ifs, max_depth)
+    next(levels)                                  # the empty word
+    return [_norms_of(level, norm) for level in levels]
 
 
 def _norms_of(stack, kind):
@@ -513,58 +570,73 @@ def box_counting_dimension(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
                 "or coarsen the grid")
 
     if ifs.n == 1:
-        counts = [_count_boxes_1d(holes, float(d)) for d in res]
+        lo, hi = _interval_ends(holes)
+        counts = [_count_boxes_1d(lo, hi, float(d)) for d in res]
     else:
         counts = [_count_boxes_nd(ifs.n, holes, float(d)) for d in res]
     slope, _ = np.polyfit(np.log(1.0 / res), np.log(np.asarray(counts, float)), 1)
     return float(slope)
 
 
-def _snap(q: float) -> float:
-    qi = round(q)
-    return float(qi) if abs(q - qi) <= 1e-6 else q
+def _snap(q):
+    """q, or the integer nearest to it when within 1e-6 (ties to even)."""
+    qi = np.round(q)
+    return np.where(np.abs(q - qi) <= 1e-6, qi, q)
 
 
-def _count_boxes_1d(holes, delta):
-    total = math.floor(_snap(1.0 / delta)) + 1
-    interior = 0
-    for h in holes:
-        a = float(h.body.points.min())
-        b = float(h.body.points.max())
-        interior += max(0, math.floor(_snap(b / delta))
-                        - math.floor(_snap(a / delta)) - 1)
-    return total - interior
+def _interval_ends(holes):
+    """Both ends of every interval hole, as two arrays."""
+    if not holes:
+        return np.empty(0), np.empty(0)
+    flat = np.concatenate([h.body.points.ravel() for h in holes])
+    starts = np.cumsum([0] + [h.body.count for h in holes[:-1]])
+    return np.minimum.reduceat(flat, starts), np.maximum.reduceat(flat, starts)
+
+
+def _count_boxes_1d(lo, hi, delta):
+    interior = np.floor(_snap(hi / delta)) - np.floor(_snap(lo / delta)) - 1
+    return _cells_per_axis(delta) - int(np.maximum(interior, 0.0).sum())
+
+
+def _cells_per_axis(delta):
+    """Half-open grid cells of side delta that meet [0, 1]."""
+    return math.floor(_snap(1.0 / delta)) + 1
+
+
+def _grid_too_fine(n, delta):
+    """True when the box-counting grid at delta has more than _CELL_CAP cells."""
+    return _cells_per_axis(delta) ** n > _CELL_CAP
 
 
 def _count_boxes_nd(n, holes, delta):
-    per_axis = math.floor(_snap(1.0 / delta)) + 1
-    if per_axis ** n > 20_000_000:
+    if _grid_too_fine(n, delta):
         raise BadParameter("grid too fine for this dimension at desk scale")
-    axes = [np.arange(per_axis) * delta] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    lower = np.stack([m.ravel() for m in mesh], axis=1)      # cell lower corners
+    per_axis = _cells_per_axis(delta)
+    shape = (per_axis,) * n
+    lower = np.arange(per_axis) * delta          # cell lower edges on one axis
     upper = lower + delta
+    # every edge is >= 0, so a cell meets the simplex iff its lower corner does
+    meets = sum(np.ix_(*[lower] * n)) <= 1.0 + 1e-12
 
-    meets = np.all(upper > 1e-12, axis=1)
-    meets &= np.maximum(lower, 0.0).sum(axis=1) <= 1.0 + 1e-12
-
-    excluded = np.zeros(lower.shape[0], dtype=bool)
+    excluded = np.zeros(per_axis ** n, dtype=bool)
     corners = np.array(np.meshgrid(*[[0.0, 1.0]] * n, indexing="ij"))
     corners = corners.reshape(n, -1).T * delta               # (2^n, n) offsets
     for h in holes:
         hull = convex_hull(h.body)
-        A, b = hull.A, hull.b
-        lo = h.body.points.min(axis=0)
-        hi = h.body.points.max(axis=0)
-        cand = np.flatnonzero(
-            np.all(upper >= lo - delta, axis=1) & np.all(lower <= hi, axis=1)
-            & ~excluded)
-        if cand.size == 0:
-            continue
-        pts = lower[cand][:, None, :] + corners[None, :, :]  # (c, 2^n, n)
-        inside = np.all(pts @ A.T < b - 1e-12, axis=(1, 2))
+        # candidates: the cells with upper >= lo - delta and lower <= hi on
+        # every axis, which is one index range per axis
+        first = np.searchsorted(upper, h.body.points.min(axis=0) - delta, side="left")
+        stop = np.searchsorted(lower, h.body.points.max(axis=0), side="right")
+        idx = [i.ravel() for i in np.meshgrid(
+            *[np.arange(i, j) for i, j in zip(first, stop)], indexing="ij")]
+        cand = np.ravel_multi_index(idx, shape)
+        keep = ~excluded[cand]
+        cand = cand[keep]
+        corner0 = np.stack([lower[i[keep]] for i in idx], axis=1)
+        pts = corner0[:, None, :] + corners[None, :, :]       # (c, 2^n, n)
+        inside = np.all(pts @ hull.A.T < hull.b - 1e-12, axis=(1, 2))
         excluded[cand[inside]] = True
-    return int(np.count_nonzero(meets & ~excluded))
+    return int(np.count_nonzero(meets.ravel() & ~excluded))
 
 
 def auto_seed_holes(ifs: ProjectiveIFS) -> list[VertexSet]:

@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from inbody.cli import RunConfig, config_from_args, run
+import inbody as ib
+from inbody import projective
+from inbody.cli import RunConfig, _default_resolutions, config_from_args, run
 from tests.conftest import noisy_cone, wide_rows
 
 
@@ -134,6 +137,24 @@ class TestCommands:
         rep = json.loads(out.read_text())
         assert rep["norm"] == "spectral"
         assert 0.0 <= rep["s_star"] <= 1.0
+
+
+class TestResolutionLadder:
+    @staticmethod
+    def tiny_holes(n):
+        body = ib.VertexSet(np.vstack([np.zeros(n), np.eye(n)]) * 1e-9 + 0.25)
+        return [ib.HoleRecord(word=("a",) * m, seed_index=0, body=body,
+                              volume=1e-20, inradius=1e-10) for m in range(3)]
+
+    def test_plane_ladder_stops_at_the_cell_cap(self):
+        res = _default_resolutions(self.tiny_holes(2))
+        assert len(res) == 6       # down to 3^-7; 3^-8 would need 6562^2 cells
+        assert res == pytest.approx([3.0 ** -k for k in range(2, 2 + len(res))])
+        assert not any(projective._grid_too_fine(2, d) for d in res)
+        assert projective._grid_too_fine(2, res[-1] / 3.0)
+
+    def test_interval_ladder_ignores_the_cell_cap(self):
+        assert len(_default_resolutions(self.tiny_holes(1))) == 16
 
 
 class TestConfig:

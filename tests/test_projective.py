@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import inbody as ib
 from inbody import lp
 from inbody.errors import (
     BadParameter,
+    DegenerateInput,
     IfsValidationError,
     InsufficientDepth,
     SolverFailure,
@@ -179,6 +183,108 @@ class TestGenerateHoles:
         for h in ib.generate_holes(ifs, seeds, 6):
             assert h.body.points.min() > ib.TAU_PT
             assert h.body.points.max() < 1.0 - ib.TAU_PT
+
+
+    def test_two_seeds_order_and_exact_ends(self):
+        # maps onto [0, 1/5], [2/5, 3/5] and [4/5, 1] leave two seed gaps
+        mats = [[[5, 4], [0, 1]], [[3, 2], [2, 3]], [[1, 0], [4, 5]]]
+        gaps = [(Fraction(1, 5), Fraction(2, 5)), (Fraction(3, 5), Fraction(4, 5))]
+        ifs = ib.ProjectiveIFS(1, [np.array(M, dtype=float) for M in mats],
+                               ["a", "b", "c"])
+        seeds = [ib.VertexSet([[float(a)], [float(b)]]) for a, b in gaps]
+        depth = 4
+        holes = ib.generate_holes(ifs, seeds, depth)
+        expected = [(word, k) for m in range(depth + 1)
+                    for word in itertools.product("abc", repeat=m)
+                    for k in range(len(seeds))]
+        assert [(h.word, h.seed_index) for h in holes] == expected
+
+        def mobius(M, t):
+            top = M[1][0] * (1 - t) + M[1][1] * t
+            return top / (top + M[0][0] * (1 - t) + M[0][1] * t)
+
+        by_label = dict(zip("abc", mats))
+        for h in holes:
+            ends = []
+            for t in gaps[h.seed_index]:
+                for lab in reversed(h.word):
+                    t = mobius(by_label[lab], t)
+                ends.append(float(t))
+            assert h.body.points.ravel() == pytest.approx(ends, rel=1e-14, abs=0.0)
+            assert h.volume == pytest.approx(abs(ends[1] - ends[0]), rel=1e-13)
+
+    def test_collapse_raises_at_parent_depth(self):
+        # branches pinned near t = 1 shrink their holes by about K per level;
+        # at depth 5 the smallest are below the hull's tolerance
+        K = 1000.0
+        ifs = ib.ProjectiveIFS(1, [np.array([[K, K - 1.0], [0.0, 1.0]]),
+                                   np.array([[1.0, 0.0], [K - 1.0, K]])])
+        seeds = [ib.VertexSet([[1.0 / K], [1.0 - 1.0 / K]])]
+        assert len(ib.generate_holes(ifs, seeds, 4)) == 31
+        with pytest.raises(DegenerateInput):
+            ib.generate_holes(ifs, seeds, 5)
+
+    def test_plane_quarter_grid_closed_form(self):
+        # 15 maps of ratio 1/4 onto the triangles of the chart's 1/4 grid
+        # around the interior seed triangle; every depth-1 hole is the seed
+        # shrunk by 4
+        ifs, seeds = _quarter_grid_ifs()
+        holes = ib.generate_holes(ifs, seeds, 1)
+        assert [h.word for h in holes] == [()] + [(lab,) for lab in ifs.labels]
+        for h in holes:
+            side = 0.25 / 4 ** h.depth
+            assert h.volume == pytest.approx(side ** 2 / 2, rel=1e-12)
+            assert h.inradius == pytest.approx(side * (2 - math.sqrt(2)) / 2,
+                                               rel=1e-9)
+
+    @pytest.mark.parametrize("factory", [ib.middle_thirds_ifs, ib.parabolic_ifs,
+                                         lambda: _conjugated(ib.parabolic_ifs, 0.7)])
+    def test_matches_per_hole_reference(self, factory):
+        # the conjugated system has non-integer word products, so the order
+        # in which they are summed shows in the ends
+        ifs, seeds = factory()
+        depth = 7
+        by_label = dict(zip(ifs.labels, ifs.matrices))
+        holes = ib.generate_holes(ifs, seeds, depth)
+        assert len(holes) == 2 ** (depth + 1) - 1
+        for h in holes:
+            seed = seeds[h.seed_index]
+            if h.word:
+                P = functools.reduce(lambda P, lab: P @ by_label[lab], h.word,
+                                     np.eye(ifs.n + 1))
+                body = ib.image_polytope(P, seed)
+            else:
+                body = seed
+            hull = ib.convex_hull(body)
+            assert np.array_equal(h.body.points, body.points)
+            assert h.volume == pytest.approx(ib.volume(hull), rel=2e-15, abs=0.0)
+            assert h.inradius == h.volume / 2.0
+            assert h.inradius == pytest.approx(ib.incentre(hull).inradius,
+                                               rel=0.0, abs=1e-16)
+
+
+def _quarter_grid_ifs():
+    def affine(a1, a2, c):
+        # x -> a + c x on the chart, as a matrix with unit column sums
+        r = 1 - a1 - a2
+        return np.array([[r, r - c, r - c], [a1, a1 + c, a1], [a2, a2, a2 + c]])
+
+    mats = [affine(i / 4, j / 4, 0.25) for i in range(4) for j in range(4 - i)
+            if (i, j) != (1, 1)]
+    mats += [affine((i + 1) / 4, (j + 1) / 4, -0.25)
+             for i in range(3) for j in range(3 - i)]
+    seeds = [ib.VertexSet([[0.25, 0.25], [0.5, 0.25], [0.25, 0.5]])]
+    return ib.ProjectiveIFS(2, mats), seeds
+
+
+def _conjugated(factory, d):
+    """A shipped system seen through the chart map t -> d t / (1 - t + d t)."""
+    ifs, seeds = factory()
+    D = np.diag([1.0, d])
+    mats = [D @ M @ np.diag([1.0, 1.0 / d]) for M in ifs.matrices]
+    seeds = [ib.VertexSet(d * s.points / (1.0 - s.points + d * s.points))
+             for s in seeds]
+    return ib.ProjectiveIFS(1, mats, list(ifs.labels)), seeds
 
 
 class TestHoleSeries:
@@ -383,6 +489,80 @@ class TestBoxCounting:
         # 2-d chart simplex, delta = 1/4: cells with corner sums <= 1
         from inbody.projective import _count_boxes_nd
         assert _count_boxes_nd(2, [], 0.25) == 15
+
+
+    @pytest.mark.parametrize("factory", [ib.middle_thirds_ifs, ib.parabolic_ifs])
+    def test_interval_counts_match_per_hole_loop(self, factory):
+        # the 3^-k ladder lands on the thirds holes' ends, so the snap acts
+        from inbody.projective import _count_boxes_1d, _interval_ends
+        ifs, seeds = factory()
+        holes = ib.generate_holes(ifs, seeds, 8)
+        lo, hi = _interval_ends(holes)
+        for k in range(1, 12):
+            delta = 3.0 ** -k
+            assert _count_boxes_1d(lo, hi, delta) == _boxes_1d_by_loop(holes, delta)
+
+    @pytest.mark.parametrize("cells", [8, 16, 32])
+    def test_plane_counts_match_full_scan(self, cells):
+        from inbody.projective import _count_boxes_nd
+        delta = 1.0 / cells
+        rng = np.random.default_rng(cells)
+        tris = [[[1 / 8, 1 / 8], [3 / 8, 1 / 8], [1 / 8, 3 / 8]],   # on grid lines
+                [[0.30, 0.30], [0.55, 0.32], [0.33, 0.58]],
+                [[0.05, 0.60], [0.30, 0.62], [0.06, 0.90]],
+                [[0.60, 0.05], [0.90, 0.06], [0.62, 0.30]],
+                [[0.26, 0.02], [0.74, 0.02], [0.26, 0.5]],   # holds a 1/8 cell
+                [[0.2, 0.2], [0.2 + 1e-3, 0.2], [0.2, 0.2 + 1e-3]]]  # in one cell
+        for _ in range(6):
+            corner = rng.uniform(0.02, 0.6, size=2)
+            tris.append(corner + rng.uniform(0.0, 0.3, size=(3, 2)))
+        holes = [ib.HoleRecord(word=(), seed_index=0, body=ib.VertexSet(t),
+                               volume=1.0, inradius=1.0) for t in tris]
+        counts = _count_boxes_nd(2, holes, delta)
+        assert counts == _boxes_nd_by_scan(2, holes, delta)
+        assert counts < _count_boxes_nd(2, [], delta)
+
+
+def _snap_one(q):
+    qi = round(q)
+    return float(qi) if abs(q - qi) <= 1e-6 else q
+
+
+def _boxes_1d_by_loop(holes, delta):
+    """Half-open cells of the interval meeting no hole, one hole at a time."""
+    total = math.floor(_snap_one(1.0 / delta)) + 1
+    interior = 0
+    for h in holes:
+        a = float(h.body.points.min())
+        b = float(h.body.points.max())
+        interior += max(0, math.floor(_snap_one(b / delta))
+                        - math.floor(_snap_one(a / delta)) - 1)
+    return total - interior
+
+
+def _boxes_nd_by_scan(n, holes, delta):
+    """Cells meeting the simplex and inside no hole, every cell per hole."""
+    per_axis = math.floor(_snap_one(1.0 / delta)) + 1
+    axes = [np.arange(per_axis) * delta] * n
+    mesh = np.meshgrid(*axes, indexing="ij")
+    lower = np.stack([m.ravel() for m in mesh], axis=1)
+    upper = lower + delta
+    meets = np.all(upper > 1e-12, axis=1)
+    meets &= np.maximum(lower, 0.0).sum(axis=1) <= 1.0 + 1e-12
+    excluded = np.zeros(lower.shape[0], dtype=bool)
+    corners = np.array(np.meshgrid(*[[0.0, 1.0]] * n, indexing="ij"))
+    corners = corners.reshape(n, -1).T * delta
+    for h in holes:
+        hull = ib.convex_hull(h.body)
+        lo = h.body.points.min(axis=0)
+        hi = h.body.points.max(axis=0)
+        cand = np.flatnonzero(
+            np.all(upper >= lo - delta, axis=1) & np.all(lower <= hi, axis=1)
+            & ~excluded)
+        pts = lower[cand][:, None, :] + corners[None, :, :]
+        inside = np.all(pts @ hull.A.T < hull.b - 1e-12, axis=(1, 2))
+        excluded[cand[inside]] = True
+    return int(np.count_nonzero(meets & ~excluded))
 
 
 class TestAutoSeedHoles:
