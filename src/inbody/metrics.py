@@ -5,6 +5,8 @@ F_{n-1} > ... > F_0 of the boundary, read off the vertex-facet incidence,
 and cones the barycentric simplex of each flag from the incentre, so
 vol = sum |det| / n! over one batched determinant; a facet's
 (n-1)-volume follows from its cone and its distance to the incentre.
+The kernel takes a stack of bodies with shared normals (the eroded bodies
+of a profile) and a single body is a stack of one.
 The inradius is the optimum of the Chebyshev-centre linear program.  The
 "pancake" boxes [0,1] x [0,K]^{n-1} realise the extreme ratios between
 the inradius and volume/perimeter, which pins both constants of the
@@ -29,9 +31,13 @@ from .polytope import (
     HalfspaceSystem,
     VertexSet,
     _affine_basis,
-    _affine_rank,
+    _centroids,
     _chebyshev,
-    _first_rows,
+    _det,
+    _face_ranks,
+    _face_vertices,
+    _local_bits,
+    _unpack,
     as_vector,
     body_scale,
     contains_point,
@@ -119,14 +125,47 @@ def facet_volume(F: Facet) -> float:
 def _cone_decomposition(H: HalfspaceSystem):
     """Volume, per-facet (n-1)-volumes and incentre of the minimal form.
 
+    The minimal form goes through the flag kernel :func:`_flag_volumes` as
+    a stack of one body, coned from its incentre, and the result is
+    memoized on H and on the minimal form.
+    """
+    Hm = remove_redundant_halfspaces(H)
+    if "cone" in Hm._cache:
+        return Hm._cache["cone"]
+    V, active = vertex_incidence(Hm)
+    An, bn, _ = Hm.unit_form()
+    inc = incentre(Hm)
+    vols, fvols = _flag_volumes(An, bn[None], V.points, np.array([0, V.count]),
+                                active, inc.incentre[None],
+                                np.array([body_scale(Hm)]))
+    result = (float(vols[0]), fvols[0], inc)
+    Hm._cache["cone"] = result
+    H._cache["cone"] = result
+    return result
+
+
+def _flag_volumes(An, bn, points, start, active, centres, scale):
+    """Volumes and facet volumes of a stack of bodies, from their incidence.
+
+    Body e is {x : An x <= bn[e]} with the vertices ``points[start[e]:
+    start[e + 1]]`` (as :func:`polytope._incidence_from_candidates` returns
+    them), a centre ``centres[e]`` inside it and the scale ``scale[e]``.
+    ``active`` (m, sum V) is the incidence of each body's facet rows on its
+    vertices, all False on the other rows (see :func:`polytope._facet_rows`).
+    Returns the volumes (E,) and the facet volumes (E, m), 0 off the facets.
+
     The boundary is cut along its flags F_{n-1} > ... > F_0, read off the
     vertex-facet incidence alone: the facets of a k-face G are the distinct
     proper intersections of G with facet rows that keep at least k
-    vertices (and, for k >= 4, have affine rank k-1).  With the incentre
-    c, each flag spans the simplex conv(c, centroid F_{n-1}, ...,
-    centroid F_0).  These simplices tile the body, so vol = sum |det| / n!,
-    and facet i, whose simplices make a cone of height dist(c, F_i),
-    has vol_{n-1}(F_i) = n cone_i / dist(c, F_i).
+    vertices (and, for k >= 4, have affine rank k-1).  With the centre c,
+    each flag spans the simplex conv(c, centroid F_{n-1}, ..., centroid
+    F_0).  These simplices tile the body, so vol = sum |det| / n!, and
+    facet i, whose simplices make a cone of height dist(c, F_i), has
+    vol_{n-1}(F_i) = n cone_i / dist(c, F_i).  All bodies are walked at
+    once: a face is a row of bits over its own body's vertices
+    (:func:`polytope._local_bits`), so the faces of every body go through
+    each step together, and a body's numbers do not depend on the stack
+    it is in.
 
     Minkowski's relation sum vol(F_i) u_i = 0 certifies the result: an
     incidence that is not the body's face lattice breaks it.  A sum above
@@ -138,46 +177,80 @@ def _cone_decomposition(H: HalfspaceSystem):
     Thinner such bodies can raise, and their volumes were then off by up
     to 6.1e-6 as well.
     """
-    Hm = remove_redundant_halfspaces(H)
-    if "cone" in Hm._cache:
-        return Hm._cache["cone"]
-    V, active = vertex_incidence(Hm)
-    An, bn, _ = Hm.unit_form()
-    inc = incentre(Hm)
-    n = Hm.dim
-    scale = body_scale(Hm)
-
-    def offsets(faces):
-        return (faces @ V.points) / faces.sum(axis=1)[:, None] - inc.incentre
-
-    owner = np.arange(Hm.m)
-    faces = active
-    edges = offsets(faces)[:, None, :]
+    m, n = An.shape
+    E = len(start) - 1
+    bits = _local_bits(active, start)                       # (E, m, W)
+    body, row = np.nonzero(bits.any(axis=-1))
+    # the distinct faces of one level, the face each flag ends in, and the
+    # flags as indices into the faces of all levels so far
+    faces, fbody = bits[body, row], body
+    face = np.arange(len(faces))
+    flags, levels, seen = face[:, None], [(faces, fbody)], 0
     for k in range(n - 1, 0, -1):
-        counts = faces.astype(float) @ active.T.astype(float)
-        chain, j = np.nonzero((counts >= k) & (counts < faces.sum(axis=1)[:, None]))
-        sub = faces[chain] & active[j]
+        chain, j = np.nonzero(_proper_meets(faces, fbody, bits, k)[face])
+        parent = face[chain]
+        # one sort by (body, sub-face, chain) finds the distinct sub-faces
+        # and the first pair of each chain that meets each of them
+        key = np.empty((len(chain), faces.shape[1] + 2), dtype=np.uint64)
+        key[:, 0] = fbody[parent]
+        key[:, 1:-1] = faces[parent] & bits[fbody[parent], j]
+        key[:, -1] = chain
+        order = np.lexsort(key.T[::-1])
+        ordered = key[order]
+        step = ordered[1:] != ordered[:-1]
+        new_face = np.ones(len(key), dtype=bool)
+        new_face[1:] = step[:, :-1].any(axis=1)
+        new_pair = new_face.copy()
+        new_pair[1:] |= step[:, -1]
+        sub_face = np.empty(len(key), dtype=int)
+        sub_face[order] = np.cumsum(new_face) - 1
+        seen += len(faces)
+        first = order[new_face]
+        faces, fbody = key[first, 1:-1], fbody[parent[first]]
+        once = np.sort(order[new_pair])
+        chain, face = chain[once], sub_face[once]
         if k >= 4:
-            ok = [_affine_rank(V.points[s], scale) == k - 1 for s in sub]
-            chain, sub = chain[ok], sub[ok]
-        # a sub-face is distinct within its chain: key each row by chain too
-        tag = chain.astype(">u4").view(np.uint8).reshape(-1, 4)
-        first = _first_rows(np.hstack([tag, sub]))
-        chain, faces = chain[first], sub[first]
-        owner = owner[chain]
-        edges = np.concatenate([edges[chain], offsets(faces)[:, None, :]], axis=1)
-    cones = np.bincount(owner, weights=np.abs(np.linalg.det(edges)), minlength=Hm.m)
-    dists = bn - An @ inc.incentre
+            f, v = _face_vertices(_unpack(faces), fbody, start)
+            ok = _face_ranks(f, v, len(faces), points, scale[fbody]) == k - 1
+            chain, face = chain[ok[face]], face[ok[face]]
+        flags = np.concatenate([flags[chain], (seen + face)[:, None]], axis=1)
+        levels.append((faces, fbody))
+
+    # every face's centroid from the centre, by sequential sums in vertex
+    # order, so that they do not depend on the stack
+    faces, fbody = (np.concatenate(x) for x in zip(*levels))
+    f, v = _face_vertices(_unpack(faces), fbody, start)
+    offsets = _centroids(f, v, len(faces), points) - centres[fbody]
+    cones = np.bincount(flags[:, 0], weights=np.abs(_det(offsets[flags])),
+                        minlength=len(body))
     nfact = math.factorial(n)
-    fvols = n * cones / dists / nfact
-    closure = float(np.linalg.norm(fvols @ An) / fvols.sum())
-    if closure > TAU_REP:
+    vols = np.bincount(body, weights=cones, minlength=E) / nfact
+    dists = bn[body, row] - (An[row] * centres[body]).sum(axis=1)
+    fvols = np.zeros((E, m))
+    fvols[body, row] = n * cones / dists / nfact
+    total = fvols @ An
+    closure = np.sqrt((total * total).sum(axis=1)) / fvols.sum(axis=1)
+    if (closure > TAU_REP).any():
         raise DegenerateNumerics(
-            f"facet vectors sum to {closure:.3e} of the surface, not to zero")
-    result = (float(cones.sum() / nfact), fvols, inc)
-    Hm._cache["cone"] = result
-    H._cache["cone"] = result
-    return result
+            f"facet vectors sum to {closure.max():.3e} of the surface, not to zero")
+    return vols, fvols
+
+
+_FACE_BLOCK = 4096   # faces per block of the pair counts in _proper_meets
+
+
+def _proper_meets(faces, fbody, bits, k):
+    """(faces, m) mask: the face meets the facet row in >= k of its vertices, not all.
+
+    Counted in blocks of faces, so the (faces, m, W) words stay small.
+    """
+    hit = np.empty((len(faces), bits.shape[1]), dtype=bool)
+    for lo in range(0, len(faces), _FACE_BLOCK):
+        blk = slice(lo, lo + _FACE_BLOCK)
+        face, rows = faces[blk, None, :], bits[fbody[blk]]
+        hit[blk] = ((np.bitwise_count(face & rows).sum(axis=-1) >= k)
+                    & (face & ~rows).any(axis=-1))
+    return hit
 
 
 def volume(H: HalfspaceSystem) -> float:

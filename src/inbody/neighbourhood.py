@@ -4,9 +4,15 @@ For a polytope the set of points at distance >= eps from the boundary is
 again a polytope: the same normals with every offset pulled in by
 ``eps * ||a||``.  The volume of the eps-inner neighbourhood (points within
 eps of the boundary) is therefore the difference of two exact volumes.
-Only the offsets move with eps, so a whole profile shares one solve of
-the minimal form's n-subsets: each gives a vertex path linear in eps and
-the window of offsets on which it is a vertex candidate.
+Only the offsets move with eps (Matheron 1978), so a whole profile shares
+one solve of the minimal form's n-subsets: each gives a vertex path linear
+in eps and the window of offsets on which it is a vertex candidate.  The
+eroded bodies of a profile then form one stack, an (E, m) array of offsets
+over the shared unit normals.  The vertex tail, the facet test and the
+flag kernel each run once over the stack; every body keeps its own
+vertices and facet rows, and its volume is bit-identical to the one it
+gets alone, which is how :func:`inner_parallel_body` and :func:`volume`
+compute it.
 
 The envelope
 
@@ -25,11 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, EpsOutOfRange, GeometryError
-from .metrics import incentre, volume
+from .metrics import _flag_volumes, incentre, volume
 from .polytope import (
     TAU_FACET,
     TAU_REP,
     HalfspaceSystem,
+    _facet_rows,
     _incidence_from_candidates,
     _vertex_paths,
     body_scale,
@@ -160,15 +167,21 @@ def neighbourhood_profile(H: HalfspaceSystem,
                           grid_size: int = 33) -> NeighbourhoodProfile:
     """Sample eps -> vol(L_eps) on a uniform grid over [0, inradius].
 
-    The grid shares one vertex enumeration.  Every eroded body has the
-    minimal form's normals, so each n-subset of its rows is solved once for
+    The interior grid points go through one stacked pass.  Every eroded
+    body has the minimal form's unit normals and only its offsets bn - eps
+    move (Matheron 1978), so each n-subset of the rows is solved once for
     a vertex path and the window of offsets on which that vertex is
-    feasible (see :func:`polytope._vertex_paths`).  At each grid point the
-    subsets whose window holds eps are the candidates of the eroded body's
-    vertex enumeration; the rest of it, redundancy removal and the volume
-    run on that body as in :func:`inner_parallel_body`, which stays the
-    per-offset reference.  Discrete concavity (second differences <= report
-    tolerance) is asserted before returning.
+    feasible (see :func:`polytope._vertex_paths`).  The subsets whose window
+    holds a grid point are that eroded body's candidates.  The candidates
+    of all the bodies, each tagged with its body, then go together through
+    the vertex tail (:func:`polytope._incidence_from_candidates`), the facet
+    test (:func:`polytope._facet_rows`) and the flag kernel
+    (:func:`metrics._flag_volumes`), in blocks of about
+    ``_PROFILE_BLOCK`` candidates.  Each body keeps its own vertices and
+    facet rows, and its volume is bit-identical to that of
+    :func:`inner_parallel_body`, the per-offset reference, which runs the
+    same code on a stack of one.  Discrete concavity (second differences
+    <= report tolerance) is asserted before returning.
     """
     if grid_size < 3:
         raise BadParameter("grid_size must be >= 3")
@@ -176,21 +189,13 @@ def neighbourhood_profile(H: HalfspaceSystem,
     vol = volume(H)
     n = H.dim
     grid = np.linspace(0.0, inc.inradius, grid_size)
-    Hm = remove_redundant_halfspaces(H)
-    x, d, lo, hi = _vertex_paths(Hm)
-
-    def inner_vol(eps: float) -> float:
-        if eps == 0.0:
-            return volume(Hm)
-        inner = _offset_minimal_form(H, eps)
-        if inner is None:
-            return 0.0
-        on = (lo <= eps) & (eps <= hi)
-        inner._cache["incidence"] = _incidence_from_candidates(
-            inner, x[on] - eps * d[on])
-        return volume(remove_redundant_halfspaces(inner))
-
-    l_vol = vol - np.array([inner_vol(float(e)) for e in grid])
+    # eroding by 0 leaves the body, and an erosion within the facet
+    # tolerance of the inradius is empty, as in inner_parallel_body
+    inside = (grid > 0.0) & (inc.inradius - grid > TAU_FACET * body_scale(H))
+    inner = np.zeros(grid_size)
+    inner[0] = vol
+    inner[inside] = _eroded_volumes(H, grid[inside])
+    l_vol = vol - inner
 
     g_vals = np.array([g_formula(vol, inc.inradius, float(e), n) for e in grid])
     chord = grid * vol / inc.inradius
@@ -203,3 +208,38 @@ def neighbourhood_profile(H: HalfspaceSystem,
         raise GeometryError("neighbourhood volume failed discrete concavity")
     return NeighbourhoodProfile(eps_grid=grid, l_vol=l_vol, g_vals=g_vals,
                                 g_over_n=g_vals / n, chord=chord, deriv=deriv)
+
+
+_PROFILE_BLOCK = 256   # candidate vertices per stacked block of offsets
+
+
+def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
+    """Volumes of the inner parallel bodies of H at the offsets eps (E,).
+
+    The offsets must lie in (0, inradius) beyond the facet tolerance.
+    """
+    inc = incentre(H)
+    Hm = remove_redundant_halfspaces(H)
+    An, _, norms = Hm.unit_form()
+    x, d, lo, hi = _vertex_paths(Hm)
+    on = (lo <= eps[:, None]) & (eps[:, None] <= hi)          # (E, paths)
+    # the offsets as the eroded body's unit form has them, so that they are
+    # bit-identical to those of inner_parallel_body
+    bn = (Hm.b - eps[:, None] * norms) / norms
+    scale = np.full(len(eps), body_scale(H))
+    centres = np.tile(inc.incentre, (len(eps), 1))
+    # blocks of offsets with about _PROFILE_BLOCK candidates each bound memory
+    counts = on.sum(axis=1)
+    block = (np.cumsum(counts) - counts) // _PROFILE_BLOCK
+    vols = np.empty(len(eps))
+    for b in np.flatnonzero(np.bincount(block)):
+        sel = np.flatnonzero(block == b)
+        body, s = np.nonzero(on[sel])
+        pts = x[s] - eps[sel][body, None] * d[s]
+        points, start, active = _incidence_from_candidates(
+            An, bn[sel], scale[sel], pts, body)
+        keep = _facet_rows(points, start, active, scale[sel])
+        facet_active = active & keep[np.repeat(np.arange(len(sel)), np.diff(start))].T
+        vols[sel] = _flag_volumes(An, bn[sel], points, start, facet_active,
+                                  centres[sel], scale[sel])[0]
+    return vols

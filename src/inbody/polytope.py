@@ -14,8 +14,11 @@ subsets are solved in batches, one routine for a right-hand side of one
 column (the vertices of one body) or two (the vertex paths of all the
 inner parallel bodies of one minimal form, see :func:`_vertex_paths`).  The
 steps after them (merging candidates, refining vertices, testing facets)
-are array operations over all vertices or faces at once, in blocks that
-bound memory, and one helper turns candidates into vertices for both.
+take a stack of bodies that share their unit normals and differ in their
+offsets: the inner parallel bodies of a profile go through them in one
+pass, and a single body is a stack of one.  They are array operations over
+all vertices or faces of the stack at once, in blocks that bound memory,
+and a body's results do not depend on the stack it is in.
 """
 
 from __future__ import annotations
@@ -253,7 +256,10 @@ def vertex_incidence(H: HalfspaceSystem):
         sols = sols[..., 0]
         feas = np.all(sols @ An.T - bn <= feas_tol, axis=1)
         candidates.append(sols[feas])
-    result = _incidence_from_candidates(H, np.vstack(candidates))
+    pts = np.vstack(candidates)
+    points, _, active = _incidence_from_candidates(
+        An, bn[None], np.array([body_scale(H)]), pts, np.zeros(len(pts), dtype=int))
+    result = (VertexSet(points), active)
     H._cache["incidence"] = result
     return result
 
@@ -297,29 +303,68 @@ def _subset_solves(An, rhs):
     m, n = An.shape
     for chunk in _combo_chunks(m, n):
         sub = An[chunk]                      # (C, n, n)
-        good = np.abs(np.linalg.det(sub)) > 1e-10
+        good = np.abs(_det(sub)) > 1e-10
         if good.any():
             yield np.linalg.solve(sub[good], rhs[chunk[good]])
 
 
-def _incidence_from_candidates(H: HalfspaceSystem, pts):
-    """Vertices and incidence of H from candidate points, in H's unit form.
+def _det(M):
+    """Determinants of a stack of n x n matrices (..., n, n).
 
-    The candidates are merged within the point tolerance (an earlier kept
-    point absorbs every later one near it), refined against their full
-    active sets, merged again and sorted.
+    Up to n = 4 by cofactor expansion over the whole stack (by 2 x 2 minors
+    at n = 4): on random and nearly singular matrices about as accurate as
+    LU, and on thousands of matrices 7 to 33 times faster than a LAPACK
+    call per matrix.  Above that by LU.
     """
-    if pts.shape[0] == 0:
+    n = M.shape[-1]
+    a = [[M[..., i, j] for j in range(n)] for i in range(n)]
+    if n == 1:
+        return a[0][0]
+    if n == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    if n == 3:
+        return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+    if n == 4:
+        pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        top = [a[0][i] * a[1][j] - a[0][j] * a[1][i] for i, j in pairs]
+        low = [a[2][i] * a[3][j] - a[2][j] * a[3][i] for i, j in pairs[::-1]]
+        return (top[0] * low[0] - top[1] * low[1] + top[2] * low[2]
+                + top[3] * low[3] - top[4] * low[4] + top[5] * low[5])
+    return np.linalg.det(M)
+
+
+def _incidence_from_candidates(An, bn, scale, pts, body):
+    """Vertices and incidence of a stack of bodies from their candidate points.
+
+    Body e of the stack is {x : An x <= bn[e]}: the bodies share the unit
+    normals An (m, n) and differ in their offsets bn (E, m), as the inner
+    parallel bodies of one minimal form do; ``scale`` (E,) holds their
+    scales.  Candidate ``pts[i]`` belongs to body ``body[i]``, and ``body``
+    is ascending.  Each body's candidates are merged within the point
+    tolerance (an earlier kept point absorbs every later one near it),
+    refined against their full active sets, merged again and sorted, all in
+    one pass over the stack; a body gets the same vertices alone (E = 1) as
+    in any stack.  Returns ``(points, start, active)``: the vertices body by
+    body, body e's in rows ``start[e]:start[e + 1]``, and the (m, sum V)
+    incidence of every row on every vertex of its own body.
+    """
+    E = bn.shape[0]
+    if np.any(np.bincount(body, minlength=E) == 0):
         raise GeometryError("no vertices found for a validated body")
-    An, bn, _ = H.unit_form()
-    scale = body_scale(H)
-    feas_tol = TAU_FACET * scale
-    pts = _dedup_points(pts, TAU_PT * scale)
-    pts = _refine_vertices(pts, An, bn, feas_tol)
-    pts = _dedup_points(pts, TAU_PT * scale)
-    pts = pts[np.lexsort(pts.T[::-1])]
-    active = np.abs(bn[:, None] - An @ pts.T) <= feas_tol
-    return VertexSet(pts), active
+    pt_tol, feas_tol = TAU_PT * scale, TAU_FACET * scale
+    keep = _dedup_mask(pts, pt_tol[body], body)
+    pts, body = pts[keep], body[keep]
+    # one body refines against its own offsets, a stack point by point
+    offs, tol = (bn[0], feas_tol[0]) if E == 1 else (bn[body], feas_tol[body, None])
+    pts = _refine_vertices(pts, An, offs, tol)
+    keep = _dedup_mask(pts, pt_tol[body], body)
+    pts, body = pts[keep], body[keep]
+    order = np.lexsort([*pts.T[::-1], body])
+    pts, body = pts[order], body[order]
+    active = np.abs(bn[body].T - An @ pts.T) <= feas_tol[body]
+    return pts, np.searchsorted(body, np.arange(E + 1)), active
 
 
 @functools.lru_cache(maxsize=64)
@@ -344,32 +389,67 @@ def _combo_chunks(m, n):
 
 
 def _dedup_points(pts, tol):
-    """Drop each point that lies within tol of an earlier kept point.
+    """The points that survive :func:`_dedup_mask` as one body."""
+    return pts[_dedup_mask(pts, np.full(len(pts), tol), np.zeros(len(pts), dtype=int))]
 
-    The rule is that of a sequential scan in input order.  Distances are
-    taken for a block of points at a time, against each earlier block of
-    kept points and within the block, so memory stays bounded by
-    ``_DEDUP_BLOCK**2`` distances however many points come in.
+
+def _dedup_mask(pts, tol, body):
+    """Keep each point unless an earlier kept point of its body is within tol.
+
+    ``tol`` is per point and constant on a body.  The rule is that of a
+    sequential scan of each body's points in input order.  Two points within
+    tol are within tol along any unit direction, so one sort along a fixed
+    generic direction (on which the vertices of a box do not tie) finds
+    the few points that can be near another: on the vertex candidates of
+    simple bodies there are none.  Distances among those are taken for a
+    block of points at a time, against each earlier block of kept points
+    that shares a body with it and within the block, so memory stays
+    bounded by ``_DEDUP_BLOCK**2`` distances however many points come in.
     """
+    keep = np.ones(pts.shape[0], dtype=bool)
+    along = pts @ _probe(pts.shape[1])
+    # twice tol, plus the rounding of the projections
+    reach = 2.0 * tol + 1e-15 * pts.shape[1] * np.abs(pts).max(initial=0.0)
+    order = np.lexsort([along, body])
+    along, ordered = along[order], body[order]
+    close = (along[1:] - along[:-1] <= reach[order[1:]]) & (ordered[1:] == ordered[:-1])
+    suspect = np.zeros(pts.shape[0], dtype=bool)
+    suspect[order[1:][close]] = suspect[order[:-1][close]] = True
+    suspect = np.flatnonzero(suspect)
+    keep[suspect] = False
     kept: list[np.ndarray] = []
-    for start in range(0, pts.shape[0], _DEDUP_BLOCK):
-        block = pts[start:start + _DEDUP_BLOCK]
+    for start in range(0, suspect.size, _DEDUP_BLOCK):
+        idx = suspect[start:start + _DEDUP_BLOCK]
         for other in kept:
-            block = block[~(_distances(block, other) <= tol).any(axis=1)]
+            if idx.size == 0 or body[other[-1]] < body[idx[0]]:
+                continue
+            near = ((_distances(pts[idx], pts[other]) <= tol[idx, None])
+                    & (body[idx, None] == body[other]))
+            idx = idx[~near.any(axis=1)]
         # earlier[i, j]: j < i and the two are within tol.  A point is kept
         # iff no earlier kept point is near it; the rule is triangular, so
         # iterating it from "keep all" fixes one more leading entry per
         # round and stops at its unique solution, usually in two rounds.
-        earlier = np.tril(_distances(block, block) <= tol, -1)
-        keep = np.ones(block.shape[0], dtype=bool)
+        earlier = np.tril((_distances(pts[idx], pts[idx]) <= tol[idx, None])
+                          & (body[idx, None] == body[idx]), -1)
+        new = np.ones(idx.size, dtype=bool)
         while True:
-            new = ~(earlier & keep).any(axis=1)
-            if np.array_equal(new, keep):
+            cur, new = new, ~(earlier & new).any(axis=1)
+            if np.array_equal(new, cur):
                 break
-            keep = new
-        if keep.any():
-            kept.append(block[keep])
-    return np.vstack(kept) if kept else pts[:0]
+        if new.any():
+            kept.append(idx[new])
+            keep[idx[new]] = True
+    return keep
+
+
+@functools.lru_cache(maxsize=16)
+def _probe(n):
+    """A fixed unit vector in n dimensions with no zero or repeated entries."""
+    u = np.sqrt(np.arange(n) + 2.0)
+    u /= np.linalg.norm(u)
+    u.setflags(write=False)
+    return u
 
 
 def _distances(P, Q):
@@ -380,24 +460,37 @@ def _distances(P, Q):
 def _refine_vertices(pts, An, bn, feas_tol):
     """Re-solve each vertex against its full active set.
 
-    One product gives every active set.  The simple vertices, with exactly
-    n active rows, solve their square systems in one batch; any other vertex
-    takes the least-squares solution of its active rows.  A vertex whose
-    refined point leaves an active row by more than feas_tol is an error.
+    ``bn`` is one body's offsets (m,) or each point's own (N, m), and
+    ``feas_tol`` a scalar or per point (N, 1).  One product gives every
+    active set.  The simple vertices, with exactly n active rows, solve
+    their square systems in one batch.  The others are grouped by their
+    number c of active rows, and each group takes the least-squares
+    solution of its (c, n) systems from one stacked QR: R x = Q^T b.  A
+    vertex whose refined point leaves an active row by more than feas_tol,
+    or that has fewer than n active rows, is an error.
     """
     n = An.shape[1]
-    act = np.abs(bn[:, None] - An @ pts.T) <= feas_tol      # (m, N)
+    act = np.abs(bn - pts @ An.T) <= feas_tol                # (N, m)
+    offs = np.where(act, bn, 0.0)
     refined = np.empty_like(pts)
-    simple = act.sum(axis=0) == n
-    if simple.any():
-        rows = np.nonzero(act[:, simple].T)[1].reshape(-1, n)
-        refined[simple] = np.linalg.solve(An[rows], bn[rows][..., None])[..., 0]
-    for k in np.flatnonzero(~simple):
-        refined[k], *_ = np.linalg.lstsq(An[act[:, k]], bn[act[:, k]], rcond=None)
-    resid = np.where(act, np.abs(An @ refined.T - bn[:, None]), 0.0).max()
-    if resid > feas_tol:
+    counts = act.sum(axis=1)
+    if counts.min(initial=n) < n:
+        raise DegenerateNumerics("a vertex has fewer active rows than the dimension")
+    for c in np.flatnonzero(np.bincount(counts)):
+        idx = np.flatnonzero(counts == c)
+        rows = np.nonzero(act[idx])[1].reshape(-1, c)
+        b = offs[idx[:, None], rows]
+        if c == n:
+            refined[idx] = np.linalg.solve(An[rows], b[..., None])[..., 0]
+        else:
+            # R x = Q^T b, with Q^T b summed in row order
+            q, r = np.linalg.qr(An[rows])
+            qtb = sum(b[:, i, None] * q[:, i] for i in range(c))
+            refined[idx] = np.linalg.solve(r, qtb[..., None])[..., 0]
+    resid = np.where(act, np.abs(bn - refined @ An.T), 0.0)
+    if (resid > feas_tol).any():
         raise DegenerateNumerics(
-            f"vertex residual {resid:.3e} exceeds tolerance after refinement")
+            f"vertex residual {resid.max():.3e} exceeds tolerance after refinement")
     return refined
 
 
@@ -414,17 +507,8 @@ def remove_redundant_halfspaces(H: HalfspaceSystem) -> HalfspaceSystem:
         return H._cache["minimal"]
 
     V, active = vertex_incidence(H)
-    n = H.dim
-    scale = body_scale(H)
-
-    # one stacked rank test per vertex count over the distinct rows
-    first = _first_rows(active)
-    counts = active[first].sum(axis=1)
-    keep = np.zeros(H.m, dtype=bool)
-    for c in np.flatnonzero(np.bincount(counts)[n:]) + n:
-        rows = first[counts == c]
-        face_pts = V.points[np.nonzero(active[rows])[1].reshape(-1, c)]
-        keep[rows] = _affine_rank(face_pts, scale) == n - 1
+    keep = _facet_rows(V.points, np.array([0, V.count]), active,
+                       np.array([body_scale(H)]))[0]
 
     out = HalfspaceSystem(H.A[keep], H.b[keep], validated=True, scale=H.scale,
                           bbox=H.bbox, cheb_center=H.cheb_center,
@@ -433,6 +517,86 @@ def remove_redundant_halfspaces(H: HalfspaceSystem) -> HalfspaceSystem:
     out._cache["minimal"] = out
     H._cache["minimal"] = out
     return out
+
+
+def _facet_rows(points, start, active, scale):
+    """The facet rows of each body of a stack, as an (E, m) mask.
+
+    The stack is that of :func:`_incidence_from_candidates`.  A row is a
+    facet row of its body iff its active vertex set has affine dimension
+    n-1, and of the rows active on the same vertex set only the first is
+    kept.  Distinct rows are found, and their ranks taken, over the whole
+    stack at once.
+    """
+    n = points.shape[1]
+    E, m = len(start) - 1, active.shape[0]
+    sizes = start[1:] - start[:-1]
+    mine = np.repeat(np.eye(E, dtype=bool), sizes, axis=1)          # (E, sum V)
+    # row j of body e over the stack's vertices; rows of two bodies differ
+    # unless both are empty
+    rows = (active[None] & mine[:, None]).reshape(E * m, -1)
+    first = _first_rows(rows)
+    first = first[rows[first].sum(axis=1) >= n]
+    f, v = np.nonzero(rows[first])
+    keep = np.zeros(E * m, dtype=bool)
+    keep[first] = _face_ranks(f, v, len(first), points, scale[first // m]) == n - 1
+    return keep.reshape(E, m)
+
+
+def _local_bits(active, start):
+    """Each body's incidence rows as bit masks over its own vertices.
+
+    Returns (E, m, W) uint64 words: bit i of row j of body e is set iff row
+    j is active on the i-th vertex of body e, so a face of a body is one
+    row of W words whatever the stack.
+    """
+    m, total = active.shape
+    sizes = start[1:] - start[:-1]
+    body = np.repeat(np.arange(len(sizes)), sizes)
+    rows = np.zeros((len(sizes), m, 64 * -(-int(sizes.max()) // 64)), dtype=bool)
+    rows[body, :, np.arange(total) - start[body]] = active.T
+    return np.packbits(rows, axis=-1, bitorder="little").view(np.uint64)
+
+
+def _unpack(words):
+    """Bit rows (..., W) uint64 back to (..., 64 W) rows of 0/1."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
+
+
+def _face_vertices(rows, fbody, start):
+    """(face, vertex) index pairs of local incidence rows, face by face, in
+    vertex order.  The vertex indices are global: body e's vertices start
+    at ``start[e]``.
+    """
+    f, local = np.nonzero(rows)
+    return f, start[fbody[f]] + local
+
+
+def _centroids(f, v, count, points):
+    """Centroid of each of ``count`` faces with the vertices ``points[v[f == i]]``.
+
+    The sums are sequential in the order of the pairs, so a face's centroid
+    does not depend on the other faces.
+    """
+    n = points.shape[1]
+    sums = np.bincount((f[:, None] * n + np.arange(n)).ravel(),
+                       weights=points[v].ravel(), minlength=count * n)
+    return sums.reshape(count, n) / np.bincount(f, minlength=count)[:, None]
+
+
+def _face_ranks(f, v, count, points, scale):
+    """Affine rank of each of ``count`` faces, in one stacked test.
+
+    Face i has the vertices ``points[v[f == i]]``, f ascending, and the
+    scale ``scale[i]``.  The centred vertices of every face are padded with
+    zero rows to the largest face, which leaves the singular values as
+    they are, so one SVD takes all the faces.
+    """
+    sizes = np.bincount(f, minlength=count)
+    place = np.arange(len(f)) - (np.cumsum(sizes) - sizes)[f]
+    centred = np.zeros((count, sizes.max(initial=1), points.shape[1]))
+    centred[f, place] = points[v] - _centroids(f, v, count, points)[f]
+    return (np.linalg.svd(centred, compute_uv=False) > 1e-7 * scale[:, None]).sum(axis=-1)
 
 
 def _affine_basis(pts, scale):

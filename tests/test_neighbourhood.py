@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import inbody as ib
-from inbody import polytope
+from inbody import metrics, polytope
 from inbody.errors import BadParameter, EpsOutOfRange
 from tests.conftest import box, cross_polytope, hrep, twenty_four_cell
 
@@ -228,17 +228,45 @@ def cut_square():
                 [1.0, 1.0, 0.0, 0.0, 1.9])
 
 
+def unmemoized(H):
+    """The same validated body with nothing memoized."""
+    return ib.HalfspaceSystem(H.A, H.b, validated=True, scale=H.scale,
+                              bbox=H.bbox, cheb_center=H.cheb_center,
+                              cheb_radius=H.cheb_radius)
+
+
+def twenty_row_body(small_suite):
+    """The first random 4-polytope of the small suite with 20 rows."""
+    return next(H for H in small_suite[4] if H.m == 20)
+
+
+def duplicated_and_redundant(small_suite):
+    """A random 3-polytope with its first facet row repeated (doubled) and a
+    copy of its third row moved out by 1, both put in as rows 4 and 5.
+
+    Nine of its ten facets are left at 0.6 times the inradius.
+    """
+    H = small_suite[3][0]
+    norm = np.linalg.norm(H.A[2])
+    A = np.vstack([H.A[:4], 2.0 * H.A[:1], H.A[2:3], H.A[4:]])
+    b = np.concatenate([H.b[:4], 2.0 * H.b[:1], H.b[2:3] + norm, H.b[4:]])
+    return hrep(A, b)
+
+
 class TestWindowedProfile:
     """The profile's shared vertex paths give the per-offset volumes exactly."""
 
     @pytest.mark.parametrize("which", [
         "suite2", "suite3", "suite4", "cube", "simplex", "cross4", "24-cell",
-        "cut-square"])
+        "cut-square", "random4-20-rows", "pancake-1000", "duplicated-redundant"])
     def test_equals_per_eps_profile(self, small_suite, unit_cube,
                                     regular_tetrahedron, which):
         named = {"cube": lambda: unit_cube, "simplex": lambda: regular_tetrahedron,
                  "cross4": lambda: cross_polytope(4), "24-cell": twenty_four_cell,
-                 "cut-square": cut_square}
+                 "cut-square": cut_square,
+                 "random4-20-rows": lambda: twenty_row_body(small_suite),
+                 "pancake-1000": lambda: ib.pancake_family(3, 1000.0),
+                 "duplicated-redundant": lambda: duplicated_and_redundant(small_suite)}
         bodies = [named[which]()] if which in named else small_suite[int(which[-1])]
         for H in bodies:
             prof = ib.neighbourhood_profile(H, 17)
@@ -278,3 +306,60 @@ class TestWindowedProfile:
             tracemalloc.stop()
         assert peak <= 40e6
         assert np.array_equal(prof.l_vol, per_eps_l_vol(cross_polytope(5), 5))
+
+    def test_twenty_row_profile_memory(self, small_suite):
+        # the profile's peak on this body before the stacked pass was
+        # 2,187,146 bytes (numpy 2.4, a warm run); the blocks of offsets
+        # keep the stacked pass within 4 MB of that
+        H = twenty_row_body(small_suite)
+        body = unmemoized(H)
+        tracemalloc.start()
+        try:
+            prof = ib.neighbourhood_profile(body, 33)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_187_146 + 4e6
+        assert np.array_equal(prof.l_vol, per_eps_l_vol(H, 33))
+
+
+class TestStackedHelpers:
+    """A body's numbers are the same alone as inside a stack."""
+
+    @staticmethod
+    def run(An, bn, scale, x, d, lo, hi, eps, centre):
+        on = (lo <= eps[:, None]) & (eps[:, None] <= hi)
+        body, s = np.nonzero(on)
+        pts = x[s] - eps[body, None] * d[s]
+        points, start, active = polytope._incidence_from_candidates(
+            An, bn, scale, pts, body)
+        keep = polytope._facet_rows(points, start, active, scale)
+        vbody = np.repeat(np.arange(len(eps)), np.diff(start))
+        centres = np.tile(centre, (len(eps), 1))
+        vols, fvols = metrics._flag_volumes(An, bn, points, start,
+                                            active & keep[vbody].T, centres, scale)
+        return points, start, active, keep, vols, fvols
+
+    def test_two_bodies_match_each_alone(self, small_suite):
+        # the raw rows, duplicate and redundant ones included, offset by two
+        # amounts: each offset body keeps its own facet rows
+        H = duplicated_and_redundant(small_suite)
+        An, bn0, _ = H.unit_form()
+        x, d, lo, hi = polytope._vertex_paths(H)
+        inc = ib.incentre(H)
+        eps = np.array([0.05, 0.6]) * inc.inradius
+        bn = bn0 - eps[:, None]
+        scale = np.full(2, H.scale)
+        both = self.run(An, bn, scale, x, d, lo, hi, eps, inc.incentre)
+        points, start, active, keep, vols, fvols = both
+        assert not np.array_equal(keep[0], keep[1])
+        assert not keep[:, 4].any() and not keep[:, 5].any()
+        for e in range(2):
+            alone = self.run(An, bn[e:e + 1], scale[e:e + 1], x, d, lo, hi,
+                             eps[e:e + 1], inc.incentre)
+            rows = slice(start[e], start[e + 1])
+            assert np.array_equal(alone[0], points[rows])
+            assert np.array_equal(alone[2], active[:, rows])
+            assert np.array_equal(alone[3][0], keep[e])
+            assert np.array_equal(alone[4][0], vols[e])
+            assert np.array_equal(alone[5][0], fvols[e])

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,6 +143,44 @@ class TestRefineReference:
             assert sorted(pair) == list(range(V.count))
             assert dist[np.arange(V.count), pair].max() <= 1e-13 * H.scale
             assert np.array_equal(active, active_ref[:, pair])
+
+
+def exact_least_squares(A, b):
+    """The least-squares solution of float data, exactly: A^T A x = A^T b in
+    Fractions, by Gauss-Jordan elimination."""
+    A = [[Fraction(v) for v in row] for row in A]
+    b = [Fraction(v) for v in b]
+    n = len(A[0])
+    M = [[sum(r[i] * r[j] for r in A) for j in range(n)]
+         + [sum(r[i] * y for r, y in zip(A, b))] for i in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if M[r][c] != 0)
+        M[c], M[p] = M[p], M[c]
+        for r in range(n):
+            if r != c and M[r][c] != 0:
+                f = M[r][c] / M[c][c]
+                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
+    return [M[i][n] / M[i][i] for i in range(n)]
+
+
+class TestNonSimpleRefine:
+    @pytest.mark.parametrize("which", ["cross4", "24-cell"])
+    @pytest.mark.parametrize("shift", [None, (0.1, -0.2, 0.3, 0.05)])
+    def test_matches_exact_solution(self, which, shift):
+        # every vertex of these bodies has more than n active rows.  Measured
+        # against the exact least-squares points of the (shifted, so rounded)
+        # float rows: the stacked QR is off by at most 2.9e-16 * scale, and
+        # lstsq by 3.2e-16; shifted by 1000 times as much, 7.8e-14 and 1.4e-13
+        H = {"cross4": cross_polytope, "24-cell": lambda _: twenty_four_cell()}[which](4)
+        if shift is not None:
+            H = hrep(H.A, H.b + H.A @ np.array(shift))
+        V, active = polytope.vertex_incidence(H)
+        An, bn, _ = H.unit_form()
+        assert np.all(active.sum(axis=0) > 4)
+        for k in range(V.count):
+            exact = exact_least_squares(An[active[:, k]], bn[active[:, k]])
+            err = max(abs(Fraction(float(x)) - y) for x, y in zip(V.points[k], exact))
+            assert err <= 1e-15 * H.scale
 
 
 class TestSubsetCap:
