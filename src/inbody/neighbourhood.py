@@ -74,7 +74,8 @@ class NeighbourhoodProfile:
 
 def g_formula(vol: float, inradius: float, eps: float, n: int) -> float:
     """The envelope vol * (1 - max(0, 1 - eps/inradius)^n)."""
-    if vol <= 0 or inradius <= 0 or eps < 0 or n < 1:
+    # written so that a NaN fails it
+    if not (vol > 0 and inradius > 0 and eps >= 0 and n >= 1):
         raise BadParameter("g_formula needs vol > 0, inradius > 0, eps >= 0, n >= 1")
     return vol * (1.0 - max(0.0, 1.0 - eps / inradius) ** n)
 
@@ -91,7 +92,7 @@ def inner_parallel_body(H: HalfspaceSystem, eps: float) -> HalfspaceSystem | Non
     eps, so its maximizer is unchanged and the new inradius is
     inradius - eps.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise BadParameter("offset must be non-negative")
     if not H.validated:
         raise BadParameter("inner_parallel_body requires a validated body")
@@ -118,7 +119,7 @@ def _offset_minimal_form(H: HalfspaceSystem, eps: float) -> HalfspaceSystem | No
 
 def vol_inner_neighbourhood(H: HalfspaceSystem, eps: float) -> float:
     """vol of {x in body : distance to boundary <= eps}."""
-    if eps < 0:
+    if not eps >= 0:
         raise BadParameter("offset must be non-negative")
     inner = inner_parallel_body(H, eps)
     total = volume(H)
@@ -131,7 +132,7 @@ def bounds_report(H: HalfspaceSystem, eps: float) -> BoundsReport:
     """Evaluate g/n <= chord <= vol(L_eps) <= g at one offset."""
     inc = incentre(H)
     scale = body_scale(H)
-    if eps < -TAU_FACET * scale or eps > inc.inradius + TAU_FACET * scale:
+    if not -TAU_FACET * scale <= eps <= inc.inradius + TAU_FACET * scale:
         raise EpsOutOfRange("offset must lie in [0, inradius]")
     eps = min(max(eps, 0.0), inc.inradius)
     vol = volume(H)
@@ -152,7 +153,7 @@ def scale_copy_containment_check(H: HalfspaceSystem, eps: float) -> bool:
     """
     inc = incentre(H)
     scale = body_scale(H)
-    if eps < -TAU_FACET * scale or eps > inc.inradius + TAU_FACET * scale:
+    if not -TAU_FACET * scale <= eps <= inc.inradius + TAU_FACET * scale:
         raise EpsOutOfRange("offset must lie in [0, inradius]")
     eps = min(max(eps, 0.0), inc.inradius)
     lam = 1.0 - eps / inc.inradius

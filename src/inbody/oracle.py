@@ -45,7 +45,7 @@ def mc_volume(H: HalfspaceSystem, samples: int, seed: int) -> McEstimate:
 def mc_inner_volume(H: HalfspaceSystem, eps: float, samples: int,
                     seed: int) -> McEstimate:
     """Estimate vol{x in body : distance to boundary <= eps}."""
-    if eps < 0:
+    if not eps >= 0:
         raise BadParameter("offset must be non-negative")
     return _estimate(H, samples, seed, eps=float(eps))
 

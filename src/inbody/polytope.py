@@ -13,12 +13,12 @@ vertex enumeration of their polar body, so it too tries C(k, n) subsets.  The
 subsets are solved in batches, one routine for a right-hand side of one
 column (the vertices of one body) or two (the vertex paths of all the
 inner parallel bodies of one minimal form, see :func:`_vertex_paths`).  The
-steps after them (merging candidates, refining vertices, testing facets)
-take a stack of bodies that share their unit normals and differ in their
-offsets: the inner parallel bodies of a profile go through them in one
-pass, and a single body is a stack of one.  They are array operations over
-all vertices or faces of the stack at once, in blocks that bound memory,
-and a body's results do not depend on the stack it is in.
+steps after them (naming each vertex by the rows it lies on, refining it,
+testing facets) take a stack of bodies that share their unit normals and
+differ in their offsets: the inner parallel bodies of a profile go through
+them in one pass, and a single body is a stack of one.  They are array
+operations over all vertices or faces of the stack at once, in blocks that
+bound memory, and a body's results do not depend on the stack it is in.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     GeometryError,
 )
 
-TAU_PT = 1e-9     # point dedup / interior threshold (scale-relative)
+TAU_PT = 1e-9     # input-point merge / interior threshold (scale-relative)
 TAU_FACET = 1e-7  # on-facet residual (scale-relative)
 TAU_REP = 1e-6    # report tolerance (relative)
 
@@ -177,7 +177,7 @@ def validate_body(H: HalfspaceSystem) -> HalfspaceSystem:
 
     Boundedness is certified by one LP per +/- coordinate direction (which
     also yields the bounding box); the interior check is a Chebyshev-radius
-    LP against the point-dedup tolerance.
+    LP against the point tolerance ``TAU_PT``.
 
     Raises:
         Infeasible: the constraints contradict each other.
@@ -233,10 +233,10 @@ def vertex_enumeration(H: HalfspaceSystem) -> VertexSet:
 
     Every n-subset of halfspaces with an invertible normal matrix is
     solved; solutions are kept iff feasible within the facet tolerance,
-    merged within the point tolerance (an earlier kept point absorbs every
-    later one near it), then refined against their full active set: a
-    simple vertex solves its n active rows, any other takes the least
-    squares solution of its active rows.
+    merged by active set (of the solutions on the same rows within the
+    facet tolerance the first is kept), then refined against that active
+    set: a simple vertex solves its n active rows, any other takes the
+    least squares solution of its active rows.
     """
     V, _ = vertex_incidence(H)
     return V
@@ -342,25 +342,28 @@ def _incidence_from_candidates(An, bn, scale, pts, body):
     normals An (m, n) and differ in their offsets bn (E, m), as the inner
     parallel bodies of one minimal form do; ``scale`` (E,) holds their
     scales.  Candidate ``pts[i]`` belongs to body ``body[i]``, and ``body``
-    is ascending.  Each body's candidates are merged within the point
-    tolerance (an earlier kept point absorbs every later one near it),
-    refined against their full active sets, merged again and sorted, all in
-    one pass over the stack; a body gets the same vertices alone (E = 1) as
-    in any stack.  Returns ``(points, start, active)``: the vertices body by
-    body, body e's in rows ``start[e]:start[e + 1]``, and the (m, sum V)
-    incidence of every row on every vertex of its own body.
+    is ascending.  A vertex is named by its active set, the rows it lies on
+    within the facet tolerance, as a face is by its incidence row: of the
+    candidates of one body with the same active set only the first is kept
+    (Avis & Fukuda 1992).  The kept candidates are refined against their
+    active sets and sorted, all in one pass over the stack; a body gets the
+    same vertices alone (E = 1) as in any stack.  Returns
+    ``(points, start, active)``: the vertices body by body, body e's in rows
+    ``start[e]:start[e + 1]``, and the (m, sum V) incidence of every row on
+    every vertex of its own body.
     """
     E = bn.shape[0]
     if np.any(np.bincount(body, minlength=E) == 0):
         raise GeometryError("no vertices found for a validated body")
-    pt_tol, feas_tol = TAU_PT * scale, TAU_FACET * scale
-    keep = _dedup_mask(pts, pt_tol[body], body)
-    pts, body = pts[keep], body[keep]
-    # one body refines against its own offsets, a stack point by point
-    offs, tol = (bn[0], feas_tol[0]) if E == 1 else (bn[body], feas_tol[body, None])
-    pts = _refine_vertices(pts, An, offs, tol)
-    keep = _dedup_mask(pts, pt_tol[body], body)
-    pts, body = pts[keep], body[keep]
+    feas_tol = TAU_FACET * scale
+    act = np.abs(bn[body] - pts @ An.T) <= feas_tol[body, None]          # (N, m)
+    # the body's bytes, then the active row as bits: packed, the keys of the
+    # 30,080 candidates of the 5-cross-polytope stay within a megabyte
+    key = np.hstack([body.astype(np.int64)[:, None].view(np.uint8),
+                     np.packbits(act, axis=1)])
+    first = _first_rows(key)
+    pts, body = pts[first], body[first]
+    pts = _refine_vertices(pts, An, bn[body], feas_tol[body, None])
     order = np.lexsort([*pts.T[::-1], body])
     pts, body = pts[order], body[order]
     active = np.abs(bn[body].T - An @ pts.T) <= feas_tol[body]
@@ -389,30 +392,22 @@ def _combo_chunks(m, n):
 
 
 def _dedup_points(pts, tol):
-    """The points that survive :func:`_dedup_mask` as one body."""
-    return pts[_dedup_mask(pts, np.full(len(pts), tol), np.zeros(len(pts), dtype=int))]
+    """The points, less each one within tol of an earlier kept point.
 
-
-def _dedup_mask(pts, tol, body):
-    """Keep each point unless an earlier kept point of its body is within tol.
-
-    ``tol`` is per point and constant on a body.  The rule is that of a
-    sequential scan of each body's points in input order.  Two points within
+    The rule is that of a sequential scan in input order.  Two points within
     tol are within tol along any unit direction, so one sort along a fixed
     generic direction (on which the vertices of a box do not tie) finds
-    the few points that can be near another: on the vertex candidates of
-    simple bodies there are none.  Distances among those are taken for a
-    block of points at a time, against each earlier block of kept points
-    that shares a body with it and within the block, so memory stays
-    bounded by ``_DEDUP_BLOCK**2`` distances however many points come in.
+    the few points that can be near another.  Distances among those are
+    taken for a block of points at a time, against each earlier block of
+    kept points and within the block, so memory stays bounded by
+    ``_DEDUP_BLOCK**2`` distances however many points come in.
     """
     keep = np.ones(pts.shape[0], dtype=bool)
     along = pts @ _probe(pts.shape[1])
     # twice tol, plus the rounding of the projections
     reach = 2.0 * tol + 1e-15 * pts.shape[1] * np.abs(pts).max(initial=0.0)
-    order = np.lexsort([along, body])
-    along, ordered = along[order], body[order]
-    close = (along[1:] - along[:-1] <= reach[order[1:]]) & (ordered[1:] == ordered[:-1])
+    order = np.argsort(along, kind="stable")
+    close = np.diff(along[order]) <= reach
     suspect = np.zeros(pts.shape[0], dtype=bool)
     suspect[order[1:][close]] = suspect[order[:-1][close]] = True
     suspect = np.flatnonzero(suspect)
@@ -421,17 +416,12 @@ def _dedup_mask(pts, tol, body):
     for start in range(0, suspect.size, _DEDUP_BLOCK):
         idx = suspect[start:start + _DEDUP_BLOCK]
         for other in kept:
-            if idx.size == 0 or body[other[-1]] < body[idx[0]]:
-                continue
-            near = ((_distances(pts[idx], pts[other]) <= tol[idx, None])
-                    & (body[idx, None] == body[other]))
-            idx = idx[~near.any(axis=1)]
+            idx = idx[~(_distances(pts[idx], pts[other]) <= tol).any(axis=1)]
         # earlier[i, j]: j < i and the two are within tol.  A point is kept
         # iff no earlier kept point is near it; the rule is triangular, so
         # iterating it from "keep all" fixes one more leading entry per
         # round and stops at its unique solution, usually in two rounds.
-        earlier = np.tril((_distances(pts[idx], pts[idx]) <= tol[idx, None])
-                          & (body[idx, None] == body[idx]), -1)
+        earlier = np.tril(_distances(pts[idx], pts[idx]) <= tol, -1)
         new = np.ones(idx.size, dtype=bool)
         while True:
             cur, new = new, ~(earlier & new).any(axis=1)
@@ -440,7 +430,7 @@ def _dedup_mask(pts, tol, body):
         if new.any():
             kept.append(idx[new])
             keep[idx[new]] = True
-    return keep
+    return pts[keep]
 
 
 @functools.lru_cache(maxsize=16)
@@ -460,14 +450,14 @@ def _distances(P, Q):
 def _refine_vertices(pts, An, bn, feas_tol):
     """Re-solve each vertex against its full active set.
 
-    ``bn`` is one body's offsets (m,) or each point's own (N, m), and
-    ``feas_tol`` a scalar or per point (N, 1).  One product gives every
-    active set.  The simple vertices, with exactly n active rows, solve
-    their square systems in one batch.  The others are grouped by their
-    number c of active rows, and each group takes the least-squares
-    solution of its (c, n) systems from one stacked QR: R x = Q^T b.  A
-    vertex whose refined point leaves an active row by more than feas_tol,
-    or that has fewer than n active rows, is an error.
+    ``bn`` holds each point's own offsets (N, m), and ``feas_tol`` each
+    point's tolerance (N, 1), so the points may come from the bodies of a
+    stack.  One product gives every active set.  The simple vertices, with
+    exactly n active rows, solve their square systems in one batch.  The
+    others are grouped by their number c of active rows, and each group
+    takes the least-squares solution of its (c, n) systems from one stacked
+    QR: R x = Q^T b.  A vertex whose refined point leaves an active row by
+    more than feas_tol, or that has fewer than n active rows, is an error.
     """
     n = An.shape[1]
     act = np.abs(bn - pts @ An.T) <= feas_tol                # (N, m)

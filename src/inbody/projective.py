@@ -406,7 +406,7 @@ def critical_exponent(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
     tolerance.  When rho never crosses 1 the estimate clamps to the
     corresponding end of the interval and says so in the flags.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise BadParameter("tol must be positive")
     if holes is None:
         holes = generate_holes(ifs, seed_holes, max_depth)
@@ -526,7 +526,7 @@ def _require_unimodular(ifs):
 def norm_series_exponent(ifs: ProjectiveIFS, max_depth: int, tol: float = 0.01,
                          norm: str = "spectral") -> DimensionEstimate:
     """Critical s of the word-norm series (lower bound on the dimension)."""
-    if tol <= 0:
+    if not tol > 0:
         raise BadParameter("tol must be positive")
     if max_depth < 4:
         raise BadParameter("need max_depth >= 4 for the ratio test")

@@ -236,6 +236,24 @@ class TestExitCodes:
         assert not out.exists()
         assert json.loads(capsys.readouterr().err)["error"] == "BadParameter"
 
+    @pytest.mark.parametrize("command", ["attractor", "norms"])
+    def test_nan_tol_is_validation_error(self, cantor_file, tmp_path, capsys, command):
+        # a NaN tolerance would end the bisection before its first step
+        out = tmp_path / "nan.json"
+        argv = [command, "--input", str(cantor_file), "--output", str(out),
+                "--max-depth", "8", "--tol", "nan"]
+        assert run(config_from_args(argv)) == 1
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "BadParameter"
+
+    def test_nan_eps_is_validation_error(self, cube_file, tmp_path, capsys):
+        out = tmp_path / "nan.json"
+        argv = ["inner", "--input", str(cube_file), "--output", str(out),
+                "--eps", "nan"]
+        assert run(config_from_args(argv)) == 1
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "EpsOutOfRange"
+
     def test_subset_cap_is_validation_error(self, wide_file, capsys):
         assert run(RunConfig(command="metrics", input_path=str(wide_file))) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "BadParameter"

@@ -27,6 +27,10 @@ class TestInnerParallelBody:
         with pytest.raises(BadParameter):
             ib.inner_parallel_body(unit_square, -0.1)
 
+    def test_nan_offset_rejected(self, unit_square):
+        with pytest.raises(BadParameter):
+            ib.inner_parallel_body(unit_square, float("nan"))
+
     def test_points_of_inner_body_have_large_distance(self, small_suite):
         rng = np.random.default_rng(3)
         for H in small_suite[2][:6]:
@@ -82,6 +86,10 @@ class TestVolInnerNeighbourhood:
         assert ib.vol_inner_neighbourhood(unit_square, 0.5) == pytest.approx(1.0)
         assert ib.vol_inner_neighbourhood(unit_square, 0.9) == pytest.approx(1.0)
 
+    def test_nan_offset_rejected(self, unit_square):
+        with pytest.raises(BadParameter):
+            ib.vol_inner_neighbourhood(unit_square, float("nan"))
+
     def test_triangle_circumscribed_equality(self, triangle):
         inc = ib.incentre(triangle)
         vol = ib.volume(triangle)
@@ -122,6 +130,11 @@ class TestGFormula:
         with pytest.raises(BadParameter):
             ib.g_formula(1.0, 0.5, 0.1, 0)
 
+    def test_nan_offset_rejected(self):
+        # NaN compares false both ways, so a check for eps < 0 lets it pass
+        with pytest.raises(BadParameter):
+            ib.g_formula(1.0, 0.5, float("nan"), 2)
+
 
 class TestBoundsReport:
     def test_square_equality_case(self, unit_square):
@@ -153,6 +166,10 @@ class TestBoundsReport:
         with pytest.raises(EpsOutOfRange):
             ib.bounds_report(unit_square, 0.7)
 
+    def test_nan_offset_rejected(self, unit_square):
+        with pytest.raises(EpsOutOfRange):
+            ib.bounds_report(unit_square, float("nan"))
+
     def test_sandwich_on_random_bodies(self, small_suite):
         for bodies in small_suite.values():
             for H in bodies[:8]:
@@ -173,6 +190,10 @@ class TestScaleCopyContainment:
 
     def test_full_offset_collapses_to_incentre(self, unit_square):
         assert ib.scale_copy_containment_check(unit_square, 0.5)
+
+    def test_nan_offset_rejected(self, unit_square):
+        with pytest.raises(EpsOutOfRange):
+            ib.scale_copy_containment_check(unit_square, float("nan"))
 
     def test_random_suite(self, small_suite):
         for bodies in small_suite.values():

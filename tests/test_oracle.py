@@ -58,6 +58,10 @@ class TestMcInnerVolume:
         est = ib.mc_inner_volume(unit_square, 0.6, 200_000, seed=7)
         assert abs(est.mean - 1.0) <= 4 * est.stddev + 1e-12
 
+    def test_nan_offset_rejected(self, unit_square):
+        with pytest.raises(BadParameter):
+            ib.mc_inner_volume(unit_square, float("nan"), 50_000, seed=6)
+
 
 class TestDeterminism:
     def test_identical_runs_bit_for_bit(self, triangle):
