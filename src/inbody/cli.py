@@ -56,11 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(argv=None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    return RunConfig(command=ns.command, input_path=ns.input_path,
-                     eps=ns.eps, grid=ns.grid, samples=ns.samples,
-                     seed=ns.seed, max_depth=ns.max_depth, tol=ns.tol,
-                     norm=ns.norm, output_path=ns.output_path)
+    return RunConfig(**vars(build_parser().parse_args(argv)))
 
 
 def run(config: RunConfig) -> int:
@@ -92,13 +88,13 @@ def _dispatch(config: RunConfig):
     meta = {"version": __version__, "config": _config_dict(config)}
 
     if config.command == "metrics":
-        return {**formats.heron_to_dict(metrics.heron_bounds(body)), **meta}
+        return {**asdict(metrics.heron_bounds(body)), **meta}
 
     if config.command in ("inner", "bounds"):
         if config.eps is None:
             raise ValueError(f"--eps is required for '{config.command}'")
         rep = neighbourhood.bounds_report(body, config.eps)
-        return {**formats.bounds_to_dict(rep), **meta}
+        return {**asdict(rep), **meta}
 
     if config.command == "profile":
         prof = neighbourhood.neighbourhood_profile(body, grid_size=config.grid)
@@ -135,7 +131,7 @@ def _oracle_payload(body, config: RunConfig) -> dict:
     exact = metrics.volume(body)
     payload = {
         "exact_volume": exact,
-        "mc_volume": formats.mc_to_dict(est),
+        "mc_volume": asdict(est),
         "volume_within_4_sigma": _within_4_sigma(exact, est),
     }
     if config.eps is not None:
@@ -144,7 +140,7 @@ def _oracle_payload(body, config: RunConfig) -> dict:
         exact_in = neighbourhood.vol_inner_neighbourhood(body, config.eps)
         payload.update({
             "exact_inner_volume": exact_in,
-            "mc_inner_volume": formats.mc_to_dict(est_in),
+            "mc_inner_volume": asdict(est_in),
             "inner_within_4_sigma": _within_4_sigma(exact_in, est_in),
         })
     return payload
@@ -165,8 +161,7 @@ def _default_resolutions(holes) -> list[float]:
     would refuse as too fine.  Either stop waits for three resolutions.
     """
     n = holes[0].body.dim
-    deepest = max(h.depth for h in holes)
-    min_in = min(h.inradius for h in holes if h.depth == deepest)
+    _, min_in = projective._deepest_inradius(holes)
     res = [1.0 / 3.0 ** 2]
     while len(res) < 16:
         nxt = res[-1] / 3.0

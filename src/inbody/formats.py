@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metrics import HeronReport
-from .neighbourhood import BoundsReport, NeighbourhoodProfile
-from .oracle import McEstimate
+from .neighbourhood import NeighbourhoodProfile
 from .polytope import HalfspaceSystem, VertexSet, convex_hull, validate_body
 from .projective import DimensionEstimate, ProjectiveIFS, auto_seed_holes
 
@@ -122,27 +120,6 @@ def load_ifs(obj: dict):
         raise ValueError("seed_holes are required for n >= 2")
     assume = bool(obj.get("assume_measure_zero", False))
     return ifs, seeds, assume
-
-
-def heron_to_dict(rep: HeronReport) -> dict:
-    return {
-        "volume": rep.volume,
-        "perimeter": rep.perimeter,
-        "inradius": rep.inradius,
-        "lower": rep.lower,
-        "upper": rep.upper,
-        "satisfied": rep.satisfied,
-    }
-
-
-def bounds_to_dict(rep: BoundsReport) -> dict:
-    return {"l": rep.l, "g": rep.g, "g_over_n": rep.g_over_n,
-            "chord": rep.chord, "ok": rep.ok}
-
-
-def mc_to_dict(est: McEstimate) -> dict:
-    return {"mean": est.mean, "stddev": est.stddev,
-            "samples": est.samples, "seed": est.seed}
 
 
 def estimate_to_dict(est: DimensionEstimate) -> dict:

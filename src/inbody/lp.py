@@ -1,17 +1,22 @@
-"""Dense linear programming via the two-phase simplex method.
+"""Dense linear programming via the simplex method from a feasible start.
 
 Every linear program in this package (Chebyshev centres, bounding boxes,
-boundedness and overlap probes) is a dense problem with a few dozen
-constraints, so a small self-contained tableau solver is used instead of an
-external one.  Bland's pivoting rule makes the pivot sequence finite and
-fully deterministic; the iteration cap scales with the constraint count.
+overlap probes) is a dense problem with a few dozen constraints, so a small
+self-contained tableau solver is used instead of an external one.  Bland's
+pivoting rule makes the pivot sequence finite and fully deterministic; the
+iteration cap scales with the constraint count.
 
 Problems are stated as
 
     maximize (or minimize)  c . x    subject to  A x <= b,
 
-with each variable either free or non-negative.  Free variables are split
-into differences of non-negative pairs before the tableau is built.
+with every variable free, together with a point ``start`` that satisfies
+the constraints.  There is one phase: writing x = start + u - w with
+u, w >= 0, the slacks b - A start form a feasible first basis.  Every
+caller has such a point: the Chebyshev LP of ``polytope._chebyshev`` is
+feasible at (0, min b) once its radius is free, and a negative optimum
+there certifies that the constraints have no solution, so its centre can
+start every other LP over the same constraints.
 """
 
 from __future__ import annotations
@@ -20,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, SolverFailure, Unbounded
+from .errors import SolverFailure, Unbounded
 
 _PIVOT_TOL = 1e-10
-_FEAS_TOL = 1e-8
 
 
 @dataclass
@@ -34,117 +38,60 @@ class LpResult:
     value: float
 
 
-def solve_lp(c, A, b, *, nonneg=None, maximize: bool = True) -> LpResult:
-    """Solve max/min of ``c . x`` subject to ``A x <= b``.
+def solve_lp(c, A, b, start, *, maximize: bool = True) -> LpResult:
+    """Solve max/min of ``c . x`` subject to ``A x <= b``, x free.
 
     Args:
         c: objective vector, shape (p,).
         A: constraint matrix, shape (m, p).
         b: right-hand sides, shape (m,).
-        nonneg: optional boolean mask of length p; True entries constrain
-            the variable to be >= 0, all others are free.  Default: all free.
+        start: a feasible point, shape (p,): ``A start <= b``.
         maximize: direction of optimization.
 
     Raises:
-        Infeasible: no point satisfies the constraints.
+        ValueError: bad shapes, or ``start`` violates a constraint.
         Unbounded: the objective is unbounded over the feasible region.
         SolverFailure: the pivot cap was exceeded.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    start = np.asarray(start, dtype=float)
     if A.ndim != 2 or c.ndim != 1 or b.ndim != 1:
         raise ValueError("solve_lp expects c (p,), A (m, p), b (m,)")
     m, p = A.shape
-    if c.shape[0] != p or b.shape[0] != m:
+    if c.shape[0] != p or b.shape[0] != m or start.shape != (p,):
         raise ValueError("inconsistent LP shapes")
-    if nonneg is None:
-        nonneg = np.zeros(p, dtype=bool)
-    else:
-        nonneg = np.asarray(nonneg, dtype=bool)
+    slack = b - A @ start
+    if not np.all(slack >= 0.0):
+        raise ValueError("start point violates the constraints")
 
-    # Split free variables: x_j = u_j - w_j with u, w >= 0.  The u-columns
-    # keep the original order; the w-columns are appended at the end.
-    free_idx = np.flatnonzero(~nonneg)
-    A_std = np.hstack([A, -A[:, free_idx]]) if free_idx.size else A.copy()
-    c_std = np.concatenate([c, -c[free_idx]]) if free_idx.size else c.copy()
-    if not maximize:
-        c_std = -c_std
-
-    x_std = _two_phase(c_std, A_std, b)
-
-    x = x_std[:p].copy()
-    x[free_idx] -= x_std[p:]
-    return LpResult(x=x, value=float(c @ x))
-
-
-def _two_phase(c, A, b):
-    """Maximize c.x s.t. A x <= b, x >= 0; returns the standard-form x."""
-    m, p = A.shape
-    cap = max(10 * (m + 1), 50)
-
-    # Equality form: rows with negative rhs are negated so every basic
-    # solution starts non-negative; those rows get artificial variables.
-    neg = b < 0
-    sign = np.where(neg, -1.0, 1.0)
-    M = np.hstack([A * sign[:, None], np.diag(sign)])  # real + slack columns
-    rhs = b * sign
-    n_art = int(neg.sum())
-    total = p + m
-
-    if n_art:
-        art_cols = np.zeros((m, n_art))
-        art_cols[np.flatnonzero(neg), np.arange(n_art)] = 1.0
-        T = np.hstack([M, art_cols, rhs[:, None]])
-        basis = np.where(neg, total + np.cumsum(neg) - 1, p + np.arange(m))
-        basis = basis.astype(int)
-        # Phase 1: maximize -sum(artificials).
-        c1 = np.zeros(total + n_art)
-        c1[total:] = -1.0
-        obj = _reduced_costs(T, basis, c1)
-        status = _pivot_loop(T, basis, obj, cap)
-        if status != "optimal":
-            # phase 1 is bounded above by zero, so only the cap can trip
-            raise SolverFailure(f"phase-1 ended with status '{status}'")
-        phase1_value = -obj[-1]
-        if phase1_value < -_FEAS_TOL * (1.0 + np.abs(b).max(initial=0.0)):
-            raise Infeasible("constraint system has no solution")
-        T, basis = _drop_artificials(T, basis, total)
-    else:
-        T = np.hstack([M, rhs[:, None]])
-        basis = (p + np.arange(m)).astype(int)
-
-    c2 = np.zeros(total)
-    c2[:p] = c
-    obj = _reduced_costs(T, basis, c2)
-    status = _pivot_loop(T, basis, obj, cap)
+    # Columns: u (p), w (p), slacks (m); the rhs is the start's slack.
+    M = np.hstack([A, -A, np.eye(m)])
+    T = np.hstack([M, slack[:, None]])
+    basis = 2 * p + np.arange(m)
+    # At the slack basis the reduced costs are the objective itself.
+    obj = np.zeros(2 * p + m + 1)
+    obj[:p] = c if maximize else -c
+    obj[p:2 * p] = -obj[:p]
+    status = _pivot_loop(T, basis, obj, max(10 * (m + 1), 50))
     if status == "cap":
-        raise SolverFailure("phase-2 iteration cap exceeded")
+        raise SolverFailure("simplex iteration cap exceeded")
     if status == "unbounded":
         raise Unbounded("objective is unbounded over the feasible region")
 
-    # Recover the basic solution from the original data: one clean solve at
-    # the final basis removes the roundoff accumulated across pivots.
-    x = np.zeros(total)
-    cols = M[:, basis] if T.shape[0] == m else None
-    if cols is not None and abs(np.linalg.det(cols)) > 1e-300:
-        x[basis] = np.linalg.solve(cols, rhs)
-    else:
-        x[basis] = T[:, -1]
-    # Tiny negative components are pivot noise.
-    np.clip(x, 0.0, None, out=x)
-    return x[:p]
-
-
-def _reduced_costs(T, basis, c):
-    """Row of reduced costs c_j - z_j plus the negated objective value."""
-    n_rows = T.shape[0]
-    obj = np.empty(T.shape[1])
-    obj[:-1] = c[: T.shape[1] - 1]
-    obj[-1] = 0.0
-    cb = c[basis[:n_rows]]
-    obj -= cb @ T
-    return obj
+    # One clean solve at the final basis removes the roundoff accumulated
+    # across pivots.  A variable with neither column basic stays at its
+    # start value; the rest are solved from the original b.
+    fixed = start.copy()
+    fixed[basis[basis < 2 * p] % p] = 0.0
+    z = np.zeros(2 * p + m)
+    try:
+        z[basis] = np.linalg.solve(M[:, basis], b - A @ fixed)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure("singular final basis") from exc
+    x = fixed + z[:p] - z[p:2 * p]
+    return LpResult(x=x, value=float(c @ x))
 
 
 def _pivot_loop(T, basis, obj, cap):
@@ -179,26 +126,3 @@ def _pivot(T, obj, row, col):
     factors[row] = 0.0
     T -= factors[:, None] * T[row]
     obj -= obj[col] * T[row]
-
-
-def _drop_artificials(T, basis, total):
-    """Remove artificial columns, pivoting out or deleting redundant rows."""
-    keep_rows = np.ones(T.shape[0], dtype=bool)
-    for i in range(T.shape[0]):
-        if basis[i] < total:
-            continue
-        # Basic artificial at zero level: pivot in any usable real column.
-        pivot_col = -1
-        for j in range(total):
-            if abs(T[i, j]) > _PIVOT_TOL:
-                pivot_col = j
-                break
-        if pivot_col >= 0:
-            dummy = np.zeros(T.shape[1])
-            _pivot(T, dummy, i, pivot_col)
-            basis[i] = pivot_col
-        else:
-            keep_rows[i] = False  # redundant constraint row
-    T = T[keep_rows][:, list(range(total)) + [T.shape[1] - 1]]
-    basis = basis[keep_rows]
-    return T, basis

@@ -83,7 +83,7 @@ def distance_to_boundary(H: HalfspaceSystem, x) -> float:
 
 
 def incentre(H: HalfspaceSystem) -> IncentreResult:
-    """Chebyshev centre: maximize r s.t. a_i.x + r ||a_i|| <= b_i, r >= 0.
+    """Chebyshev centre: maximize r s.t. a_i.x + r ||a_i|| <= b_i.
 
     The centre and radius are read from ``H.cheb_center``/``H.cheb_radius``
     when a producer has set them, and otherwise solved once and stored

@@ -38,6 +38,7 @@ from .errors import (
     DimensionMismatch,
     EmptyInterior,
     GeometryError,
+    Infeasible,
 )
 
 TAU_PT = 1e-9     # input-point merge / interior threshold (scale-relative)
@@ -167,17 +168,22 @@ def body_scale(H: HalfspaceSystem) -> float:
 
 def _scale_from_box(lo, hi) -> float:
     radius = 0.5 * float(np.linalg.norm(hi - lo))
-    center = 0.5 * (hi + lo)
-    floor = 1e-6 * (1.0 + float(np.linalg.norm(center)))
-    return max(radius, floor, 1e-12)
+    return float(_floored_scale(radius, float(np.linalg.norm(0.5 * (hi + lo)))))
+
+
+def _floored_scale(radius, centre_norm):
+    """A radius floored at 1e-6 (1 + |centre|) and at 1e-12, elementwise."""
+    return np.maximum(np.maximum(radius, 1e-6 * (1.0 + centre_norm)), 1e-12)
 
 
 def validate_body(H: HalfspaceSystem) -> HalfspaceSystem:
     """Check boundedness and interior; return the system flagged valid.
 
-    Boundedness is certified by one LP per +/- coordinate direction (which
-    also yields the bounding box); the interior check is a Chebyshev-radius
-    LP against the point tolerance ``TAU_PT``.
+    The Chebyshev LP comes first: it starts from a point it always has, and
+    a negative radius certifies that the constraints contradict each other.
+    Its centre then starts one LP per +/- coordinate direction, which
+    certify boundedness and give the bounding box.  The interior check
+    compares the radius with the point tolerance ``TAU_PT``.
 
     Raises:
         Infeasible: the constraints contradict each other.
@@ -188,16 +194,21 @@ def validate_body(H: HalfspaceSystem) -> HalfspaceSystem:
         raise BadParameter("dimension must be >= 1")
     n = H.dim
     An, bn, _ = H.unit_form()
+    center, radius = _chebyshev(An, bn)
+    if radius < -1e-8 * (1.0 + np.abs(bn).max(initial=0.0)):
+        raise Infeasible("constraint system has no solution")
+    if np.any(An @ center > bn):
+        # the centre misses one of its own rows by roundoff, so the
+        # radius is within roundoff of zero or below it
+        raise EmptyInterior("region has no interior at tolerance")
     lo = np.empty(n)
     hi = np.empty(n)
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        hi[i] = lp.solve_lp(e, An, bn, maximize=True).value
-        lo[i] = lp.solve_lp(e, An, bn, maximize=False).value
+        hi[i] = lp.solve_lp(e, An, bn, center, maximize=True).value
+        lo[i] = lp.solve_lp(e, An, bn, center, maximize=False).value
     scale = _scale_from_box(lo, hi)
-
-    center, radius = _chebyshev(An, bn)
     if radius <= TAU_PT * scale:
         raise EmptyInterior("region has no interior at tolerance")
 
@@ -208,14 +219,20 @@ def validate_body(H: HalfspaceSystem) -> HalfspaceSystem:
 
 
 def _chebyshev(An, bn):
-    """Centre and radius of the largest inscribed ball (unit-row system)."""
+    """Centre and radius of the largest inscribed ball (unit-row system).
+
+    Solves max r s.t. An x + r <= bn with x and r free, from the feasible
+    point x = 0, r = min(0, min bn).  The radius is negative when the system
+    has no solution, and the LP is unbounded when the region holds
+    arbitrarily large balls.
+    """
     m, n = An.shape
     A_lp = np.hstack([An, np.ones((m, 1))])
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    nonneg = np.zeros(n + 1, dtype=bool)
-    nonneg[-1] = True
-    res = lp.solve_lp(c, A_lp, bn, nonneg=nonneg, maximize=True)
+    start = np.zeros(n + 1)
+    start[-1] = bn.min(initial=0.0)
+    res = lp.solve_lp(c, A_lp, bn, start, maximize=True)
     return res.x[:n], float(res.value)
 
 
@@ -362,8 +379,8 @@ def _incidence_from_candidates(An, bn, scale, pts, body):
     key = np.hstack([body.astype(np.int64)[:, None].view(np.uint8),
                      np.packbits(act, axis=1)])
     first = _first_rows(key)
-    pts, body = pts[first], body[first]
-    pts = _refine_vertices(pts, An, bn[body], feas_tol[body, None])
+    body = body[first]
+    pts = _refine_vertices(act[first], An, bn[body], feas_tol[body, None])
     order = np.lexsort([*pts.T[::-1], body])
     pts, body = pts[order], body[order]
     active = np.abs(bn[body].T - An @ pts.T) <= feas_tol[body]
@@ -447,22 +464,21 @@ def _distances(P, Q):
     return np.linalg.norm(P[:, None, :] - Q[None, :, :], axis=2)
 
 
-def _refine_vertices(pts, An, bn, feas_tol):
-    """Re-solve each vertex against its full active set.
+def _refine_vertices(act, An, bn, feas_tol):
+    """Solve each vertex from its full active set.
 
-    ``bn`` holds each point's own offsets (N, m), and ``feas_tol`` each
-    point's tolerance (N, 1), so the points may come from the bodies of a
-    stack.  One product gives every active set.  The simple vertices, with
-    exactly n active rows, solve their square systems in one batch.  The
-    others are grouped by their number c of active rows, and each group
-    takes the least-squares solution of its (c, n) systems from one stacked
-    QR: R x = Q^T b.  A vertex whose refined point leaves an active row by
-    more than feas_tol, or that has fewer than n active rows, is an error.
+    ``act`` (N, m) holds each vertex's active rows, ``bn`` its own offsets
+    (N, m) and ``feas_tol`` its tolerance (N, 1), so the vertices may come
+    from the bodies of a stack.  The simple vertices, with exactly n active
+    rows, solve their square systems in one batch.  The others are grouped
+    by their number c of active rows, and each group takes the
+    least-squares solution of its (c, n) systems from one stacked QR:
+    R x = Q^T b.  A vertex whose refined point leaves an active row by more
+    than feas_tol, or that has fewer than n active rows, is an error.
     """
     n = An.shape[1]
-    act = np.abs(bn - pts @ An.T) <= feas_tol                # (N, m)
     offs = np.where(act, bn, 0.0)
-    refined = np.empty_like(pts)
+    refined = np.empty((act.shape[0], n))
     counts = act.sum(axis=1)
     if counts.min(initial=n) < n:
         raise DegenerateNumerics("a vertex has fewer active rows than the dimension")
@@ -640,8 +656,8 @@ def convex_hull(V: VertexSet) -> HalfspaceSystem:
     n = pts.shape[1]
     centroid = pts.mean(axis=0)
     spread = np.linalg.norm(pts - centroid, axis=1)
-    scale = max(float(spread.max(initial=0.0)),
-                1e-6 * (1.0 + float(np.linalg.norm(centroid))), 1e-12)
+    scale = float(_floored_scale(spread.max(initial=0.0),
+                                 float(np.linalg.norm(centroid))))
     pts = _dedup_points(pts, TAU_PT * scale)
     k = pts.shape[0]
     if k < n + 1 or _affine_rank(pts, scale) < n:

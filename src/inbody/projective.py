@@ -43,7 +43,6 @@ from .errors import (
     DegenerateImage,
     DegenerateInput,
     IfsValidationError,
-    Infeasible,
     InsufficientDepth,
     SingularMatrix,
     Unstable,
@@ -55,6 +54,7 @@ from .polytope import (
     VertexSet,
     _affine_rank,
     _chebyshev,
+    _floored_scale,
     convex_hull,
     validate_body,
 )
@@ -275,10 +275,7 @@ def _interiors_intersect(H1: HalfspaceSystem, H2: HalfspaceSystem) -> bool:
     A = np.vstack([H1.A, H2.A])
     b = np.concatenate([H1.b, H2.b])
     norms = np.linalg.norm(A, axis=1)
-    try:
-        _, radius = _chebyshev(A / norms[:, None], b / norms)
-    except Infeasible:
-        return False
+    _, radius = _chebyshev(A / norms[:, None], b / norms)
     return radius > TAU_PT
 
 
@@ -364,8 +361,7 @@ def _measure_holes(pts):
                 np.array([metrics.incentre(h).inradius for h in hulls]))
     centroid = pts.mean(axis=1)                                  # (h, 1)
     spread = np.abs(pts - centroid[:, None]).max(axis=(1, 2))
-    scale = np.maximum(np.maximum(spread, 1e-6 * (1.0 + np.abs(centroid[:, 0]))),
-                       1e-12)
+    scale = _floored_scale(spread, np.abs(centroid[:, 0]))
     if np.any(_affine_rank(pts, scale[:, None]) < 1):
         raise DegenerateInput("points do not affinely span the ambient space")
     vol = pts.max(axis=(1, 2)) - pts.min(axis=(1, 2))
@@ -561,8 +557,7 @@ def box_counting_dimension(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
     if holes is None:
         holes = generate_holes(ifs, seed_holes, depth)
     if holes and ifs.matrices:
-        deepest = max(h.depth for h in holes)
-        min_in = min(h.inradius for h in holes if h.depth == deepest)
+        deepest, min_in = _deepest_inradius(holes)
         if res[-1] < min_in * (1.0 - 1e-9):
             raise InsufficientDepth(
                 f"finest resolution {res[-1]:.3g} lies below the depth-{deepest} "
@@ -576,6 +571,12 @@ def box_counting_dimension(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
         counts = [_count_boxes_nd(ifs.n, holes, float(d)) for d in res]
     slope, _ = np.polyfit(np.log(1.0 / res), np.log(np.asarray(counts, float)), 1)
     return float(slope)
+
+
+def _deepest_inradius(holes):
+    """The deepest level of the holes and its smallest inradius."""
+    deepest = max(h.depth for h in holes)
+    return deepest, min(h.inradius for h in holes if h.depth == deepest)
 
 
 def _snap(q):

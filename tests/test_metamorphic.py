@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import inbody as ib
-from tests.conftest import hrep, twenty_four_cell
+from tests.conftest import box, hrep, twenty_four_cell
 
 # Worst cases measured over these bodies: vertices 5.7e-14 * scale apart (a
 # polygon scaled by 1e-3, at a vertex whose two rows have condition number
@@ -84,3 +84,25 @@ def test_h_form_transformation(small_suite, which, name):
                                               rel=MEASURE_BOUND)
         assert ib.surface_area(H2) == pytest.approx(
             lam ** (n - 1) * ib.surface_area(H), rel=MEASURE_BOUND)
+
+
+# Worst cases measured over these bodies at the two-phase simplex, which
+# started these translated bodies from phase 1: inradius 5.6e-14 and volume
+# 6.3e-14 relative, bbox 2.2e-14 * scale
+TRANSLATION_BOUND = 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("shift", [(3.0, -4.0, 5.0, -6.0), (40.0, -50.0, 60.0, -70.0)])
+def test_translation_off_the_origin(small_suite, n, shift):
+    # Every body lies in [-1, 1]^n, so after the shift the origin is outside
+    # it in every coordinate and one row of each box pair has a negative
+    # offset; all offsets cannot be negative, as the normals of a bounded
+    # body have a vanishing positive combination.
+    t = np.array(shift[:n])
+    for H in small_suite[n] + [box(n)]:
+        H2 = hrep(H.A, H.b + H.A @ t)
+        assert (H2.b < 0).sum() >= n
+        assert H2.cheb_radius == pytest.approx(H.cheb_radius, rel=TRANSLATION_BOUND)
+        assert ib.volume(H2) == pytest.approx(ib.volume(H), rel=TRANSLATION_BOUND)
+        assert np.abs(H2.bbox - t - H.bbox).max() <= TRANSLATION_BOUND * H.scale

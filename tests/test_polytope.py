@@ -6,7 +6,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import inbody as ib
-from inbody import polytope
+from inbody import lp, polytope
 from inbody.errors import (
     BadParameter,
     DegenerateInput,
@@ -36,6 +36,49 @@ class TestValidateBody:
         with pytest.raises(EmptyInterior):
             hrep([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
                  [0.0, 0.0, 1.0, 0.0])
+
+
+class TestValidationOrder:
+    """The Chebyshev LP runs first and a negative radius means no solution;
+    its centre then starts the bounding-box LPs."""
+
+    @pytest.mark.parametrize("A, b, error", [
+        # x <= 0 and x >= 1 with y free: contradictory and unbounded
+        ([[1.0, 0.0], [-1.0, 0.0]], [0.0, -1.0], Infeasible),
+        # contradictory by 1e-7, above the tolerance 1e-8 (1 + max |b|)
+        ([[1.0], [-1.0]], [0.0, -1e-7], Infeasible),
+        # contradictory by 1e-10, below it: a flat body
+        ([[1.0], [-1.0]], [0.0, -1e-10], EmptyInterior),
+        # a half-plane holds arbitrarily large balls
+        ([[1.0, 1.0]], [1.0], Unbounded),
+        # no rows at all
+        (np.zeros((0, 2)), np.zeros(0), Unbounded),
+        # a line whose centre lies exactly on it: the box LPs find it unbounded
+        ([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0], Unbounded),
+        # a line contradictory below the tolerance: flat and unbounded, and
+        # its centre lies off it, so it is flat before any box LP runs (the
+        # two-phase simplex reported Unbounded)
+        ([[1.0, 0.0], [-1.0, 0.0]], [0.0, -1e-10], EmptyInterior),
+    ])
+    def test_error_types(self, A, b, error):
+        with pytest.raises(error):
+            hrep(A, b)
+
+    def test_box_lps_start_from_the_centre(self, monkeypatch):
+        starts = []
+        solve = lp.solve_lp
+
+        def recording(c, A, b, start, **kwargs):
+            starts.append(start)
+            return solve(c, A, b, start, **kwargs)
+
+        monkeypatch.setattr(lp, "solve_lp", recording)
+        # the square [1, 3] x [2, 4], off the origin
+        H = hrep([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [3.0, -1.0, 4.0, -2.0])
+        assert H.cheb_center.tolist() == [2.0, 3.0] and H.cheb_radius == 1.0
+        assert starts[0].tolist() == [0.0, 0.0, -2.0]
+        assert len(starts) == 5
+        assert all(np.array_equal(s, H.cheb_center) for s in starts[1:])
 
 
 class TestVertexEnumeration:
@@ -70,13 +113,12 @@ def sequential_dedup(pts, tol):
     return np.asarray(kept)
 
 
-def lstsq_refine(pts, An, bn, feas_tol):
-    """Reference: each vertex by least squares on its own active rows, with
-    its own offsets ``bn[k]`` (N, m) and tolerance ``feas_tol[k]`` (N, 1)."""
-    refined = np.empty_like(pts)
-    for k, p in enumerate(pts):
-        act = np.abs(bn[k] - An @ p) <= feas_tol[k]
-        refined[k], *_ = np.linalg.lstsq(An[act], bn[k, act], rcond=None)
+def lstsq_refine(act, An, bn, feas_tol):
+    """Reference: each vertex by least squares on its own active rows
+    ``act[k]`` (N, m), with its own offsets ``bn[k]`` (N, m)."""
+    refined = np.empty((len(act), An.shape[1]))
+    for k in range(len(act)):
+        refined[k], *_ = np.linalg.lstsq(An[act[k]], bn[k, act[k]], rcond=None)
     return refined
 
 

@@ -104,7 +104,7 @@ class TestValidateIfs:
         assert "disjoint_image_interiors" in names
 
     def test_solver_failure_propagates(self, monkeypatch):
-        # only an infeasible overlap LP means disjoint interiors
+        # a failed overlap LP is not read as disjoint interiors
         ifs, seeds = ib.middle_thirds_ifs()
 
         def fail(*args, **kwargs):
@@ -177,6 +177,20 @@ class TestGenerateHoles:
         for _ in range(40):
             i, j = rng.choice(len(hulls), size=2, replace=False)
             assert not _interiors_intersect(hulls[i], hulls[j])
+
+    @pytest.mark.parametrize("other, overlap", [
+        ([2.0, 3.0], False),   # disjoint: the Chebyshev radius is negative
+        ([1.0, 2.0], False),   # touching along an edge: radius 0
+        ([0.5, 1.5], True),    # overlapping: radius 1/4
+    ])
+    def test_interiors_intersect(self, other, overlap):
+        from inbody.projective import _interiors_intersect
+        lo, hi = other
+        A = np.vstack([np.eye(2), -np.eye(2)])
+        unit = ib.HalfspaceSystem(A, [1.0, 1.0, 0.0, 0.0])
+        moved = ib.HalfspaceSystem(A, [hi, 1.0, -lo, 0.0])
+        assert _interiors_intersect(unit, moved) is overlap
+        assert _interiors_intersect(moved, unit) is overlap
 
     def test_boundary_avoidance_propagates(self):
         ifs, seeds = ib.middle_thirds_ifs()
