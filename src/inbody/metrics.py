@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (BadParameter, DegenerateFacet, DegenerateNumerics, GeometryError,
                      OutsideBody)
 from .polytope import (
+    _COMBO_CAP,
     TAU_FACET,
     TAU_REP,
     Facet,
@@ -186,6 +187,7 @@ def _flag_volumes(An, bn, points, start, active, centres, scale):
     faces, fbody = bits[body, row], body
     face = np.arange(len(faces))
     flags, levels, seen = face[:, None], [(faces, fbody)], 0
+    _check_flag_count(len(flags), n - 1, n)
     for k in range(n - 1, 0, -1):
         chain, j = np.nonzero(_proper_meets(faces, fbody, bits, k)[face])
         parent = face[chain]
@@ -215,6 +217,7 @@ def _flag_volumes(An, bn, points, start, active, centres, scale):
             chain, face = chain[ok[face]], face[ok[face]]
         flags = np.concatenate([flags[chain], (seen + face)[:, None]], axis=1)
         levels.append((faces, fbody))
+        _check_flag_count(len(flags), k - 1, n)
 
     # every face's centroid from the centre, by sequential sums in vertex
     # order, so that they do not depend on the stack
@@ -234,6 +237,18 @@ def _flag_volumes(An, bn, points, start, active, centres, scale):
         raise DegenerateNumerics(
             f"facet vectors sum to {closure.max():.3e} of the surface, not to zero")
     return vols, fvols
+
+
+def _check_flag_count(chains, k, n):
+    """Refuse a flag walk whose determinant stack, n^2 floats a flag, would
+    exceed _COMBO_CAP.  ``chains`` chains end in k-faces, and a k-polytope has
+    at least the (k+1)! flags of a k-simplex, so a body with too many flags
+    (the 9-simplex, the 8-cube) is refused before its chains fill memory.
+    """
+    if chains * math.factorial(k + 1) * n * n > _COMBO_CAP:
+        raise BadParameter(
+            f"at least {chains * math.factorial(k + 1)} flags in dimension {n} "
+            f"exceed the cap of {_COMBO_CAP} determinant entries")
 
 
 _FACE_BLOCK = 4096   # faces per block of the pair counts in _proper_meets
@@ -275,19 +290,14 @@ def heron_bounds(H: HalfspaceSystem) -> HeronReport:
                        lower=lower, upper=upper, satisfied=bool(satisfied))
 
 
-def is_circumscribed(H: HalfspaceSystem, tol: float | None = None) -> bool:
+def is_circumscribed(H: HalfspaceSystem) -> bool:
     """True iff the inscribed ball of a minimal system meets every facet.
 
-    Expects a minimal (redundancy-removed) validated system.  When the
-    answer is affirmative the identity inradius = n vol / per is verified
-    as a consistency cross-check.
+    Expects a minimal (redundancy-removed) validated system, and reads the
+    touching facets of :func:`incentre`.  When the answer is affirmative the
+    identity inradius = n vol / per is verified as a consistency cross-check.
     """
-    inc = incentre(H)
-    scale = body_scale(H)
-    eff = TAU_FACET * scale if tol is None else tol * max(scale, 1e-12)
-    An, bn, _ = H.unit_form()
-    residuals = bn - An @ inc.incentre - inc.inradius
-    all_touch = bool(np.all(np.abs(residuals) <= eff))
+    all_touch = len(incentre(H).touching_facets) == H.m
     if all_touch:
         rep = heron_bounds(H)
         if abs(rep.inradius - rep.upper) > TAU_REP * max(1.0, rep.inradius):

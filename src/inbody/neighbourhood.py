@@ -84,13 +84,13 @@ def inner_parallel_body(H: HalfspaceSystem, eps: float) -> HalfspaceSystem | Non
     """The body {x : distance_to_boundary(x) >= eps}, or None when empty.
 
     Offsets each facet of the minimal form inward by eps and removes
-    redundancy.  The erosion of a polytope is the intersection of its
-    eroded facet half-spaces (Matheron 1978), so the rows that support no
-    facet are left out before the offset.  Returns None once eps reaches
-    the inradius (the erosion loses its interior).  The eroded body
-    inherits the parent incentre: the distance function drops uniformly by
-    eps, so its maximizer is unchanged and the new inradius is
-    inradius - eps.
+    redundancy (see :func:`_erosion`).  The erosion of a polytope is the
+    intersection of its eroded facet half-spaces (Matheron 1978), so the
+    rows that support no facet are left out before the offset.  Returns
+    None once eps comes within the facet tolerance of the inradius (the
+    erosion loses its interior).  The eroded body inherits the parent
+    incentre: the distance function drops uniformly by eps, so its
+    maximizer is unchanged and the new inradius is inradius - eps.
     """
     if not eps >= 0:
         raise BadParameter("offset must be non-negative")
@@ -98,29 +98,37 @@ def inner_parallel_body(H: HalfspaceSystem, eps: float) -> HalfspaceSystem | Non
         raise BadParameter("inner_parallel_body requires a validated body")
     if eps == 0.0:
         return remove_redundant_halfspaces(H)
-    inner = _offset_minimal_form(H, eps)
-    return None if inner is None else remove_redundant_halfspaces(inner)
+    Hm, inc, b, empty = _erosion(H, np.array([eps]))
+    if empty[0]:
+        return None
+    return remove_redundant_halfspaces(HalfspaceSystem(
+        Hm.A.copy(), b[0], validated=True, scale=H.scale, bbox=H.bbox,
+        cheb_center=inc.incentre, cheb_radius=inc.inradius - eps))
 
 
-def _offset_minimal_form(H: HalfspaceSystem, eps: float) -> HalfspaceSystem | None:
-    """The minimal form of H with every row pulled in by eps, unreduced.
-
-    None once eps comes within the facet tolerance of the inradius.
+def _erosion(H: HalfspaceSystem, eps: np.ndarray):
+    """The minimal form Hm of H, the incentre of H, the offsets
+    ``Hm.b - eps[e] * ||a_i||`` eroded by each offset of eps (E, m), and the
+    mask (E,) of the erosions with no interior, ``inradius - eps <=
+    TAU_FACET * scale``.
     """
     inc = incentre(H)
-    if inc.inradius - eps <= TAU_FACET * body_scale(H):
-        return None
     Hm = remove_redundant_halfspaces(H)
-    norms = np.linalg.norm(Hm.A, axis=1)
-    return HalfspaceSystem(Hm.A.copy(), Hm.b - eps * norms, validated=True,
-                           scale=H.scale, bbox=H.bbox, cheb_center=inc.incentre,
-                           cheb_radius=inc.inradius - eps)
+    b = Hm.b - eps[:, None] * Hm.unit_form()[2]
+    return Hm, inc, b, inc.inradius - eps <= TAU_FACET * body_scale(H)
+
+
+def _clamped_eps(H: HalfspaceSystem, eps: float):
+    """The incentre of H and eps, clamped to [0, inradius] if within tolerance."""
+    inc = incentre(H)
+    slack = TAU_FACET * body_scale(H)
+    if not -slack <= eps <= inc.inradius + slack:
+        raise EpsOutOfRange("offset must lie in [0, inradius]")
+    return inc, min(max(eps, 0.0), inc.inradius)
 
 
 def vol_inner_neighbourhood(H: HalfspaceSystem, eps: float) -> float:
     """vol of {x in body : distance to boundary <= eps}."""
-    if not eps >= 0:
-        raise BadParameter("offset must be non-negative")
     inner = inner_parallel_body(H, eps)
     total = volume(H)
     if inner is None:
@@ -129,12 +137,8 @@ def vol_inner_neighbourhood(H: HalfspaceSystem, eps: float) -> float:
 
 
 def bounds_report(H: HalfspaceSystem, eps: float) -> BoundsReport:
-    """Evaluate g/n <= chord <= vol(L_eps) <= g at one offset."""
-    inc = incentre(H)
-    scale = body_scale(H)
-    if not -TAU_FACET * scale <= eps <= inc.inradius + TAU_FACET * scale:
-        raise EpsOutOfRange("offset must lie in [0, inradius]")
-    eps = min(max(eps, 0.0), inc.inradius)
+    """Evaluate g/n <= chord <= vol(L_eps) <= g at one offset in [0, inradius]."""
+    inc, eps = _clamped_eps(H, eps)
     vol = volume(H)
     l = vol_inner_neighbourhood(H, eps)
     g = g_formula(vol, inc.inradius, eps, H.dim)
@@ -151,32 +155,30 @@ def scale_copy_containment_check(H: HalfspaceSystem, eps: float) -> bool:
     land inside the inner parallel body at eps; for a closed polytope it
     suffices that every contracted vertex satisfies the offset system.
     """
-    inc = incentre(H)
-    scale = body_scale(H)
-    if not -TAU_FACET * scale <= eps <= inc.inradius + TAU_FACET * scale:
-        raise EpsOutOfRange("offset must lie in [0, inradius]")
-    eps = min(max(eps, 0.0), inc.inradius)
+    inc, eps = _clamped_eps(H, eps)
     lam = 1.0 - eps / inc.inradius
     V, _ = vertex_incidence(H)
     shrunk = inc.incentre + lam * (V.points - inc.incentre)
     An, bn, _ = H.unit_form()
     resid = shrunk @ An.T - (bn - eps)
-    return bool(np.all(resid <= TAU_FACET * scale))
+    return bool(np.all(resid <= TAU_FACET * body_scale(H)))
 
 
 def neighbourhood_profile(H: HalfspaceSystem,
                           grid_size: int = 33) -> NeighbourhoodProfile:
     """Sample eps -> vol(L_eps) on a uniform grid over [0, inradius].
 
-    The interior grid points go through one stacked pass.  Every eroded
-    body has the minimal form's unit normals and only its offsets bn - eps
-    move (Matheron 1978), so each n-subset of the rows is solved once for
-    a vertex path and the window of offsets on which that vertex is
-    feasible (see :func:`polytope._vertex_paths`).  The subsets whose window
-    holds a grid point are that eroded body's candidates.  The candidates
-    of all the bodies, each tagged with its body, then go together through
-    the vertex tail (:func:`polytope._incidence_from_candidates`), the facet
-    test (:func:`polytope._facet_rows`) and the flag kernel
+    The grid points after eps = 0 are eroded as in inner_parallel_body
+    (:func:`_erosion`), and the erosions that are not empty go through one
+    stacked pass.  Every eroded body has the minimal form's unit normals
+    and only its offsets bn - eps move (Matheron 1978), so each n-subset of
+    the rows is solved once for a vertex path and the window of offsets on
+    which that vertex is feasible (see :func:`polytope._vertex_paths`).  The
+    subsets whose window holds a grid point are that eroded body's
+    candidates.  The candidates of all the bodies, each tagged with its
+    body, then go together through the vertex tail
+    (:func:`polytope._incidence_from_candidates`), the facet test
+    (:func:`polytope._facet_rows`) and the flag kernel
     (:func:`metrics._flag_volumes`), in blocks of about
     ``_PROFILE_BLOCK`` candidates.  Each body keeps its own vertices and
     facet rows, and its volume is bit-identical to that of
@@ -190,12 +192,8 @@ def neighbourhood_profile(H: HalfspaceSystem,
     vol = volume(H)
     n = H.dim
     grid = np.linspace(0.0, inc.inradius, grid_size)
-    # eroding by 0 leaves the body, and an erosion within the facet
-    # tolerance of the inradius is empty, as in inner_parallel_body
-    inside = (grid > 0.0) & (inc.inradius - grid > TAU_FACET * body_scale(H))
-    inner = np.zeros(grid_size)
-    inner[0] = vol
-    inner[inside] = _eroded_volumes(H, grid[inside])
+    # eroding by 0 leaves the body
+    inner = np.concatenate([[vol], _eroded_volumes(H, grid[1:])])
     l_vol = vol - inner
 
     g_vals = np.array([g_formula(vol, inc.inradius, float(e), n) for e in grid])
@@ -217,30 +215,32 @@ _PROFILE_BLOCK = 256   # candidate vertices per stacked block of offsets
 def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
     """Volumes of the inner parallel bodies of H at the offsets eps (E,).
 
-    The offsets must lie in (0, inradius) beyond the facet tolerance.
+    The offsets must be positive.  An erosion that :func:`_erosion` finds
+    empty has volume 0.
     """
-    inc = incentre(H)
-    Hm = remove_redundant_halfspaces(H)
+    Hm, inc, b, empty = _erosion(H, eps)
+    vols = np.zeros(len(eps))
+    inside = np.flatnonzero(~empty)
+    eps = eps[inside]
     An, _, norms = Hm.unit_form()
     x, d, lo, hi = _vertex_paths(Hm)
     on = (lo <= eps[:, None]) & (eps[:, None] <= hi)          # (E, paths)
     # the offsets as the eroded body's unit form has them, so that they are
     # bit-identical to those of inner_parallel_body
-    bn = (Hm.b - eps[:, None] * norms) / norms
+    bn = b[inside] / norms
     scale = np.full(len(eps), body_scale(H))
     centres = np.tile(inc.incentre, (len(eps), 1))
     # blocks of offsets with about _PROFILE_BLOCK candidates each bound memory
     counts = on.sum(axis=1)
     block = (np.cumsum(counts) - counts) // _PROFILE_BLOCK
-    vols = np.empty(len(eps))
-    for b in np.flatnonzero(np.bincount(block)):
-        sel = np.flatnonzero(block == b)
+    for k in np.flatnonzero(np.bincount(block)):
+        sel = np.flatnonzero(block == k)
         body, s = np.nonzero(on[sel])
         pts = x[s] - eps[sel][body, None] * d[s]
         points, start, active = _incidence_from_candidates(
             An, bn[sel], scale[sel], pts, body)
         keep = _facet_rows(points, start, active, scale[sel])
         facet_active = active & keep[np.repeat(np.arange(len(sel)), np.diff(start))].T
-        vols[sel] = _flag_volumes(An, bn[sel], points, start, facet_active,
-                                  centres[sel], scale[sel])[0]
+        vols[inside[sel]] = _flag_volumes(An, bn[sel], points, start, facet_active,
+                                          centres[sel], scale[sel])[0]
     return vols

@@ -102,9 +102,12 @@ class HalfspaceSystem:
             raise BadParameter("A and b row counts disagree")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
             raise BadParameter("halfspace data must be finite")
-        norms = np.linalg.norm(self.A, axis=1)
-        if np.any(norms == 0.0):
-            raise BadParameter("halfspace normals must be nonzero")
+        # a row whose squares overflow has an infinite norm, and one whose
+        # squares underflow has norm 0: neither has a unit normal
+        with np.errstate(over="ignore", under="ignore"):
+            norms = np.linalg.norm(self.A, axis=1)
+        if not (norms.min(initial=np.inf) > 0.0 and norms.max(initial=0.0) < np.inf):
+            raise BadParameter("halfspace normals must be nonzero with a finite norm")
 
     @property
     def dim(self) -> int:
@@ -153,17 +156,14 @@ class Facet:
 def body_scale(H: HalfspaceSystem) -> float:
     """Circumradius-like scale used to make tolerances relative.
 
-    Falls back to a small floor tied to the coordinate magnitude so that
+    The scale that :func:`validate_body` or :func:`convex_hull` set, or got
+    by validating H.  Both floor it (:func:`_floored_scale`) so that
     near-degenerate bodies do not drive tolerances below double-precision
     noise on O(1) coordinates.
     """
     if H.scale is not None:
         return H.scale
-    if H.bbox is not None:
-        lo, hi = H.bbox
-        return _scale_from_box(lo, hi)
-    Hv = validate_body(H)
-    return Hv.scale
+    return validate_body(H).scale
 
 
 def _scale_from_box(lo, hi) -> float:
@@ -182,13 +182,16 @@ def validate_body(H: HalfspaceSystem) -> HalfspaceSystem:
     The Chebyshev LP comes first: it starts from a point it always has, and
     a negative radius certifies that the constraints contradict each other.
     Its centre then starts one LP per +/- coordinate direction, which
-    certify boundedness and give the bounding box.  The interior check
-    compares the radius with the point tolerance ``TAU_PT``.
+    certify boundedness and give the bounding box.  The interior checks
+    compare the radius with the point tolerance ``TAU_PT`` times a scale:
+    before the box LPs, the scale floor of :func:`_floored_scale` at the
+    centre, which no body's scale is below, and after them the body's
+    scale.  So a flat input is EmptyInterior whether or not it is bounded.
 
     Raises:
         Infeasible: the constraints contradict each other.
-        Unbounded: some coordinate direction is unbounded.
         EmptyInterior: the region is flat at the working tolerance.
+        Unbounded: some coordinate direction is unbounded.
     """
     if H.dim < 1:
         raise BadParameter("dimension must be >= 1")
@@ -197,9 +200,10 @@ def validate_body(H: HalfspaceSystem) -> HalfspaceSystem:
     center, radius = _chebyshev(An, bn)
     if radius < -1e-8 * (1.0 + np.abs(bn).max(initial=0.0)):
         raise Infeasible("constraint system has no solution")
-    if np.any(An @ center > bn):
-        # the centre misses one of its own rows by roundoff, so the
-        # radius is within roundoff of zero or below it
+    if (radius <= TAU_PT * _floored_scale(0.0, float(np.linalg.norm(center)))
+            or np.any(An @ center > bn)):
+        # flat at any scale; a centre that misses one of its own rows by
+        # roundoff has a radius within roundoff of zero or below it
         raise EmptyInterior("region has no interior at tolerance")
     lo = np.empty(n)
     hi = np.empty(n)

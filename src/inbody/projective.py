@@ -144,24 +144,12 @@ class IfsValidationReport:
         return [c for c in self.checks if not c.ok]
 
 
-def lift_to_simplex(p) -> np.ndarray:
-    """Chart point -> homogeneous vector (1 - sum, p_1, ..., p_n)."""
-    p = np.asarray(p, dtype=float).ravel()
-    rest = 1.0 - p.sum()
-    if rest < -TAU_PT or np.any(p < -TAU_PT):
-        raise BadParameter("chart point lies outside the simplex")
-    return np.concatenate([[rest], p])
-
-
 def apply_projective(N, p) -> np.ndarray:
-    """Projective action on a chart point: lift, multiply, renormalize."""
-    N = np.asarray(N, dtype=float)
-    x = lift_to_simplex(p)
-    y = N @ x
-    s = y.sum()
-    if s <= TAU_PT:
-        raise DegenerateImage("image has non-positive coordinate sum")
-    return y[1:] / s
+    """Projective action on a chart point of the simplex: :func:`_chart_images`."""
+    p = np.asarray(p, dtype=float).ravel()
+    if 1.0 - p.sum() < -TAU_PT or np.any(p < -TAU_PT):
+        raise BadParameter("chart point lies outside the simplex")
+    return _chart_images(np.asarray(N, dtype=float), p[None])[0]
 
 
 def image_polytope(N, body: VertexSet) -> VertexSet:
@@ -370,25 +358,25 @@ def _measure_holes(pts):
 
 def hole_series(holes: list[HoleRecord], s: float, n: int) -> SeriesTable:
     """T_m(s) = sum over depth-m holes of vol * inradius^(s - n)."""
-    vols, ins = _depth_arrays(holes)
-    depths = np.arange(len(vols))
-    per = np.array([float(np.sum(v * r ** (s - n))) for v, r in zip(vols, ins)])
-    return SeriesTable(depths=depths, per_depth=per, cumulative=np.cumsum(per))
+    per = _hole_sums(*_depth_arrays(holes), s, n)
+    return SeriesTable(depths=np.arange(len(per)), per_depth=per,
+                       cumulative=np.cumsum(per))
+
+
+def _hole_sums(vols, ins, s, n):
+    """The terms T_m(s) of :func:`hole_series` from its per-depth arrays."""
+    return np.array([float(np.sum(v * r ** (s - n))) for v, r in zip(vols, ins)])
 
 
 def _depth_arrays(holes):
+    """Volumes and inradii of the holes, one array per depth 0..deepest, each
+    in record order."""
     if not holes:
         raise BadParameter("no hole records provided")
-    by_depth: dict[int, list[HoleRecord]] = {}
-    for h in holes:
-        by_depth.setdefault(h.depth, []).append(h)
-    max_d = max(by_depth)
-    vols, ins = [], []
-    for m in range(max_d + 1):
-        grp = by_depth.get(m, [])
-        vols.append(np.array([h.volume for h in grp]))
-        ins.append(np.array([h.inradius for h in grp]))
-    return vols, ins
+    depth, vol, inr = np.array([(h.depth, h.volume, h.inradius) for h in holes]).T
+    order = np.argsort(depth, kind="stable")
+    cuts = np.searchsorted(depth[order], np.arange(1, depth.max() + 1))
+    return np.split(vol[order], cuts), np.split(inr[order], cuts)
 
 
 def critical_exponent(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
@@ -400,30 +388,27 @@ def critical_exponent(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
     three depths, separates divergence (rho > 1, s below the exponent)
     from convergence; bisection narrows [n-1, n] to the requested
     tolerance.  When rho never crosses 1 the estimate clamps to the
-    corresponding end of the interval and says so in the flags.
+    corresponding end of the interval and says so in the flags.  The terms
+    are those of :func:`hole_series`.
     """
     if not tol > 0:
         raise BadParameter("tol must be positive")
     if holes is None:
         holes = generate_holes(ifs, seed_holes, max_depth)
     vols, ins = _depth_arrays(holes)
-    M = len(vols) - 1
-    if M < 3:
+    if len(vols) < 4:
         raise BadParameter("need at least depth 3 for the ratio test")
-    n = ifs.n
-
-    def depth_sum(m: int, s: float) -> float:
-        return float(np.sum(vols[m] * ins[m] ** (s - n)))
-
-    return _exponent_from_sums(depth_sum, M, n, tol, min_depth=0)
+    return _exponent_from_sums(lambda s: _hole_sums(vols, ins, s, ifs.n),
+                               np.arange(len(vols)), ifs.n, tol)
 
 
-def _exponent_from_sums(depth_sum, M, n, tol, min_depth) -> DimensionEstimate:
+def _exponent_from_sums(sums, depths, n, tol) -> DimensionEstimate:
+    """Critical s of a series whose terms at ``depths`` are the array ``sums(s)``."""
     lo, hi = float(n - 1), float(n)
 
     def ratios(s):
-        return np.array([depth_sum(m, s) / depth_sum(m - 1, s)
-                         for m in (M - 2, M - 1, M)])
+        per = sums(s)
+        return per[-3:] / per[-4:-1]
 
     flags: list[str] = []
     r_lo = float(ratios(lo).mean())
@@ -456,14 +441,13 @@ def _exponent_from_sums(depth_sum, M, n, tol, min_depth) -> DimensionEstimate:
         flags.append("ratio_spread_above_1pct")
 
     s_grid = np.linspace(lo, hi, 11)
-    table = np.array([[depth_sum(m, s) for s in s_grid]
-                      for m in range(min_depth, M + 1)])
+    table = np.array([sums(s) for s in s_grid])          # (s, depths)
     partial = {
         "s_grid": s_grid.tolist(),
-        "depths": list(range(min_depth, M + 1)),
-        "cumulative": np.cumsum(table, axis=0).tolist(),
+        "depths": depths.tolist(),
+        "cumulative": np.cumsum(table, axis=1).T.tolist(),
     }
-    return DimensionEstimate(s_star=float(s_star), max_depth=M,
+    return DimensionEstimate(s_star=float(s_star), max_depth=int(depths[-1]),
                              bracket_width=float(bracket),
                              partial_sums=partial, flags=flags)
 
@@ -505,11 +489,15 @@ def norm_series(ifs: ProjectiveIFS, s: float, max_depth: int,
     Requires determinant +/-1 matrices (see :func:`normalize_unimodular`).
     """
     _require_unimodular(ifs)
-    norms = _word_norms(ifs, max_depth, norm)
-    expo = -(ifs.n + 1) * s / ifs.n
-    per = np.array([float(np.sum(w ** expo)) for w in norms])
+    per = _norm_sums(_word_norms(ifs, max_depth, norm), s, ifs.n)
     return SeriesTable(depths=np.arange(1, max_depth + 1), per_depth=per,
                        cumulative=np.cumsum(per))
+
+
+def _norm_sums(word_norms, s, n):
+    """The terms U_m(s) of :func:`norm_series` from its per-length norms."""
+    expo = -(n + 1) / n * s
+    return np.array([float(np.sum(w ** expo)) for w in word_norms])
 
 
 def _require_unimodular(ifs):
@@ -521,20 +509,18 @@ def _require_unimodular(ifs):
 
 def norm_series_exponent(ifs: ProjectiveIFS, max_depth: int, tol: float = 0.01,
                          norm: str = "spectral") -> DimensionEstimate:
-    """Critical s of the word-norm series (lower bound on the dimension)."""
+    """Critical s of the word-norm series (lower bound on the dimension).
+
+    The matrices are normalized to determinant +/-1 first; the terms are
+    those of :func:`norm_series` on the normalized system.
+    """
     if not tol > 0:
         raise BadParameter("tol must be positive")
     if max_depth < 4:
         raise BadParameter("need max_depth >= 4 for the ratio test")
-    uni = normalize_unimodular(ifs)
-    word_norms = _word_norms(uni, max_depth, norm)
-    n = ifs.n
-    expo_base = -(n + 1) / n
-
-    def depth_sum(m: int, s: float) -> float:
-        return float(np.sum(word_norms[m - 1] ** (expo_base * s)))
-
-    est = _exponent_from_sums(depth_sum, max_depth, n, tol, min_depth=1)
+    word_norms = _word_norms(normalize_unimodular(ifs), max_depth, norm)
+    est = _exponent_from_sums(lambda s: _norm_sums(word_norms, s, ifs.n),
+                              np.arange(1, max_depth + 1), ifs.n, tol)
     est.flags.append(f"norm={norm}")
     return est
 
@@ -575,8 +561,8 @@ def box_counting_dimension(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
 
 def _deepest_inradius(holes):
     """The deepest level of the holes and its smallest inradius."""
-    deepest = max(h.depth for h in holes)
-    return deepest, min(h.inradius for h in holes if h.depth == deepest)
+    ins = _depth_arrays(holes)[1]
+    return len(ins) - 1, float(ins[-1].min())
 
 
 def _snap(q):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -253,6 +254,30 @@ class TestExitCodes:
         assert run(config_from_args(argv)) == 1
         assert not out.exists()
         assert json.loads(capsys.readouterr().err)["error"] == "EpsOutOfRange"
+
+    @pytest.mark.parametrize("obj, code, error", [
+        ({"dim": 2, "vertices": [[0, 0], [1, 0], [0]]}, 2, "ValueError"),
+        ({"dim": -2, "vertices": [[0, 0], [1, 0], [0, 1]]}, 2, "ValueError"),
+        ({"dim": 0, "halfspaces": [{"a": [], "b": 1}]}, 1, "BadParameter"),
+        # a bounded triangle, but its first row's norm overflows
+        ({"dim": 2, "halfspaces": [{"a": [1e308, 1e308], "b": 1},
+                                   {"a": [-1, 0], "b": 0}, {"a": [0, -1], "b": 0}]},
+         1, "BadParameter"),
+        # 2^8 8! flags, and the 11! of the 10-simplex: each would take
+        # gigabytes of determinant entries
+        ({"dim": 8, "halfspaces": [{"a": row.tolist(), "b": 1}
+                                   for row in np.vstack([np.eye(8), -np.eye(8)])]},
+         1, "BadParameter"),
+        ({"dim": 10, "vertices": np.vstack([np.zeros(10), np.eye(10)]).tolist()},
+         1, "BadParameter"),
+    ], ids=["ragged", "negative-dim", "zero-dim", "huge-normal", "8-cube", "10-simplex"])
+    def test_adversarial_json(self, tmp_path, capsys, obj, code, error):
+        path = tmp_path / "adversarial.json"
+        path.write_text(json.dumps(obj))
+        start = time.perf_counter()
+        assert run(RunConfig(command="metrics", input_path=str(path))) == code
+        assert time.perf_counter() - start < 5.0
+        assert json.loads(capsys.readouterr().err)["error"] == error
 
     def test_subset_cap_is_validation_error(self, wide_file, capsys):
         assert run(RunConfig(command="metrics", input_path=str(wide_file))) == 1

@@ -4,16 +4,17 @@ Each transformation of a body's rows has a known effect on the body: a row
 permutation, a duplicated row and a row made redundant leave it as it is, a
 rigid motion moves its vertices with it, and a scaling by lam scales its
 vertices by lam, its volume by lam^n and its surface area by lam^(n-1).  The
-vertex enumeration, the volume and the surface area must follow.  Every
-vertex of the 24-cell lies on six rows, so each goes through the merge of
-candidates with the same active set.
+vertex enumeration, the volume and the surface area must follow, and the
+hull of a body's vertices must give the body back.  Every vertex of the
+24-cell lies on six rows, so each goes through the merge of candidates with
+the same active set.
 """
 
 import numpy as np
 import pytest
 
 import inbody as ib
-from tests.conftest import box, hrep, twenty_four_cell
+from tests.conftest import box, cross_polytope, hrep, twenty_four_cell
 
 # Worst cases measured over these bodies: vertices 5.7e-14 * scale apart (a
 # polygon scaled by 1e-3, at a vertex whose two rows have condition number
@@ -106,3 +107,31 @@ def test_translation_off_the_origin(small_suite, n, shift):
         assert H2.cheb_radius == pytest.approx(H.cheb_radius, rel=TRANSLATION_BOUND)
         assert ib.volume(H2) == pytest.approx(ib.volume(H), rel=TRANSLATION_BOUND)
         assert np.abs(H2.bbox - t - H.bbox).max() <= TRANSLATION_BOUND * H.scale
+
+
+# Worst cases measured over these 78 bodies: facet planes 9.3e-15 apart,
+# volumes 6.7e-16 relative
+PLANE_BOUND = 1e-13
+ROUND_TRIP_BOUND = 1e-14
+
+
+@pytest.mark.parametrize("which", ["suite2", "suite3", "suite4", "cross-polytopes"])
+def test_v_h_v_round_trip(small_suite, which):
+    # the hull of a body's vertices is the body: the same vertices bit for
+    # bit, the facet planes of its minimal form and its volume
+    if which == "cross-polytopes":
+        group = [cross_polytope(3), cross_polytope(4), twenty_four_cell()]
+    else:
+        group = small_suite[int(which[-1])]
+    for H in group:
+        V = ib.vertex_enumeration(H)
+        K = ib.convex_hull(V)
+        assert np.array_equal(ib.vertex_enumeration(K).points, V.points)
+        An, bn, _ = ib.remove_redundant_halfspaces(H).unit_form()
+        planes = np.column_stack([An, bn])
+        hull_planes = np.column_stack([K.A, K.b])
+        assert len(hull_planes) == len(planes)
+        gap = np.abs(planes[:, None] - hull_planes[None]).max(axis=2)
+        assert sorted(gap.argmin(axis=1)) == list(range(len(planes)))
+        assert gap.min(axis=1).max() <= PLANE_BOUND
+        assert ib.volume(K) == pytest.approx(ib.volume(H), rel=ROUND_TRIP_BOUND)

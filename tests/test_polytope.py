@@ -27,6 +27,14 @@ class TestValidateBody:
         with pytest.raises(Unbounded):
             hrep([[-1.0]], [0.0])  # x >= 0
 
+    @pytest.mark.parametrize("row", [[1e308, 1e308], [1e-170, 1e-170], [0.0, 0.0]])
+    def test_row_norm_must_be_finite_and_positive(self, row):
+        # the squares of the first row overflow and those of the second
+        # underflow; neither may leave a warning or a unit row of zeros
+        with pytest.raises(BadParameter):
+            ib.HalfspaceSystem(np.array([row, [-1.0, 0.0], [0.0, -1.0]]),
+                               np.array([1.0, 0.0, 0.0]))
+
     def test_contradictory_constraints_infeasible(self):
         with pytest.raises(Infeasible):
             hrep([[1.0], [-1.0]], [0.0, -1.0])  # x <= 0, x >= 1
@@ -53,12 +61,18 @@ class TestValidationOrder:
         ([[1.0, 1.0]], [1.0], Unbounded),
         # no rows at all
         (np.zeros((0, 2)), np.zeros(0), Unbounded),
-        # a line whose centre lies exactly on it: the box LPs find it unbounded
-        ([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0], Unbounded),
+        # a line whose centre lies exactly on it: flat and unbounded, and a
+        # radius of 0 is flat at any scale, so it is flat before any box LP
+        # runs
+        ([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0], EmptyInterior),
         # a line contradictory below the tolerance: flat and unbounded, and
         # its centre lies off it, so it is flat before any box LP runs (the
         # two-phase simplex reported Unbounded)
         ([[1.0, 0.0], [-1.0, 0.0]], [0.0, -1e-10], EmptyInterior),
+        # a tilted line, whose centre misses it by roundoff: flat as well
+        ([[1.0, 3.0], [-1.0, -3.0]], [0.7, -0.7], EmptyInterior),
+        # the strip 0 <= x <= 1 has interior, and y is unbounded
+        ([[1.0, 0.0], [-1.0, 0.0]], [1.0, 0.0], Unbounded),
     ])
     def test_error_types(self, A, b, error):
         with pytest.raises(error):

@@ -352,6 +352,14 @@ class TestCriticalExponent:
         # cumulative sums grow with depth
         assert np.all(np.diff(table, axis=0) >= 0)
 
+    def test_partial_sums_are_hole_series_running_sums(self):
+        ifs, seeds = ib.middle_thirds_ifs()
+        holes = ib.generate_holes(ifs, seeds, 6)
+        est = ib.critical_exponent(ifs, seeds, max_depth=6, tol=0.01, holes=holes)
+        table = np.asarray(est.partial_sums["cumulative"])
+        for j, s in enumerate(est.partial_sums["s_grid"]):
+            assert np.array_equal(table[:, j], ib.hole_series(holes, s, 1).cumulative)
+
     def test_flat_series_unstable(self):
         # identical terms at every depth: no decay signal anywhere
         ifs, _ = ib.middle_thirds_ifs()
