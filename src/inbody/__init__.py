@@ -74,6 +74,7 @@ from .polytope import (
 from .projective import (
     DimensionEstimate,
     HoleRecord,
+    HoleTable,
     IfsValidationReport,
     ProjectiveIFS,
     SeriesTable,

@@ -160,8 +160,7 @@ def _default_resolutions(holes) -> list[float]:
     Above one dimension it also stops before a grid that box counting
     would refuse as too fine.  Either stop waits for three resolutions.
     """
-    n = holes[0].body.dim
-    _, min_in = projective._deepest_inradius(holes)
+    n, min_in = holes.n, float(holes.inradius[-1].min())
     res = [1.0 / 3.0 ** 2]
     while len(res) < 16:
         nxt = res[-1] / 3.0

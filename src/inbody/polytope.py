@@ -62,6 +62,14 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def _check_normals(A):
+    """Refuse a row of A whose norm underflows to 0 or overflows to inf."""
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(A, axis=1)
+    if not (norms.min(initial=np.inf) > 0.0 and norms.max(initial=0.0) < np.inf):
+        raise BadParameter("halfspace normals must be nonzero with a finite norm")
+
+
 @dataclass(frozen=True)
 class Halfspace:
     """One constraint {x : a . x <= b} with a nonzero normal a."""
@@ -71,8 +79,7 @@ class Halfspace:
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_vector(self.a))
-        if float(np.linalg.norm(self.a)) == 0.0:
-            raise BadParameter("halfspace normal must be nonzero")
+        _check_normals(self.a[None])
         object.__setattr__(self, "b", float(self.b))
 
 
@@ -102,12 +109,7 @@ class HalfspaceSystem:
             raise BadParameter("A and b row counts disagree")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
             raise BadParameter("halfspace data must be finite")
-        # a row whose squares overflow has an infinite norm, and one whose
-        # squares underflow has norm 0: neither has a unit normal
-        with np.errstate(over="ignore", under="ignore"):
-            norms = np.linalg.norm(self.A, axis=1)
-        if not (norms.min(initial=np.inf) > 0.0 and norms.max(initial=0.0) < np.inf):
-            raise BadParameter("halfspace normals must be nonzero with a finite norm")
+        _check_normals(self.A)
 
     @property
     def dim(self) -> int:

@@ -23,15 +23,18 @@ located by a depth-ratio test plus bisection in s over [n-1, n]; a grid
 box-counting estimator over the explicit holes serves as an independent
 cross-check.
 
-Holes are made one word length at a time: the word products of a depth
-are one stacked matrix product, and each seed hole's vertices are mapped
-through the whole stack at once.  In one dimension a hole is an interval,
-so its length and inradius are closed forms taken over the whole depth;
-above one dimension each image gets its own hull.
+The holes are one :class:`HoleTable`: per word length d, the images of
+each seed under the J^d word products as one (J^d, k, n) array, and the
+volumes and inradii of all of them as (J^d, seeds) arrays.  A depth is made
+at once: its word products are one stacked matrix product, and each seed's
+vertices are mapped through the whole stack.  In one dimension a hole is an
+interval, so its length and inradius are closed forms taken over the whole
+depth; above one dimension each image gets its own hull.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -103,6 +106,32 @@ class HoleRecord:
     @property
     def depth(self) -> int:
         return len(self.word)
+
+
+@dataclass(eq=False)
+class HoleTable:
+    """The holes by depth: ``points[d][s]`` holds seed s's images under the
+    length-d words, (J^d, k_s, n), and ``volume[d]``, ``inradius[d]`` are
+    (J^d, S).  Row w is the w-th word of ``itertools.product(labels,
+    repeat=d)``.  Iterating makes a :class:`HoleRecord` per hole, depth-major
+    with seeds innermost."""
+
+    n: int
+    labels: list[str]
+    points: list[list[np.ndarray]]
+    volume: list[np.ndarray]
+    inradius: list[np.ndarray]
+
+    def __len__(self) -> int:
+        return sum(v.size for v in self.volume)
+
+    def __iter__(self):
+        for d, (images, vol, inr) in enumerate(zip(self.points, self.volume,
+                                                   self.inradius)):
+            for w, word in enumerate(itertools.product(self.labels, repeat=d)):
+                for s, pts in enumerate(images):
+                    yield HoleRecord(word, s, VertexSet(pts[w]), float(vol[w, s]),
+                                     float(inr[w, s]))
 
 
 @dataclass
@@ -186,10 +215,6 @@ def chart_simplex(n: int) -> HalfspaceSystem:
     return validate_body(HalfspaceSystem(A, b))
 
 
-def simplex_chart_volume(n: int) -> float:
-    return 1.0 / math.factorial(n)
-
-
 def validate_ifs(ifs: ProjectiveIFS,
                  seed_holes: list[VertexSet]) -> IfsValidationReport:
     """Check the hypotheses the hole construction relies on.
@@ -249,7 +274,7 @@ def validate_ifs(ifs: ProjectiveIFS,
     if image_ok and ifs.matrices:
         total = sum(metrics.volume(h) for h in hulls)
         total += sum(metrics.volume(convex_hull(h)) for h in seed_holes)
-        target = simplex_chart_volume(n)
+        target = 1.0 / math.factorial(n)
         gap = abs(total - target)
         cover_ok = gap <= TAU_REP * max(1.0, target)
         checks.append(CheckResult(
@@ -268,16 +293,13 @@ def _interiors_intersect(H1: HalfspaceSystem, H2: HalfspaceSystem) -> bool:
 
 
 def generate_holes(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
-                   max_depth: int) -> list[HoleRecord]:
+                   max_depth: int) -> HoleTable:
     """All complement components down to word length ``max_depth``.
 
     The invariant-set identity pushes every seed hole through every word of
-    maps, so the records are exactly {N_w . hole} keyed by (word, seed).
-    Emission order is depth-major with words in label-lexicographic order
-    and seeds innermost.  The holes are made one depth at a time: each seed
-    is mapped through the depth's stack of word products in one product.
-    An interval's length and inradius are closed forms, taken for the whole
-    depth at once; above one dimension each image gets its own hull.
+    maps, so the holes are exactly {N_w . hole} keyed by (word, seed).  Each
+    depth is made and measured at once (see the module docstring).  With no
+    seed holes the table has no depths.
     """
     if max_depth < 0:
         raise BadParameter("max_depth must be >= 0")
@@ -286,32 +308,23 @@ def generate_holes(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
         names = ", ".join(c.name for c in report.violations())
         raise IfsValidationError(f"hypothesis checks failed: {names}")
 
-    records: list[HoleRecord] = []
-    words: list[tuple[str, ...]] = [()]
+    table = HoleTable(ifs.n, list(ifs.labels), [], [], [])
     for depth, level in enumerate(_word_levels(ifs, max_depth)):
-        if depth:
-            words = [word + (lab,) for word in words for lab in ifs.labels]
-            images = [_chart_images(level, seed.points) for seed in seed_holes]
-        else:
-            images = [seed.points[None] for seed in seed_holes]
+        images = [_chart_images(level, seed.points) if depth else seed.points[None]
+                  for seed in seed_holes]
         if not images:
             continue
-        measured = [_measure_holes(pts) for pts in images]
-        vols = np.stack([m[0] for m in measured], axis=1)      # (words, seeds)
-        inrs = np.stack([m[1] for m in measured], axis=1)
+        vols, inrs = (np.stack(m, axis=1)                      # (words, seeds)
+                      for m in zip(*map(_measure_holes, images)))
         bad = np.argwhere((vols <= 0) | (inrs <= 0))
         if bad.size:
             w, seed_idx = bad[0]
-            raise DegenerateImage(
-                f"hole {words[w]}/{seed_idx} degenerated under the maps")
-        for w, (word, vol, inr) in enumerate(zip(words, vols.tolist(),
-                                                 inrs.tolist())):
-            for seed_idx, pts in enumerate(images):
-                records.append(HoleRecord(word=word, seed_index=seed_idx,
-                                          body=VertexSet(pts[w]),
-                                          volume=vol[seed_idx],
-                                          inradius=inr[seed_idx]))
-    return records
+            word = list(itertools.product(ifs.labels, repeat=depth))[w]
+            raise DegenerateImage(f"hole {word}/{seed_idx} degenerated under the maps")
+        table.points.append(images)
+        table.volume.append(vols)
+        table.inradius.append(inrs)
+    return table
 
 
 def _word_levels(ifs: ProjectiveIFS, max_depth: int):
@@ -356,32 +369,22 @@ def _measure_holes(pts):
     return vol, vol / 2.0
 
 
-def hole_series(holes: list[HoleRecord], s: float, n: int) -> SeriesTable:
+def hole_series(holes: HoleTable, s: float) -> SeriesTable:
     """T_m(s) = sum over depth-m holes of vol * inradius^(s - n)."""
-    per = _hole_sums(*_depth_arrays(holes), s, n)
+    per = _hole_sums(holes, s)
     return SeriesTable(depths=np.arange(len(per)), per_depth=per,
                        cumulative=np.cumsum(per))
 
 
-def _hole_sums(vols, ins, s, n):
-    """The terms T_m(s) of :func:`hole_series` from its per-depth arrays."""
-    return np.array([float(np.sum(v * r ** (s - n))) for v, r in zip(vols, ins)])
-
-
-def _depth_arrays(holes):
-    """Volumes and inradii of the holes, one array per depth 0..deepest, each
-    in record order."""
-    if not holes:
-        raise BadParameter("no hole records provided")
-    depth, vol, inr = np.array([(h.depth, h.volume, h.inradius) for h in holes]).T
-    order = np.argsort(depth, kind="stable")
-    cuts = np.searchsorted(depth[order], np.arange(1, depth.max() + 1))
-    return np.split(vol[order], cuts), np.split(inr[order], cuts)
+def _hole_sums(holes, s):
+    """The terms T_m(s) of :func:`hole_series`, one per depth of the table."""
+    return np.array([float(np.sum(v * r ** (s - holes.n)))
+                     for v, r in zip(holes.volume, holes.inradius)])
 
 
 def critical_exponent(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
                       max_depth: int, tol: float = 0.01,
-                      holes: list[HoleRecord] | None = None) -> DimensionEstimate:
+                      holes: HoleTable | None = None) -> DimensionEstimate:
     """Critical s of the hole series, located by depth ratios + bisection.
 
     The growth ratio rho(s) = T_m(s) / T_{m-1}(s), averaged over the top
@@ -395,11 +398,12 @@ def critical_exponent(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
         raise BadParameter("tol must be positive")
     if holes is None:
         holes = generate_holes(ifs, seed_holes, max_depth)
-    vols, ins = _depth_arrays(holes)
-    if len(vols) < 4:
+    if not holes.volume:
+        raise BadParameter("no hole records provided")
+    if len(holes.volume) < 4:
         raise BadParameter("need at least depth 3 for the ratio test")
-    return _exponent_from_sums(lambda s: _hole_sums(vols, ins, s, ifs.n),
-                               np.arange(len(vols)), ifs.n, tol)
+    return _exponent_from_sums(lambda s: _hole_sums(holes, s),
+                               np.arange(len(holes.volume)), ifs.n, tol)
 
 
 def _exponent_from_sums(sums, depths, n, tol) -> DimensionEstimate:
@@ -527,7 +531,7 @@ def norm_series_exponent(ifs: ProjectiveIFS, max_depth: int, tol: float = 0.01,
 
 def box_counting_dimension(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
                            depth: int, resolutions,
-                           holes: list[HoleRecord] | None = None) -> float:
+                           holes: HoleTable | None = None) -> float:
     """Grid box-counting slope of the simplex minus the explicit holes.
 
     Counts half-open grid cells meeting the chart simplex that are not
@@ -535,7 +539,8 @@ def box_counting_dimension(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
     least squares.  The finest resolution must stay at or above the scale
     of the deepest generated holes (checked through the smallest inradius):
     below that scale the truncated approximation has no structure left and
-    the counts drift towards the ambient dimension.
+    the counts drift towards the ambient dimension.  Above one dimension
+    each hole's hull is made once, before the resolutions are counted.
     """
     res = np.asarray(resolutions, dtype=float)
     if res.size < 3 or np.any(np.diff(res) >= 0) or np.any(res <= 0):
@@ -543,41 +548,30 @@ def box_counting_dimension(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
     if holes is None:
         holes = generate_holes(ifs, seed_holes, depth)
     if holes and ifs.matrices:
-        deepest, min_in = _deepest_inradius(holes)
+        min_in = float(holes.inradius[-1].min())
         if res[-1] < min_in * (1.0 - 1e-9):
             raise InsufficientDepth(
-                f"finest resolution {res[-1]:.3g} lies below the depth-{deepest} "
-                f"hole scale (smallest inradius {min_in:.3g}); generate deeper "
-                "or coarsen the grid")
+                f"finest resolution {res[-1]:.3g} lies below the "
+                f"depth-{len(holes.inradius) - 1} hole scale (smallest inradius "
+                f"{min_in:.3g}); generate deeper or coarsen the grid")
 
+    images = [pts for level in holes.points for pts in level]
     if ifs.n == 1:
-        lo, hi = _interval_ends(holes)
+        lo = np.concatenate([np.empty(0)] + [p.min(axis=(1, 2)) for p in images])
+        hi = np.concatenate([np.empty(0)] + [p.max(axis=(1, 2)) for p in images])
         counts = [_count_boxes_1d(lo, hi, float(d)) for d in res]
     else:
-        counts = [_count_boxes_nd(ifs.n, holes, float(d)) for d in res]
+        hulls = [(convex_hull(VertexSet(p)), p.min(axis=0), p.max(axis=0))
+                 for stack in images for p in stack]
+        counts = [_count_boxes_nd(ifs.n, hulls, float(d)) for d in res]
     slope, _ = np.polyfit(np.log(1.0 / res), np.log(np.asarray(counts, float)), 1)
     return float(slope)
-
-
-def _deepest_inradius(holes):
-    """The deepest level of the holes and its smallest inradius."""
-    ins = _depth_arrays(holes)[1]
-    return len(ins) - 1, float(ins[-1].min())
 
 
 def _snap(q):
     """q, or the integer nearest to it when within 1e-6 (ties to even)."""
     qi = np.round(q)
     return np.where(np.abs(q - qi) <= 1e-6, qi, q)
-
-
-def _interval_ends(holes):
-    """Both ends of every interval hole, as two arrays."""
-    if not holes:
-        return np.empty(0), np.empty(0)
-    flat = np.concatenate([h.body.points.ravel() for h in holes])
-    starts = np.cumsum([0] + [h.body.count for h in holes[:-1]])
-    return np.minimum.reduceat(flat, starts), np.maximum.reduceat(flat, starts)
 
 
 def _count_boxes_1d(lo, hi, delta):
@@ -595,7 +589,9 @@ def _grid_too_fine(n, delta):
     return _cells_per_axis(delta) ** n > _CELL_CAP
 
 
-def _count_boxes_nd(n, holes, delta):
+def _count_boxes_nd(n, hulls, delta):
+    """Cells of side delta meeting the simplex and inside no hole, each hole
+    given as (hull, lower corner, upper corner) of its points."""
     if _grid_too_fine(n, delta):
         raise BadParameter("grid too fine for this dimension at desk scale")
     per_axis = _cells_per_axis(delta)
@@ -608,12 +604,11 @@ def _count_boxes_nd(n, holes, delta):
     excluded = np.zeros(per_axis ** n, dtype=bool)
     corners = np.array(np.meshgrid(*[[0.0, 1.0]] * n, indexing="ij"))
     corners = corners.reshape(n, -1).T * delta               # (2^n, n) offsets
-    for h in holes:
-        hull = convex_hull(h.body)
+    for hull, lo, hi in hulls:
         # candidates: the cells with upper >= lo - delta and lower <= hi on
         # every axis, which is one index range per axis
-        first = np.searchsorted(upper, h.body.points.min(axis=0) - delta, side="left")
-        stop = np.searchsorted(lower, h.body.points.max(axis=0), side="right")
+        first = np.searchsorted(upper, lo - delta, side="left")
+        stop = np.searchsorted(lower, hi, side="right")
         idx = [i.ravel() for i in np.meshgrid(
             *[np.arange(i, j) for i, j in zip(first, stop)], indexing="ij")]
         cand = np.ravel_multi_index(idx, shape)

@@ -143,9 +143,10 @@ class TestCommands:
 class TestResolutionLadder:
     @staticmethod
     def tiny_holes(n):
-        body = ib.VertexSet(np.vstack([np.zeros(n), np.eye(n)]) * 1e-9 + 0.25)
-        return [ib.HoleRecord(word=("a",) * m, seed_index=0, body=body,
-                              volume=1e-20, inradius=1e-10) for m in range(3)]
+        body = np.vstack([np.zeros(n), np.eye(n)]) * 1e-9 + 0.25
+        return ib.HoleTable(n=n, labels=["a"], points=[[body[None]]] * 3,
+                            volume=[np.array([[1e-20]])] * 3,
+                            inradius=[np.array([[1e-10]])] * 3)
 
     def test_plane_ladder_stops_at_the_cell_cap(self):
         res = _default_resolutions(self.tiny_holes(2))

@@ -35,6 +35,14 @@ class TestValidateBody:
             ib.HalfspaceSystem(np.array([row, [-1.0, 0.0], [0.0, -1.0]]),
                                np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("row", [[1e308, 1e308], [1e-170, 1e-170]])
+    def test_single_halfspace_shares_the_normal_check(self, row):
+        # both classes refuse these normals, and without a warning
+        with pytest.raises(BadParameter):
+            ib.Halfspace(np.array(row), 1.0)
+        with pytest.raises(BadParameter):
+            ib.HalfspaceSystem(np.array([row]), np.array([1.0]))
+
     def test_contradictory_constraints_infeasible(self):
         with pytest.raises(Infeasible):
             hrep([[1.0], [-1.0]], [0.0, -1.0])  # x <= 0, x >= 1

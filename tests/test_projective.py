@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -137,7 +138,7 @@ class TestValidateIfs:
 class TestGenerateHoles:
     def test_depth_zero_is_seed(self):
         ifs, seeds = ib.middle_thirds_ifs()
-        holes = ib.generate_holes(ifs, seeds, 0)
+        holes = list(ib.generate_holes(ifs, seeds, 0))
         assert len(holes) == 1
         assert holes[0].word == ()
         assert sorted(holes[0].body.points.ravel()) == pytest.approx([1 / 3, 2 / 3])
@@ -171,7 +172,7 @@ class TestGenerateHoles:
     def test_random_pairs_disjoint_by_lp(self):
         from inbody.projective import _interiors_intersect
         ifs, seeds = ib.middle_thirds_ifs()
-        holes = ib.generate_holes(ifs, seeds, 4)
+        holes = list(ib.generate_holes(ifs, seeds, 4))
         rng = np.random.default_rng(31)
         hulls = [ib.convex_hull(h.body) for h in holes]
         for _ in range(40):
@@ -200,12 +201,8 @@ class TestGenerateHoles:
 
 
     def test_two_seeds_order_and_exact_ends(self):
-        # maps onto [0, 1/5], [2/5, 3/5] and [4/5, 1] leave two seed gaps
-        mats = [[[5, 4], [0, 1]], [[3, 2], [2, 3]], [[1, 0], [4, 5]]]
-        gaps = [(Fraction(1, 5), Fraction(2, 5)), (Fraction(3, 5), Fraction(4, 5))]
-        ifs = ib.ProjectiveIFS(1, [np.array(M, dtype=float) for M in mats],
-                               ["a", "b", "c"])
-        seeds = [ib.VertexSet([[float(a)], [float(b)]]) for a, b in gaps]
+        mats, gaps = _TWO_SEED_MATS, _TWO_SEED_GAPS
+        ifs, seeds = _two_seed_ifs()
         depth = 4
         holes = ib.generate_holes(ifs, seeds, depth)
         expected = [(word, k) for m in range(depth + 1)
@@ -226,6 +223,19 @@ class TestGenerateHoles:
                 ends.append(float(t))
             assert h.body.points.ravel() == pytest.approx(ends, rel=1e-14, abs=0.0)
             assert h.volume == pytest.approx(abs(ends[1] - ends[0]), rel=1e-13)
+
+    def test_depth_sixteen_memory(self):
+        # the table is three float arrays per depth; one record and one
+        # VertexSet per hole took 72 MB here
+        ifs, seeds = ib.middle_thirds_ifs()
+        tracemalloc.start()
+        try:
+            holes = ib.generate_holes(ifs, seeds, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(holes) == 2 ** 17 - 1
+        assert peak < 16e6
 
     def test_collapse_raises_at_parent_depth(self):
         # branches pinned near t = 1 shrink their holes by about K per level;
@@ -277,6 +287,17 @@ class TestGenerateHoles:
                                                rel=0.0, abs=1e-16)
 
 
+# maps onto [0, 1/5], [2/5, 3/5] and [4/5, 1] leave two seed gaps
+_TWO_SEED_MATS = [[[5, 4], [0, 1]], [[3, 2], [2, 3]], [[1, 0], [4, 5]]]
+_TWO_SEED_GAPS = [(Fraction(1, 5), Fraction(2, 5)), (Fraction(3, 5), Fraction(4, 5))]
+
+
+def _two_seed_ifs():
+    ifs = ib.ProjectiveIFS(1, [np.array(M, dtype=float) for M in _TWO_SEED_MATS],
+                           ["a", "b", "c"])
+    return ifs, [ib.VertexSet([[float(a)], [float(b)]]) for a, b in _TWO_SEED_GAPS]
+
+
 def _quarter_grid_ifs():
     def affine(a1, a2, c):
         # x -> a + c x on the chart, as a matrix with unit column sums
@@ -301,11 +322,20 @@ def _conjugated(factory, d):
     return ib.ProjectiveIFS(1, mats, list(ifs.labels)), seeds
 
 
+def _table_of_one_hole_per_depth(volumes, inradii):
+    """One interval hole at each depth of a one-map system, with the given
+    volumes and inradii."""
+    return ib.HoleTable(n=1, labels=["a"],
+                        points=[[np.array([[[0.4], [0.6]]])] for _ in volumes],
+                        volume=[np.array([[v]]) for v in volumes],
+                        inradius=[np.array([[r]]) for r in inradii])
+
+
 class TestHoleSeries:
     def test_exponent_zero_sums_volumes(self):
         ifs, seeds = ib.middle_thirds_ifs()
         holes = ib.generate_holes(ifs, seeds, 4)
-        tab = ib.hole_series(holes, s=1.0, n=1)
+        tab = ib.hole_series(holes, s=1.0)
         assert tab.per_depth[0] == pytest.approx(1 / 3)
         assert tab.cumulative[-1] <= 1.0
 
@@ -314,7 +344,7 @@ class TestHoleSeries:
         # T_m(s) = 2^m 3^{-(m+1)} (3^{-(m+1)}/2)^{s-1}; ratio = 2 * 3^{-s}
         ifs, seeds = ib.middle_thirds_ifs()
         holes = ib.generate_holes(ifs, seeds, 6)
-        tab = ib.hole_series(holes, s=s, n=1)
+        tab = ib.hole_series(holes, s=s)
         ratios = tab.per_depth[1:] / tab.per_depth[:-1]
         assert ratios == pytest.approx(2 * 3.0 ** -s, rel=1e-9)
         closed = [2.0 ** m * 3.0 ** -(m + 1) * (3.0 ** -(m + 1) / 2) ** (s - 1)
@@ -322,16 +352,31 @@ class TestHoleSeries:
         assert tab.per_depth == pytest.approx(closed, rel=1e-9)
 
     def test_single_hole_inverse_inradius(self):
-        rec = ib.HoleRecord(word=(), seed_index=0,
-                            body=ib.VertexSet([[0.4], [0.6]]),
-                            volume=0.2, inradius=0.1)
-        tab = ib.hole_series([rec], s=0.0, n=1)
+        table = _table_of_one_hole_per_depth([0.2], [0.1])
+        tab = ib.hole_series(table, s=0.0)
         assert tab.per_depth[0] == pytest.approx(0.2 / 0.1)
+
+    @pytest.mark.parametrize("factory, depth", [(ib.middle_thirds_ifs, 10),
+                                                (_two_seed_ifs, 6),
+                                                (_quarter_grid_ifs, 1)])
+    def test_terms_match_the_record_view(self, factory, depth):
+        # the same expression on each depth's holes, read one record at a
+        # time in record order
+        ifs, seeds = factory()
+        holes = ib.generate_holes(ifs, seeds, depth)
+        records = list(holes)
+        for s in (ifs.n - 0.7, ifs.n - 0.5, float(ifs.n)):
+            terms = []
+            for m in range(depth + 1):
+                vol = np.array([h.volume for h in records if h.depth == m])
+                inr = np.array([h.inradius for h in records if h.depth == m])
+                terms.append(float(np.sum(vol * inr ** (s - ifs.n))))
+            assert np.array_equal(ib.hole_series(holes, s).per_depth, terms)
 
     def test_monotone_in_s(self):
         ifs, seeds = ib.middle_thirds_ifs()
         holes = ib.generate_holes(ifs, seeds, 5)
-        vals = [ib.hole_series(holes, s, 1).per_depth for s in (0.2, 0.5, 0.8)]
+        vals = [ib.hole_series(holes, s).per_depth for s in (0.2, 0.5, 0.8)]
         for a, b in zip(vals, vals[1:]):
             assert np.all(b <= a + 1e-12)
 
@@ -358,15 +403,12 @@ class TestCriticalExponent:
         est = ib.critical_exponent(ifs, seeds, max_depth=6, tol=0.01, holes=holes)
         table = np.asarray(est.partial_sums["cumulative"])
         for j, s in enumerate(est.partial_sums["s_grid"]):
-            assert np.array_equal(table[:, j], ib.hole_series(holes, s, 1).cumulative)
+            assert np.array_equal(table[:, j], ib.hole_series(holes, s).cumulative)
 
     def test_flat_series_unstable(self):
         # identical terms at every depth: no decay signal anywhere
         ifs, _ = ib.middle_thirds_ifs()
-        holes = [ib.HoleRecord(word=("a",) * m, seed_index=0,
-                               body=ib.VertexSet([[0.4], [0.6]]),
-                               volume=0.2, inradius=0.1)
-                 for m in range(5)]
+        holes = _table_of_one_hole_per_depth([0.2] * 5, [0.1] * 5)
         with pytest.raises(Unstable):
             ib.critical_exponent(ifs, None, max_depth=4, tol=0.01, holes=holes)
 
@@ -374,10 +416,8 @@ class TestCriticalExponent:
         # one hole per depth, scale halves each generation (vol and inradius):
         # T_m(s) = v r^{s-1} 2^{-ms}; converges for every s > 0 -> clamps low
         ifs, _ = ib.middle_thirds_ifs()
-        holes = [ib.HoleRecord(word=("a",) * m, seed_index=0,
-                               body=ib.VertexSet([[0.4], [0.6]]),
-                               volume=0.2 * 0.5 ** m, inradius=0.1 * 0.5 ** m)
-                 for m in range(6)]
+        holes = _table_of_one_hole_per_depth([0.2 * 0.5 ** m for m in range(6)],
+                                             [0.1 * 0.5 ** m for m in range(6)])
         est = ib.critical_exponent(ifs, None, max_depth=5, tol=0.01, holes=holes)
         assert est.s_star == 0.0
         assert "clamped_lower" in est.flags
@@ -482,7 +522,7 @@ class TestBoxCounting:
         ifs = ib.ProjectiveIFS(1, [np.array([[2.0, 1.0], [0.0, 1.0]]),
                                    np.array([[1.0, 0.0], [1.0, 2.0]])])
         holes = ib.generate_holes(ifs, [], 3)
-        assert holes == []
+        assert len(holes) == 0 and list(holes) == []
         res = [3.0 ** -j for j in range(2, 7)]
         dim = ib.box_counting_dimension(ifs, [], 3, res, holes=holes)
         assert abs(dim - 1.0) <= 0.05
@@ -516,10 +556,12 @@ class TestBoxCounting:
     @pytest.mark.parametrize("factory", [ib.middle_thirds_ifs, ib.parabolic_ifs])
     def test_interval_counts_match_per_hole_loop(self, factory):
         # the 3^-k ladder lands on the thirds holes' ends, so the snap acts
-        from inbody.projective import _count_boxes_1d, _interval_ends
+        from inbody.projective import _count_boxes_1d
         ifs, seeds = factory()
         holes = ib.generate_holes(ifs, seeds, 8)
-        lo, hi = _interval_ends(holes)
+        stacks = [p for level in holes.points for p in level]
+        lo = np.concatenate([p.min(axis=(1, 2)) for p in stacks])
+        hi = np.concatenate([p.max(axis=(1, 2)) for p in stacks])
         for k in range(1, 12):
             delta = 3.0 ** -k
             assert _count_boxes_1d(lo, hi, delta) == _boxes_1d_by_loop(holes, delta)
@@ -538,11 +580,26 @@ class TestBoxCounting:
         for _ in range(6):
             corner = rng.uniform(0.02, 0.6, size=2)
             tris.append(corner + rng.uniform(0.0, 0.3, size=(3, 2)))
-        holes = [ib.HoleRecord(word=(), seed_index=0, body=ib.VertexSet(t),
-                               volume=1.0, inradius=1.0) for t in tris]
-        counts = _count_boxes_nd(2, holes, delta)
+        # every triangle a seed hole at depth 0
+        holes = ib.HoleTable(n=2, labels=[],
+                             points=[[np.array([t], dtype=float) for t in tris]],
+                             volume=[np.ones((1, len(tris)))],
+                             inradius=[np.ones((1, len(tris)))])
+        hulls = [(ib.convex_hull(h.body), h.body.points.min(axis=0),
+                  h.body.points.max(axis=0)) for h in holes]
+        counts = _count_boxes_nd(2, hulls, delta)
         assert counts == _boxes_nd_by_scan(2, holes, delta)
         assert counts < _count_boxes_nd(2, [], delta)
+
+
+    def test_plane_slope_matches_full_scan(self):
+        # the hulls are made once for all resolutions
+        ifs, seeds = _quarter_grid_ifs()
+        holes = ib.generate_holes(ifs, seeds, 1)
+        res = np.array([3.0 ** -k for k in (1, 2, 3)])
+        counts = [_boxes_nd_by_scan(2, holes, d) for d in res]
+        slope = np.polyfit(np.log(1.0 / res), np.log(np.asarray(counts, float)), 1)[0]
+        assert ib.box_counting_dimension(ifs, seeds, 1, res, holes=holes) == slope
 
 
 def _snap_one(q):
