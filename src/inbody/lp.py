@@ -96,15 +96,12 @@ def solve_lp(c, A, b, start, *, maximize: bool = True) -> LpResult:
 
 def _pivot_loop(T, basis, obj, cap):
     """Bland's-rule pivoting until optimal / unbounded / cap."""
-    n_cols = T.shape[1] - 1
     for _ in range(cap):
-        enter = -1
-        for j in range(n_cols):
-            if obj[j] > _PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        # Bland: the first column with a positive reduced cost enters
+        improving = np.flatnonzero(obj[:-1] > _PIVOT_TOL)
+        if not improving.size:
             return "optimal"
+        enter = improving[0]
         col = T[:, enter]
         pos = col > _PIVOT_TOL
         if not pos.any():

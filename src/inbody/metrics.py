@@ -41,7 +41,6 @@ from .polytope import (
     _unpack,
     as_vector,
     body_scale,
-    contains_point,
     convex_hull,
     remove_redundant_halfspaces,
     validate_body,
@@ -73,14 +72,16 @@ class HeronReport:
 def distance_to_boundary(H: HalfspaceSystem, x) -> float:
     """Distance from an interior point to the boundary.
 
-    For a point of a polytope this is exactly ``min_i (b_i - a_i.x)/||a_i||``.
+    For a point of a polytope this is exactly ``min_i (b_i - a_i.x)/||a_i||``;
+    a point more than the facet tolerance outside some row is refused.
     """
     x = as_vector(x, H.dim)
     scale = body_scale(H)
-    if not contains_point(H, x, TAU_FACET * scale):
-        raise OutsideBody("point lies outside the body")
     An, bn, _ = H.unit_form()
-    return float(np.min(bn - An @ x))
+    dist = float(np.min(bn - An @ x))
+    if not dist >= -TAU_FACET * scale:
+        raise OutsideBody("point lies outside the body")
+    return dist
 
 
 def incentre(H: HalfspaceSystem) -> IncentreResult:

@@ -2,9 +2,10 @@
 
 Bodies are carried either as an H-form (intersection of half-spaces
 ``A x <= b``) or a V-form (vertex set whose hull is the body).  Normals are
-stored unnormalized and every distance formula divides by the row norm
-explicitly.  Tolerances are relative to a per-body scale derived from a
-circumradius estimate, so small eroded bodies keep meaningful comparisons.
+stored unnormalized, and each system keeps its unit form, made with it, for
+every distance formula.  Tolerances are relative to a per-body scale derived
+from a circumradius estimate, so small eroded bodies keep meaningful
+comparisons.
 
 Vertex enumeration is exhaustive over n-subsets, which is the simplest
 correct algorithm at the intended desk scale (dimension <= ~4, a few dozen
@@ -63,11 +64,13 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 
 def _check_normals(A):
-    """Refuse a row of A whose norm underflows to 0 or overflows to inf."""
+    """The row norms of A; a row whose norm underflows to 0 or overflows to
+    inf is refused."""
     with np.errstate(over="ignore", under="ignore"):
         norms = np.linalg.norm(A, axis=1)
     if not (norms.min(initial=np.inf) > 0.0 and norms.max(initial=0.0) < np.inf):
         raise BadParameter("halfspace normals must be nonzero with a finite norm")
+    return norms
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,8 @@ class HalfspaceSystem:
             raise BadParameter("A and b row counts disagree")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
             raise BadParameter("halfspace data must be finite")
-        _check_normals(self.A)
+        norms = _check_normals(self.A)
+        self._cache["unit"] = (self.A / norms[:, None], self.b / norms, norms)
 
     @property
     def dim(self) -> int:
@@ -120,10 +124,8 @@ class HalfspaceSystem:
         return self.A.shape[0]
 
     def unit_form(self):
-        """Rows normalized to unit normals: (An, bn, norms)."""
-        if "unit" not in self._cache:
-            norms = np.linalg.norm(self.A, axis=1)
-            self._cache["unit"] = (self.A / norms[:, None], self.b / norms, norms)
+        """Rows normalized to unit normals: (An, bn, norms), made with the
+        system from the norms that :func:`_check_normals` takes."""
         return self._cache["unit"]
 
 
@@ -247,8 +249,7 @@ def contains_point(H: HalfspaceSystem, x, slack: float = 0.0) -> bool:
     x = as_vector(x)
     if x.size != H.dim:
         raise DimensionMismatch(f"point has dimension {x.size}, body {H.dim}")
-    norms = np.linalg.norm(H.A, axis=1)
-    return bool(np.all(H.A @ x <= H.b + slack * norms))
+    return bool(np.all(H.A @ x <= H.b + slack * H.unit_form()[2]))
 
 
 def vertex_enumeration(H: HalfspaceSystem) -> VertexSet:
@@ -608,7 +609,8 @@ def _face_ranks(f, v, count, points, scale):
     place = np.arange(len(f)) - (np.cumsum(sizes) - sizes)[f]
     centred = np.zeros((count, sizes.max(initial=1), points.shape[1]))
     centred[f, place] = points[v] - _centroids(f, v, count, points)[f]
-    return (np.linalg.svd(centred, compute_uv=False) > 1e-7 * scale[:, None]).sum(axis=-1)
+    svals = np.linalg.svd(centred, compute_uv=False)
+    return (svals > TAU_FACET * scale[:, None]).sum(axis=-1)
 
 
 def _affine_basis(pts, scale):
@@ -616,13 +618,7 @@ def _affine_basis(pts, scale):
     if pts.shape[0] < 2:
         return np.empty((0, pts.shape[1]))
     _, svals, vt = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)
-    return vt[svals > 1e-7 * scale]
-
-
-def _affine_rank(pts, scale):
-    """Affine rank of a point set (k, n), or of each set of a stack (..., k, n)."""
-    centred = pts - pts.mean(axis=-2, keepdims=True)
-    return (np.linalg.svd(centred, compute_uv=False) > 1e-7 * scale).sum(axis=-1)
+    return vt[svals > TAU_FACET * scale]
 
 
 def _first_rows(M):
@@ -666,7 +662,7 @@ def convex_hull(V: VertexSet) -> HalfspaceSystem:
                                  float(np.linalg.norm(centroid))))
     pts = _dedup_points(pts, TAU_PT * scale)
     k = pts.shape[0]
-    if k < n + 1 or _affine_rank(pts, scale) < n:
+    if k < n + 1 or len(_affine_basis(pts, scale)) < n:
         raise DegenerateInput("points do not affinely span the ambient space")
 
     if n == 1:

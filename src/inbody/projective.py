@@ -45,21 +45,21 @@ from .errors import (
     BadParameter,
     DegenerateImage,
     DegenerateInput,
+    DimensionMismatch,
     IfsValidationError,
     InsufficientDepth,
     SingularMatrix,
     Unstable,
 )
 from .polytope import (
+    TAU_FACET,
     TAU_PT,
     TAU_REP,
     HalfspaceSystem,
     VertexSet,
-    _affine_rank,
     _chebyshev,
     _floored_scale,
     convex_hull,
-    validate_body,
 )
 
 _RATIO_FLAT = 1e-6       # |ratio - 1| below this carries no signal
@@ -208,13 +208,6 @@ def chart_simplex_vertices(n: int) -> VertexSet:
     return VertexSet(np.vstack([np.zeros(n), np.eye(n)]))
 
 
-def chart_simplex(n: int) -> HalfspaceSystem:
-    """H-form of the chart simplex {p_i >= 0, sum p <= 1}."""
-    A = np.vstack([-np.eye(n), np.ones(n)])
-    b = np.concatenate([np.zeros(n), [1.0]])
-    return validate_body(HalfspaceSystem(A, b))
-
-
 def validate_ifs(ifs: ProjectiveIFS,
                  seed_holes: list[VertexSet]) -> IfsValidationReport:
     """Check the hypotheses the hole construction relies on.
@@ -223,10 +216,17 @@ def validate_ifs(ifs: ProjectiveIFS,
     simplex maps into itself, (c) the simplex images have pairwise disjoint
     interiors, (d) every seed hole keeps a positive margin to the simplex
     boundary, and (e) image volumes plus hole volumes account for the whole
-    simplex, confirming the declared complement.
+    simplex, confirming the declared complement.  An image that is no
+    simplex (a vertex sent to a non-positive coordinate sum, or flattened by
+    a singular matrix) fails simplex_images, and (c) and (e) are skipped.
+    The margin of (d) is the least slack of a hole vertex p to the chart
+    simplex: p_i, and (1 - sum p) / sqrt(n).  The volumes of (e) are those
+    of :func:`_measure_holes`, which measures every generated hole.
     """
     checks: list[CheckResult] = []
     n = ifs.n
+    if any(hole.dim != n for hole in seed_holes):
+        raise DimensionMismatch(f"seed holes must be points of the {n}-d chart")
 
     dets = [float(np.linalg.det(M)) for M in ifs.matrices]
     bad = [lab for lab, d in zip(ifs.labels, dets) if abs(d) <= TAU_PT]
@@ -245,7 +245,7 @@ def validate_ifs(ifs: ProjectiveIFS,
     try:
         base = chart_simplex_vertices(n)
         hulls = [convex_hull(image_polytope(M, base)) for M in ifs.matrices]
-    except (DegenerateImage, BadParameter) as exc:
+    except (DegenerateImage, DegenerateInput, BadParameter) as exc:
         image_ok = False
         checks.append(CheckResult("simplex_images", False, str(exc)))
 
@@ -259,13 +259,10 @@ def validate_ifs(ifs: ProjectiveIFS,
             "disjoint_image_interiors", not overlaps,
             "pairwise disjoint" if not overlaps else f"overlapping: {overlaps}"))
 
-    margin_bad = []
-    simplex = chart_simplex(n)
-    An, bn, _ = simplex.unit_form()
-    for idx, hole in enumerate(seed_holes):
-        resid = bn[:, None] - An @ hole.points.T
-        if resid.min() <= TAU_PT:
-            margin_bad.append(idx)
+    margin_bad = [idx for idx, hole in enumerate(seed_holes)
+                  if min(hole.points.min(),
+                         ((1.0 - hole.points.sum(axis=1)) / math.sqrt(n)).min())
+                  <= TAU_PT]
     checks.append(CheckResult(
         "holes_avoid_boundary", not margin_bad,
         "positive margin" if not margin_bad
@@ -273,7 +270,7 @@ def validate_ifs(ifs: ProjectiveIFS,
 
     if image_ok and ifs.matrices:
         total = sum(metrics.volume(h) for h in hulls)
-        total += sum(metrics.volume(convex_hull(h)) for h in seed_holes)
+        total += sum(float(_measure_holes(h.points[None])[0][0]) for h in seed_holes)
         target = 1.0 / math.factorial(n)
         gap = abs(total - target)
         cover_ok = gap <= TAU_REP * max(1.0, target)
@@ -285,10 +282,8 @@ def validate_ifs(ifs: ProjectiveIFS,
 
 
 def _interiors_intersect(H1: HalfspaceSystem, H2: HalfspaceSystem) -> bool:
-    A = np.vstack([H1.A, H2.A])
-    b = np.concatenate([H1.b, H2.b])
-    norms = np.linalg.norm(A, axis=1)
-    _, radius = _chebyshev(A / norms[:, None], b / norms)
+    (A1, b1, _), (A2, b2, _) = H1.unit_form(), H2.unit_form()
+    _, radius = _chebyshev(np.vstack([A1, A2]), np.concatenate([b1, b2]))
     return radius > TAU_PT
 
 
@@ -353,17 +348,18 @@ def _measure_holes(pts):
 
     An interval is [min, max]: its length is max - min and its inradius
     half of that.  It collapses as in :func:`convex_hull`, with that
-    function's scale and affine-rank test, which for a two-point set also
-    covers its point merge.  Above one dimension each set gets its hull.
+    function's scale and rank threshold: the one singular value of the
+    centred points is their norm, and the test on it also covers the point
+    merge of a two-point set.  Above one dimension each set gets its hull.
     """
     if pts.shape[2] > 1:
         hulls = [convex_hull(VertexSet(p)) for p in pts]
         return (np.array([metrics.volume(h) for h in hulls]),
                 np.array([metrics.incentre(h).inradius for h in hulls]))
     centroid = pts.mean(axis=1)                                  # (h, 1)
-    spread = np.abs(pts - centroid[:, None]).max(axis=(1, 2))
-    scale = _floored_scale(spread, np.abs(centroid[:, 0]))
-    if np.any(_affine_rank(pts, scale[:, None]) < 1):
+    centred = pts - centroid[:, None]
+    scale = _floored_scale(np.abs(centred).max(axis=(1, 2)), np.abs(centroid[:, 0]))
+    if not np.all(np.linalg.norm(centred, axis=(1, 2)) > TAU_FACET * scale):
         raise DegenerateInput("points do not affinely span the ambient space")
     vol = pts.max(axis=(1, 2)) - pts.min(axis=(1, 2))
     return vol, vol / 2.0
@@ -543,8 +539,10 @@ def box_counting_dimension(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
     each hole's hull is made once, before the resolutions are counted.
     """
     res = np.asarray(resolutions, dtype=float)
-    if res.size < 3 or np.any(np.diff(res) >= 0) or np.any(res <= 0):
-        raise BadParameter("resolutions must be >= 3 strictly decreasing positives")
+    if res.size < 3 or not (np.all(np.diff(res) < 0) and np.all(np.isfinite(res))
+                            and np.all(res > 0)):
+        raise BadParameter(
+            "resolutions must be >= 3 strictly decreasing finite positives")
     if holes is None:
         holes = generate_holes(ifs, seed_holes, depth)
     if holes and ifs.matrices:

@@ -122,6 +122,39 @@ class TestValidateIfs:
         names = {c.name for c in report.violations()}
         assert "holes_avoid_boundary" in names
 
+    @pytest.mark.parametrize("vertices, ok", [
+        ([[0.5, 0.5], [0.3, 0.3], [0.4, 0.2]], False),        # on sum p = 1
+        ([[0.0, 0.3], [0.3, 0.3], [0.2, 0.5]], False),        # on p_1 = 0
+        ([[5e-4, 0.3], [0.3, 0.3], [0.3, 0.7 - 5e-4 * math.sqrt(2)]], True),
+    ])
+    def test_plane_hole_margin(self, vertices, ok):
+        # the last triangle is 5e-4 inside both p_1 = 0 and sum p = 1
+        ifs = ib.ProjectiveIFS(2, [np.eye(3)])
+        report = ib.validate_ifs(ifs, [ib.VertexSet(vertices)])
+        margin = [c for c in report.checks if c.name == "holes_avoid_boundary"]
+        assert [c.ok for c in margin] == [ok]
+
+    def test_seed_of_another_dimension_refused(self):
+        ifs = ib.ProjectiveIFS(2, [np.eye(3)])
+        with pytest.raises(ib.DimensionMismatch):
+            ib.validate_ifs(ifs, [ib.VertexSet([[0.4], [0.6]])])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_singular_matrix_reported(self, n):
+        # a rank-n matrix flattens the simplex image; the report says so
+        if n == 1:
+            mats = [[[1, 1], [1, 1]], [[1, 0], [2, 3]]]
+            seed = [[0.4], [0.6]]
+        else:
+            mats = [[[1, 1, 1], [1, 1, 1], [0, 0, 1]], np.eye(3)]
+            seed = [[0.2, 0.2], [0.3, 0.2], [0.2, 0.3]]
+        ifs = ib.ProjectiveIFS(n, [np.array(M, dtype=float) for M in mats])
+        report = ib.validate_ifs(ifs, [ib.VertexSet(seed)])
+        assert [c.name for c in report.violations()] == [
+            "injective_matrices", "simplex_images"]
+        with pytest.raises(IfsValidationError, match="injective_matrices"):
+            ib.generate_holes(ifs, [ib.VertexSet(seed)], 2)
+
     def test_generation_refuses_on_violation(self):
         ifs, _ = ib.middle_thirds_ifs()
         with pytest.raises(IfsValidationError):
@@ -160,6 +193,14 @@ class TestGenerateHoles:
             for h in gen:
                 assert h.volume == pytest.approx(3.0 ** -(m + 1), rel=1e-12)
                 assert h.inradius == pytest.approx(3.0 ** -(m + 1) / 2, rel=1e-12)
+        # the gap given by three points, its midpoint among them, is the
+        # same interval
+        three = ib.generate_holes(ifs, [ib.VertexSet([[1 / 3], [1 / 2], [2 / 3]])],
+                                  depth)
+        for got, want in ((three.volume, holes.volume),
+                          (three.inradius, holes.inradius)):
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_holes_pairwise_disjoint_and_bounded_total(self):
         ifs, seeds = ib.middle_thirds_ifs()
@@ -546,6 +587,14 @@ class TestBoxCounting:
             ib.box_counting_dimension(ifs, seeds, 2, [0.1, 0.2, 0.05])
         with pytest.raises(BadParameter):
             ib.box_counting_dimension(ifs, seeds, 2, [0.1, 0.05])
+
+    @pytest.mark.parametrize("res", [
+        [math.nan, 0.1, 0.01], [0.1, math.nan, 0.01], [0.1, 0.01, math.nan],
+        [math.inf, 0.1, 0.01]])
+    def test_non_finite_resolutions_rejected(self, res):
+        ifs, seeds = ib.middle_thirds_ifs()
+        with pytest.raises(BadParameter, match="finite"):
+            ib.box_counting_dimension(ifs, seeds, 4, res)
 
     def test_grid_counts_on_plane_simplex(self):
         # 2-d chart simplex, delta = 1/4: cells with corner sums <= 1
