@@ -1,9 +1,10 @@
 """Scalar metrics of convex polytopes: volume, surface area, inradius.
 
 One kernel gives the volume and every facet volume.  It walks the flags
-F_{n-1} > ... > F_0 of the boundary, read off the vertex-facet incidence,
-and cones the barycentric simplex of each flag from the incentre, so
-vol = sum |det| / n! over one batched determinant; a facet's
+F_{n-1} > ... > F_0 of the boundary, read off the vertex-facet incidence
+alone (the facets of a face are its maximal proper meets with the facet
+rows), and cones the barycentric simplex of each flag from the incentre,
+so vol = sum |det| / n! over one batched determinant; a facet's
 (n-1)-volume follows from its cone and its distance to the incentre.
 The kernel takes a stack of bodies with shared normals (the eroded bodies
 of a profile) and a single body is a stack of one.
@@ -35,8 +36,8 @@ from .polytope import (
     _centroids,
     _chebyshev,
     _det,
-    _face_ranks,
     _face_vertices,
+    _facet_meets,
     _local_bits,
     _unpack,
     as_vector,
@@ -138,30 +139,30 @@ def _cone_decomposition(H: HalfspaceSystem):
     An, bn, _ = Hm.unit_form()
     inc = incentre(Hm)
     vols, fvols = _flag_volumes(An, bn[None], V.points, np.array([0, V.count]),
-                                active, inc.incentre[None],
-                                np.array([body_scale(Hm)]))
+                                active, inc.incentre[None])
     result = (float(vols[0]), fvols[0], inc)
     Hm._cache["cone"] = result
     H._cache["cone"] = result
     return result
 
 
-def _flag_volumes(An, bn, points, start, active, centres, scale):
+def _flag_volumes(An, bn, points, start, active, centres):
     """Volumes and facet volumes of a stack of bodies, from their incidence.
 
     Body e is {x : An x <= bn[e]} with the vertices ``points[start[e]:
     start[e + 1]]`` (as :func:`polytope._incidence_from_candidates` returns
-    them), a centre ``centres[e]`` inside it and the scale ``scale[e]``.
-    ``active`` (m, sum V) is the incidence of each body's facet rows on its
-    vertices, all False on the other rows (see :func:`polytope._facet_rows`).
-    Returns the volumes (E,) and the facet volumes (E, m), 0 off the facets.
+    them) and a centre ``centres[e]`` inside it.  ``active`` (m, sum V) is
+    the incidence of each body's facet rows on its vertices, all False on
+    the other rows (see :func:`polytope._facet_rows`).  Returns the volumes
+    (E,) and the facet volumes (E, m), 0 off the facets.
 
     The boundary is cut along its flags F_{n-1} > ... > F_0, read off the
     vertex-facet incidence alone: the facets of a k-face G are the distinct
-    proper intersections of G with facet rows that keep at least k
-    vertices (and, for k >= 4, have affine rank k-1).  With the centre c,
-    each flag spans the simplex conv(c, centroid F_{n-1}, ..., centroid
-    F_0).  These simplices tile the body, so vol = sum |det| / n!, and
+    meets of G with facet rows that are proper, keep at least k vertices
+    and lie inside no other such meet (:func:`polytope._facet_meets`, the
+    rule that also finds the facet rows).  With the centre c, each flag
+    spans the simplex conv(c, centroid F_{n-1}, ..., centroid F_0).  These
+    simplices tile the body, so vol = sum |det| / n!, and
     facet i, whose simplices make a cone of height dist(c, F_i), has
     vol_{n-1}(F_i) = n cone_i / dist(c, F_i).  All bodies are walked at
     once: a face is a row of bits over its own body's vertices
@@ -190,32 +191,22 @@ def _flag_volumes(An, bn, points, start, active, centres, scale):
     flags, levels, seen = face[:, None], [(faces, fbody)], 0
     _check_flag_count(len(flags), n - 1, n)
     for k in range(n - 1, 0, -1):
-        chain, j = np.nonzero(_proper_meets(faces, fbody, bits, k)[face])
+        # a chain meets each facet of its face by one row (of equal meets
+        # only the first row's is a facet), and one sort by (body, sub-face)
+        # finds the distinct sub-faces
+        chain, j = np.nonzero(_facet_meets(faces, fbody, bits, k)[face])
         parent = face[chain]
-        # one sort by (body, sub-face, chain) finds the distinct sub-faces
-        # and the first pair of each chain that meets each of them
-        key = np.empty((len(chain), faces.shape[1] + 2), dtype=np.uint64)
+        key = np.empty((len(chain), faces.shape[1] + 1), dtype=np.uint64)
         key[:, 0] = fbody[parent]
-        key[:, 1:-1] = faces[parent] & bits[fbody[parent], j]
-        key[:, -1] = chain
+        key[:, 1:] = faces[parent] & bits[fbody[parent], j]
         order = np.lexsort(key.T[::-1])
         ordered = key[order]
-        step = ordered[1:] != ordered[:-1]
         new_face = np.ones(len(key), dtype=bool)
-        new_face[1:] = step[:, :-1].any(axis=1)
-        new_pair = new_face.copy()
-        new_pair[1:] |= step[:, -1]
-        sub_face = np.empty(len(key), dtype=int)
-        sub_face[order] = np.cumsum(new_face) - 1
+        new_face[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        face = np.empty(len(key), dtype=int)
+        face[order] = np.cumsum(new_face) - 1
         seen += len(faces)
-        first = order[new_face]
-        faces, fbody = key[first, 1:-1], fbody[parent[first]]
-        once = np.sort(order[new_pair])
-        chain, face = chain[once], sub_face[once]
-        if k >= 4:
-            f, v = _face_vertices(_unpack(faces), fbody, start)
-            ok = _face_ranks(f, v, len(faces), points, scale[fbody]) == k - 1
-            chain, face = chain[ok[face]], face[ok[face]]
+        faces, fbody = ordered[new_face, 1:], fbody[parent[order[new_face]]]
         flags = np.concatenate([flags[chain], (seen + face)[:, None]], axis=1)
         levels.append((faces, fbody))
         _check_flag_count(len(flags), k - 1, n)
@@ -250,23 +241,6 @@ def _check_flag_count(chains, k, n):
         raise BadParameter(
             f"at least {chains * math.factorial(k + 1)} flags in dimension {n} "
             f"exceed the cap of {_COMBO_CAP} determinant entries")
-
-
-_FACE_BLOCK = 4096   # faces per block of the pair counts in _proper_meets
-
-
-def _proper_meets(faces, fbody, bits, k):
-    """(faces, m) mask: the face meets the facet row in >= k of its vertices, not all.
-
-    Counted in blocks of faces, so the (faces, m, W) words stay small.
-    """
-    hit = np.empty((len(faces), bits.shape[1]), dtype=bool)
-    for lo in range(0, len(faces), _FACE_BLOCK):
-        blk = slice(lo, lo + _FACE_BLOCK)
-        face, rows = faces[blk, None, :], bits[fbody[blk]]
-        hit[blk] = ((np.bitwise_count(face & rows).sum(axis=-1) >= k)
-                    & (face & ~rows).any(axis=-1))
-    return hit
 
 
 def volume(H: HalfspaceSystem) -> float:

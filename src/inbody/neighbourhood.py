@@ -239,8 +239,8 @@ def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
         pts = x[s] - eps[sel][body, None] * d[s]
         points, start, active = _incidence_from_candidates(
             An, bn[sel], scale[sel], pts, body)
-        keep = _facet_rows(points, start, active, scale[sel])
+        keep = _facet_rows(start, active, H.dim)
         facet_active = active & keep[np.repeat(np.arange(len(sel)), np.diff(start))].T
         vols[inside[sel]] = _flag_volumes(An, bn[sel], points, start, facet_active,
-                                          centres[sel], scale[sel])[0]
+                                          centres[sel])[0]
     return vols

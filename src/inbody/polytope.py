@@ -20,6 +20,8 @@ differ in their offsets: the inner parallel bodies of a profile go through
 them in one pass, and a single body is a stack of one.  They are array
 operations over all vertices or faces of the stack at once, in blocks that
 bound memory, and a body's results do not depend on the stack it is in.
+Every face is decided from the incidence alone, by one rule: the facets of
+a face are its maximal proper meets with the rows (:func:`_facet_meets`).
 """
 
 from __future__ import annotations
@@ -510,9 +512,10 @@ def _refine_vertices(act, An, bn, feas_tol):
 def remove_redundant_halfspaces(H: HalfspaceSystem) -> HalfspaceSystem:
     """Drop halfspaces that do not support a facet; region is unchanged.
 
-    A halfspace is retained iff its active vertex set has affine dimension
-    n-1.  Duplicates are merged by incidence row: of the halfspaces active
-    on the same vertex set only the first is kept.
+    A halfspace is retained iff its active vertex set is a facet by
+    :func:`_facet_rows`: not every vertex, at least n of them, and inside no
+    other row's such set.  Duplicates are merged by incidence row: of the
+    halfspaces active on the same vertex set only the first is kept.
     """
     if not H.validated:
         raise BadParameter("redundancy removal requires a validated body")
@@ -520,8 +523,7 @@ def remove_redundant_halfspaces(H: HalfspaceSystem) -> HalfspaceSystem:
         return H._cache["minimal"]
 
     V, active = vertex_incidence(H)
-    keep = _facet_rows(V.points, np.array([0, V.count]), active,
-                       np.array([body_scale(H)]))[0]
+    keep = _facet_rows(np.array([0, V.count]), active, H.dim)[0]
 
     out = HalfspaceSystem(H.A[keep], H.b[keep], validated=True, scale=H.scale,
                           bbox=H.bbox, cheb_center=H.cheb_center,
@@ -532,28 +534,52 @@ def remove_redundant_halfspaces(H: HalfspaceSystem) -> HalfspaceSystem:
     return out
 
 
-def _facet_rows(points, start, active, scale):
+def _facet_rows(start, active, n):
     """The facet rows of each body of a stack, as an (E, m) mask.
 
-    The stack is that of :func:`_incidence_from_candidates`.  A row is a
-    facet row of its body iff its active vertex set has affine dimension
-    n-1, and of the rows active on the same vertex set only the first is
-    kept.  Distinct rows are found, and their ranks taken, over the whole
-    stack at once.
+    The stack is that of :func:`_incidence_from_candidates`, in dimension
+    n.  The facet rows are those whose meets with the whole body are its
+    facets by :func:`_facet_meets`, so of the rows active on the same vertex
+    set only the first is kept.  The rows of all the bodies go at once.
     """
-    n = points.shape[1]
-    E, m = len(start) - 1, active.shape[0]
-    sizes = start[1:] - start[:-1]
-    mine = np.repeat(np.eye(E, dtype=bool), sizes, axis=1)          # (E, sum V)
-    # row j of body e over the stack's vertices; rows of two bodies differ
-    # unless both are empty
-    rows = (active[None] & mine[:, None]).reshape(E * m, -1)
-    first = _first_rows(rows)
-    first = first[rows[first].sum(axis=1) >= n]
-    f, v = np.nonzero(rows[first])
-    keep = np.zeros(E * m, dtype=bool)
-    keep[first] = _face_ranks(f, v, len(first), points, scale[first // m]) == n - 1
-    return keep.reshape(E, m)
+    whole = _local_bits(np.ones((1, active.shape[1]), dtype=bool), start)[:, 0]
+    return _facet_meets(whole, np.arange(len(start) - 1), _local_bits(active, start), n)
+
+
+_FACE_BLOCK = 4096   # faces per block of the meets in _facet_meets
+
+
+def _facet_meets(faces, fbody, bits, k):
+    """(faces, m) mask: the meet of each k-face with a row is a facet of it.
+
+    A face is a row of bits over its own body's vertices, ``fbody`` holds
+    each face's body and ``bits`` (E, m, W) the incidence rows of the bodies
+    (:func:`_local_bits`).  The facets of a face G are its maximal proper
+    faces, and each of them is the meet of G with some facet row (Ziegler
+    1995, 2.2).  So a meet is a facet of G iff it is proper, keeps at least
+    k vertices and lies inside no other such meet; of equal meets the first
+    row's is kept.  Containment is tested only between two such meets of
+    the same face, in blocks of faces, so the (faces, m, W) words stay small.
+    """
+    hit = np.zeros((len(faces), bits.shape[1]), dtype=bool)
+    for lo in range(0, len(faces), _FACE_BLOCK):
+        blk = slice(lo, lo + _FACE_BLOCK)
+        face, rows = faces[blk, None, :], bits[fbody[blk]]
+        meets = face & rows
+        f, j = np.nonzero((np.bitwise_count(meets).sum(axis=-1) >= k)
+                          & (face & ~rows).any(axis=-1))
+        meet = meets[f, j]
+        # every ordered pair (a, b) of candidates of one face; f ascends
+        size = np.bincount(f)[f]
+        a = np.repeat(np.arange(len(f)), size)
+        b = (np.repeat(np.searchsorted(f, f), size) + np.arange(len(a))
+             - np.repeat(np.cumsum(size) - size, size))
+        inside = (~(meet[a] & ~meet[b]).any(axis=-1)
+                  & ((meet[a] != meet[b]).any(axis=-1) | (b < a)))
+        top = np.ones(len(f), dtype=bool)
+        top[a[inside]] = False
+        hit[lo + f[top], j[top]] = True
+    return hit
 
 
 def _local_bits(active, start):
@@ -595,22 +621,6 @@ def _centroids(f, v, count, points):
     sums = np.bincount((f[:, None] * n + np.arange(n)).ravel(),
                        weights=points[v].ravel(), minlength=count * n)
     return sums.reshape(count, n) / np.bincount(f, minlength=count)[:, None]
-
-
-def _face_ranks(f, v, count, points, scale):
-    """Affine rank of each of ``count`` faces, in one stacked test.
-
-    Face i has the vertices ``points[v[f == i]]``, f ascending, and the
-    scale ``scale[i]``.  The centred vertices of every face are padded with
-    zero rows to the largest face, which leaves the singular values as
-    they are, so one SVD takes all the faces.
-    """
-    sizes = np.bincount(f, minlength=count)
-    place = np.arange(len(f)) - (np.cumsum(sizes) - sizes)[f]
-    centred = np.zeros((count, sizes.max(initial=1), points.shape[1]))
-    centred[f, place] = points[v] - _centroids(f, v, count, points)[f]
-    svals = np.linalg.svd(centred, compute_uv=False)
-    return (svals > TAU_FACET * scale[:, None]).sum(axis=-1)
 
 
 def _affine_basis(pts, scale):

@@ -85,6 +85,8 @@ class ProjectiveIFS:
             M = np.asarray(M, dtype=float)
             if M.shape != (self.n + 1, self.n + 1):
                 raise BadParameter(f"matrices must be {self.n + 1}x{self.n + 1}")
+            if not np.all(np.isfinite(M)):
+                raise BadParameter("matrix entries must be finite")
             mats.append(M)
         self.matrices = mats
         if self.labels is None:
@@ -220,8 +222,10 @@ def validate_ifs(ifs: ProjectiveIFS,
     simplex (a vertex sent to a non-positive coordinate sum, or flattened by
     a singular matrix) fails simplex_images, and (c) and (e) are skipped.
     The margin of (d) is the least slack of a hole vertex p to the chart
-    simplex: p_i, and (1 - sum p) / sqrt(n).  The volumes of (e) are those
-    of :func:`_measure_holes`, which measures every generated hole.
+    simplex: p_i, and (1 - sum p) / sqrt(n).  In (e) N sends the simplex's
+    vertex e_i to its column i over the column's sum s_i, so the image has
+    the volume |det N| / (n! prod s_i); a seed hole's volume is that of
+    :func:`_measure_holes`, which measures every generated hole.
     """
     checks: list[CheckResult] = []
     n = ifs.n
@@ -269,7 +273,8 @@ def validate_ifs(ifs: ProjectiveIFS,
         else f"holes touching the simplex boundary: {margin_bad}"))
 
     if image_ok and ifs.matrices:
-        total = sum(metrics.volume(h) for h in hulls)
+        total = sum(abs(d) / (math.factorial(n) * float(np.prod(M.sum(axis=0))))
+                    for d, M in zip(dets, ifs.matrices))
         total += sum(float(_measure_holes(h.points[None])[0][0]) for h in seed_holes)
         target = 1.0 / math.factorial(n)
         gap = abs(total - target)

@@ -248,6 +248,23 @@ class TestExitCodes:
         assert not out.exists()
         assert json.loads(capsys.readouterr().err)["error"] == "BadParameter"
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("argv", [
+        ["attractor"], ["norms"], ["norms", "--norm", "frobenius"],
+        ["norms", "--norm", "maxentry"]], ids=["attractor", "spectral",
+                                               "frobenius", "maxentry"])
+    def test_non_finite_matrix_is_validation_error(self, tmp_path, capsys,
+                                                    literal, argv):
+        # json reads NaN and Infinity; README's example with one such entry
+        path = tmp_path / "ifs.json"
+        path.write_text(json.dumps(CANTOR).replace("[[3, 2]", f"[[{literal}, 2]"))
+        assert literal in path.read_text()
+        out = tmp_path / "out.json"
+        argv = [*argv, "--input", str(path), "--output", str(out), "--max-depth", "8"]
+        assert run(config_from_args(argv)) == 1
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "BadParameter"
+
     def test_nan_eps_is_validation_error(self, cube_file, tmp_path, capsys):
         out = tmp_path / "nan.json"
         argv = ["inner", "--input", str(cube_file), "--output", str(out),

@@ -201,17 +201,22 @@ def assert_matches_qhull(H):
 
 
 class TestMinkowskiCertificate:
-    # neither body's incidence is its face lattice, so the kernel cannot
-    # give the right volume (Qhull 1.0205 and exactly 1.0)
     def test_noisy_sixteen_point_cone_raises(self):
+        # the hull's incidence is not its face lattice, so the kernel cannot
+        # give the right volume (Qhull 1.0205)
         H = ib.convex_hull(ib.VertexSet(noisy_cone(16)))
         with pytest.raises(DegenerateNumerics):
             ib.volume(H)
 
-    def test_nearly_coplanar_cut_cube_raises(self):
+    def test_nearly_coplanar_cut_cube_matches_qhull(self):
+        # the cut's vertex set lies inside the top face's, so the cut is no
+        # facet, and the six facets left give Qhull's numbers on the same
+        # vertices
         H = hrep(*cut_cube_rows())
-        with pytest.raises(DegenerateNumerics):
-            ib.surface_area(H)
+        hull = ConvexHull(ib.vertex_enumeration(H).points)
+        assert polytope.remove_redundant_halfspaces(H).m == 6
+        assert ib.volume(H) == pytest.approx(hull.volume, rel=ib.TAU_REP)
+        assert ib.surface_area(H) == pytest.approx(hull.area, rel=ib.TAU_REP)
 
     @pytest.mark.parametrize("length", [1.0, 10.0])
     def test_vertex_off_its_planes_within_tolerance_passes(self, length):

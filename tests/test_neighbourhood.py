@@ -354,11 +354,11 @@ class TestStackedHelpers:
         pts = x[s] - eps[body, None] * d[s]
         points, start, active = polytope._incidence_from_candidates(
             An, bn, scale, pts, body)
-        keep = polytope._facet_rows(points, start, active, scale)
+        keep = polytope._facet_rows(start, active, An.shape[1])
         vbody = np.repeat(np.arange(len(eps)), np.diff(start))
         centres = np.tile(centre, (len(eps), 1))
         vols, fvols = metrics._flag_volumes(An, bn, points, start,
-                                            active & keep[vbody].T, centres, scale)
+                                            active & keep[vbody].T, centres)
         return points, start, active, keep, vols, fvols
 
     def test_two_bodies_match_each_alone(self, small_suite):

@@ -399,6 +399,53 @@ class TestRemoveRedundant:
         assert inner.m == 3
 
 
+def affine_rank_facet_rows(H):
+    """Reference: a row is a facet row iff the SVD rank of its centred active
+    vertices is n - 1, and of rows with equal active sets the first is kept."""
+    V, active = polytope.vertex_incidence(H)
+    tol = polytope.TAU_FACET * polytope.body_scale(H)
+    keep, seen = np.zeros(H.m, dtype=bool), set()
+    for j, row in enumerate(active):
+        if row.tobytes() in seen:
+            continue
+        seen.add(row.tobytes())
+        pts = V.points[row]
+        if len(pts) >= H.dim:
+            svals = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+            keep[j] = (svals > tol).sum() == H.dim - 1
+    return keep
+
+
+def polar_body(k, n, seed):
+    """{y : (p_i - c) . y <= 1} of k standard-normal points about their centroid."""
+    pts = np.random.default_rng(seed).standard_normal((k, n))
+    return hrep(pts - pts.mean(axis=0), np.ones(k))
+
+
+class TestFacetRule:
+    """The maximal-meet rule picks the rows the affine-rank test picks."""
+
+    @pytest.mark.parametrize("family", [
+        "small-suite", "cross-polytopes", "24-cell", "pancakes",
+        "polar-40-in-2", "polar-40-in-3", "polar-12-in-4", "polar-20-in-4"])
+    def test_matches_affine_rank(self, small_suite, family):
+        bodies = {
+            "small-suite": lambda: [H for hs in small_suite.values() for H in hs],
+            "cross-polytopes": lambda: [cross_polytope(n) for n in (3, 4, 5)],
+            "24-cell": lambda: [twenty_four_cell()],
+            "pancakes": lambda: [ib.pancake_family(n, K) for n in (2, 3, 4)
+                                 for K in (1.0, 10.0, 1000.0)],
+            "polar-40-in-2": lambda: [polar_body(40, 2, s) for s in range(120)],
+            "polar-40-in-3": lambda: [polar_body(40, 3, s) for s in range(120)],
+            "polar-12-in-4": lambda: [polar_body(12, 4, s) for s in range(120)],
+            "polar-20-in-4": lambda: [polar_body(20, 4, s) for s in range(120)],
+        }[family]()
+        for H in bodies:
+            V, active = polytope.vertex_incidence(H)
+            rule = polytope._facet_rows(np.array([0, V.count]), active, H.dim)[0]
+            assert np.array_equal(rule, affine_rank_facet_rows(H))
+
+
 class TestScaleAbout:
     def test_identity(self, unit_square):
         H = ib.scale_about(unit_square, [0.5, 0.5], 1.0)

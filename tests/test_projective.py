@@ -31,6 +31,14 @@ def mobius_right(t):
     return (t + 2.0) / 3.0
 
 
+class TestProjectiveIFS:
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, entry):
+        with pytest.raises(BadParameter, match="finite"):
+            ib.ProjectiveIFS(1, [np.array([[entry, 2.0], [0.0, 1.0]]),
+                                 np.array([[1.0, 0.0], [2.0, 3.0]])])
+
+
 class TestApplyProjective:
     def test_identity(self):
         p = np.array([0.2, 0.3])
