@@ -1,13 +1,16 @@
 """Scalar metrics of convex polytopes: volume, surface area, inradius.
 
-One kernel gives the volume and every facet volume.  It walks the flags
-F_{n-1} > ... > F_0 of the boundary, read off the vertex-facet incidence
-alone (the facets of a face are its maximal proper meets with the facet
-rows), and cones the barycentric simplex of each flag from the incentre,
-so vol = sum |det| / n! over one batched determinant; a facet's
-(n-1)-volume follows from its cone and its distance to the incentre.
-The kernel takes a stack of bodies with shared normals (the eroded bodies
-of a profile) and a single body is a stack of one.
+One kernel gives the volume and every facet volume.  It cones the
+barycentric simplex of each flag F_{n-1} > ... > F_0 of the boundary from
+the incentre, so vol = sum |det| / n!, and a facet's (n-1)-volume follows
+from its cone and its distance to the incentre.  A flag is a path down the
+Hasse diagram of the face lattice, which is read off the vertex-facet
+incidence alone (the facets of a face are its maximal proper meets with the
+facet rows).  The kernel walks the diagram once per face, expands the
+paths into flags at the end, and splits each flag's determinant into 2 x 2
+minors that all the flags through one edge of the diagram share.  It takes
+a stack of bodies with shared normals (the eroded bodies of a profile) and
+a single body is a stack of one.
 The inradius is the optimum of the Chebyshev-centre linear program.  The
 "pancake" boxes [0,1] x [0,K]^{n-1} realise the extreme ratios between
 the inradius and volume/perimeter, which pins both constants of the
@@ -18,6 +21,7 @@ inradius sandwich
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +31,8 @@ from .errors import (BadParameter, DegenerateFacet, DegenerateNumerics, Geometry
                      OutsideBody)
 from .polytope import (
     _COMBO_CAP,
+    _PAIRS,
+    _SPLIT,
     TAU_FACET,
     TAU_REP,
     Facet,
@@ -38,7 +44,9 @@ from .polytope import (
     _det,
     _face_vertices,
     _facet_meets,
+    _laplace,
     _local_bits,
+    _minors,
     _unpack,
     as_vector,
     body_scale,
@@ -156,19 +164,34 @@ def _flag_volumes(An, bn, points, start, active, centres):
     the other rows (see :func:`polytope._facet_rows`).  Returns the volumes
     (E,) and the facet volumes (E, m), 0 off the facets.
 
-    The boundary is cut along its flags F_{n-1} > ... > F_0, read off the
-    vertex-facet incidence alone: the facets of a k-face G are the distinct
-    meets of G with facet rows that are proper, keep at least k vertices
-    and lie inside no other such meet (:func:`polytope._facet_meets`, the
-    rule that also finds the facet rows).  With the centre c, each flag
-    spans the simplex conv(c, centroid F_{n-1}, ..., centroid F_0).  These
-    simplices tile the body, so vol = sum |det| / n!, and
-    facet i, whose simplices make a cone of height dist(c, F_i), has
-    vol_{n-1}(F_i) = n cone_i / dist(c, F_i).  All bodies are walked at
-    once: a face is a row of bits over its own body's vertices
-    (:func:`polytope._local_bits`), so the faces of every body go through
-    each step together, and a body's numbers do not depend on the stack
-    it is in.
+    The boundary is cut along its flags F_{n-1} > ... > F_0.  With the
+    centre c, each flag spans the simplex conv(c, centroid F_{n-1}, ...,
+    centroid F_0).  These simplices tile the body, so vol = sum |det| / n!,
+    and facet i, whose simplices make a cone of height dist(c, F_i), has
+    vol_{n-1}(F_i) = n cone_i / dist(c, F_i).
+
+    A flag is a path down the Hasse diagram of the face lattice (Ziegler
+    1995, 2.2), read off the vertex-facet incidence alone: the facets of a
+    k-face G are the distinct meets of G with facet rows that are proper,
+    keep at least k vertices and lie inside no other such meet
+    (:func:`polytope._facet_meets`, the rule that also finds the facet
+    rows).  The walk takes each level once per distinct face: the facets of
+    the level's faces are the diagram's edges (face, sub-face) in (face,
+    row) order, and one sort by (body, sub-face) numbers the distinct
+    sub-faces.  The paths are expanded at the end, depth first, so the
+    flags come facet by facet in the order of a walk that extends every
+    chain by each facet of its face; a flag keeps only its facet and the
+    edge it took at each level.  A flag's determinant, of the rows centroid
+    F_{n-1} - c, ..., centroid F_0 - c, is split as :func:`polytope._det`
+    splits it.  At n = 3 and 4 the 2 x 2 minors of its (edge, vertex) rows
+    are taken once per last edge of the diagram, at n = 4 those of its
+    (facet, ridge) rows once per first edge, and at n = 2 a flag is an
+    edge.  Each flag's terms are summed in _det's order, so its determinant
+    is _det's of the flag's matrix, and the facet sums run in flag order.
+    All bodies are walked at once: a face is a row of bits over its own
+    body's vertices (:func:`polytope._local_bits`), so the faces of every
+    body go through each step together, and a body's numbers do not depend
+    on the stack it is in.
 
     Minkowski's relation sum vol(F_i) u_i = 0 certifies the result: an
     incidence that is not the body's face lattice breaks it.  A sum above
@@ -183,41 +206,77 @@ def _flag_volumes(An, bn, points, start, active, centres):
     m, n = An.shape
     E = len(start) - 1
     bits = _local_bits(active, start)                       # (E, m, W)
+    # rows of arrays are gathered with take and compress, which numpy runs
+    # several times faster than fancy indexing (see _facet_meets)
+    rows = bits.reshape(-1, bits.shape[-1])                 # row j of body e at e m + j
     body, row = np.nonzero(bits.any(axis=-1))
-    # the distinct faces of one level, the face each flag ends in, and the
-    # flags as indices into the faces of all levels so far
+    # the distinct faces of each level, and the Hasse edges (parent, child)
+    # from each level to the next, as indices into the faces of the two;
+    # every edge is on at least one chain, so its count bounds theirs
     faces, fbody = bits[body, row], body
-    face = np.arange(len(faces))
-    flags, levels, seen = face[:, None], [(faces, fbody)], 0
-    _check_flag_count(len(flags), n - 1, n)
+    levels, edges = [(faces, fbody)], []
+    _check_flag_count(len(faces), n - 1, n)
     for k in range(n - 1, 0, -1):
-        # a chain meets each facet of its face by one row (of equal meets
-        # only the first row's is a facet), and one sort by (body, sub-face)
-        # finds the distinct sub-faces
-        chain, j = np.nonzero(_facet_meets(faces, fbody, bits, k)[face])
-        parent = face[chain]
-        key = np.empty((len(chain), faces.shape[1] + 1), dtype=np.uint64)
-        key[:, 0] = fbody[parent]
-        key[:, 1:] = faces[parent] & bits[fbody[parent], j]
+        # a face meets each of its facets by one row (of equal meets only
+        # the first row's is a facet), so the edges come in (face, row)
+        # order, and one sort by (body, sub-face) finds the distinct sub-faces
+        parent, j = _facet_meets(faces, fbody, bits, k)
+        _check_flag_count(len(parent), k - 1, n)
+        pbody = fbody[parent]
+        key = np.empty((len(parent), faces.shape[1] + 1), dtype=np.uint64)
+        key[:, 0] = pbody
+        key[:, 1:] = faces.take(parent, axis=0) & rows.take(pbody * m + j, axis=0)
         order = np.lexsort(key.T[::-1])
-        ordered = key[order]
+        ordered = key.take(order, axis=0)
         new_face = np.ones(len(key), dtype=bool)
         new_face[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        face = np.empty(len(key), dtype=int)
-        face[order] = np.cumsum(new_face) - 1
-        seen += len(faces)
-        faces, fbody = ordered[new_face, 1:], fbody[parent[order[new_face]]]
-        flags = np.concatenate([flags[chain], (seen + face)[:, None]], axis=1)
+        child = np.empty(len(key), dtype=int)
+        child[order] = np.cumsum(new_face) - 1
+        faces, fbody = ordered.compress(new_face, axis=0)[:, 1:], pbody[order[new_face]]
         levels.append((faces, fbody))
-        _check_flag_count(len(flags), k - 1, n)
+        edges.append((parent, child))
+
+    # the flags are the paths down the edges, depth first: flag i takes edge
+    # path[t][i] down from level t.  A chain takes every edge down from the
+    # face it ends in, and those edges are contiguous; the cap is checked on
+    # the chain count before the chains are made.
+    path = [np.arange(len(edges[0][0]))] if edges else []
+    for t in range(1, len(edges)):
+        degree = np.bincount(edges[t][0], minlength=len(levels[t][0]))
+        end = edges[t - 1][1][path[-1]]
+        counts, hi = degree[end], np.cumsum(degree)[end]
+        chains = np.cumsum(counts)
+        flags = int(chains[-1]) if len(chains) else 0
+        _check_flag_count(flags, n - 2 - t, n)
+        path = [p.repeat(counts) for p in path]
+        path.append(np.arange(flags) + np.repeat(hi - chains, counts))
+    facet = edges[0][0][path[0]] if edges else np.arange(len(body))
 
     # every face's centroid from the centre, by sequential sums in vertex
-    # order, so that they do not depend on the stack
+    # order, so that they do not depend on the stack, split by level
     faces, fbody = (np.concatenate(x) for x in zip(*levels))
     f, v = _face_vertices(_unpack(faces), fbody, start)
-    offsets = _centroids(f, v, len(faces), points) - centres[fbody]
-    cones = np.bincount(flags[:, 0], weights=np.abs(_det(offsets[flags])),
-                        minlength=len(body))
+    offsets = _centroids(f, v, len(faces), points) - centres.take(fbody, axis=0)
+    at = [0, *itertools.accumulate(len(level[0]) for level in levels)]
+    off = [offsets[lo:hi] for lo, hi in zip(at, at[1:])]
+    if n == 2:
+        # a flag is a Hasse edge (facet, vertex)
+        dets = _minors(off[0].take(facet, axis=0), off[1].take(edges[0][1], axis=0),
+                       _PAIRS[:1])[0]
+    elif n in (3, 4):
+        # the minors of the (edge, vertex) rows once per last Hasse edge,
+        # and at n = 4 those of the (facet, ridge) rows once per first one
+        parent, child = edges[-1]
+        low = _minors(off[-2].take(parent, axis=0), off[-1].take(child, axis=0), _SPLIT[n][0])
+        parent, child = edges[0]
+        head = (off[0].take(facet, axis=0).T if n == 3 else
+                _minors(off[0].take(parent, axis=0), off[1].take(child, axis=0),
+                        _PAIRS).take(path[0], axis=1))
+        dets = _laplace(head, low.take(path[-1], axis=1), n)
+    else:
+        ends = [facet] + [child[p] for (_, child), p in zip(edges, path)]
+        dets = _det(np.stack([o.take(e, axis=0) for o, e in zip(off, ends)], axis=1))
+    cones = np.bincount(facet, weights=np.abs(dets), minlength=len(body))
     nfact = math.factorial(n)
     vols = np.bincount(body, weights=cones, minlength=E) / nfact
     dists = bn[body, row] - (An[row] * centres[body]).sum(axis=1)
@@ -233,9 +292,10 @@ def _flag_volumes(An, bn, points, start, active, centres):
 
 def _check_flag_count(chains, k, n):
     """Refuse a flag walk whose determinant stack, n^2 floats a flag, would
-    exceed _COMBO_CAP.  ``chains`` chains end in k-faces, and a k-polytope has
-    at least the (k+1)! flags of a k-simplex, so a body with too many flags
-    (the 9-simplex, the 8-cube) is refused before its chains fill memory.
+    exceed _COMBO_CAP.  At least ``chains`` chains end in k-faces, and a
+    k-polytope has at least the (k+1)! flags of a k-simplex, so a body with
+    too many flags (the 9-simplex, the 8-cube) is refused before its chains
+    fill memory.
     """
     if chains * math.factorial(k + 1) * n * n > _COMBO_CAP:
         raise BadParameter(

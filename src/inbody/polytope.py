@@ -334,31 +334,54 @@ def _subset_solves(An, rhs):
             yield np.linalg.solve(sub[good], rhs[chunk[good]])
 
 
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# the Laplace split of an n x n determinant, n = 3 or 4, by its last two
+# rows: the column pairs of their 2 x 2 minors, and the sign of each term
+_SPLIT = {3: (((1, 2), (0, 2), (0, 1)), (1, -1, 1)),
+          4: (_PAIRS[::-1], (1, -1, 1, 1, -1, 1))}
+
+
 def _det(M):
     """Determinants of a stack of n x n matrices (..., n, n).
 
     Up to n = 4 by cofactor expansion over the whole stack (by 2 x 2 minors
-    at n = 4): on random and nearly singular matrices about as accurate as
-    LU, and on thousands of matrices 7 to 33 times faster than a LAPACK
-    call per matrix.  Above that by LU.
+    at n = 4, see :func:`_laplace`): on random and nearly singular matrices
+    about as accurate as LU, and on thousands of matrices 7 to 33 times
+    faster than a LAPACK call per matrix.  Above that by LU.
     """
     n = M.shape[-1]
-    a = [[M[..., i, j] for j in range(n)] for i in range(n)]
     if n == 1:
-        return a[0][0]
+        return M[..., 0, 0]
     if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    if n == 3:
-        return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-    if n == 4:
-        pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-        top = [a[0][i] * a[1][j] - a[0][j] * a[1][i] for i, j in pairs]
-        low = [a[2][i] * a[3][j] - a[2][j] * a[3][i] for i, j in pairs[::-1]]
-        return (top[0] * low[0] - top[1] * low[1] + top[2] * low[2]
-                + top[3] * low[3] - top[4] * low[4] + top[5] * low[5])
+        return _minors(M[..., 0, :], M[..., 1, :], _PAIRS[:1])[0]
+    if n <= 4:
+        head = (np.moveaxis(M[..., 0, :], -1, 0) if n == 3
+                else _minors(M[..., 0, :], M[..., 1, :], _PAIRS))
+        return _laplace(head, _minors(M[..., -2, :], M[..., -1, :], _SPLIT[n][0]), n)
     return np.linalg.det(M)
+
+
+def _minors(a, b, pairs):
+    """2 x 2 minors a_i b_j - a_j b_i of two stacks of rows (..., n), one
+    per pair (i, j), stacked along a new first axis."""
+    out = np.empty((len(pairs),) + a.shape[:-1])
+    for k, (i, j) in enumerate(pairs):
+        np.subtract(a[..., i] * b[..., j], a[..., j] * b[..., i], out=out[k, ...])
+    return out
+
+
+def _laplace(head, low, n):
+    """An n x n determinant, n = 3 or 4, from the minors ``low`` of its last
+    two rows (:data:`_SPLIT`) and ``head``: the entries of its first row at
+    n = 3, the minors of its first two rows over :data:`_PAIRS` at n = 4,
+    both along the first axis.  The terms are summed left to right, so a
+    determinant does not depend on where its minors were taken.
+    """
+    terms = head * low
+    det = terms[0]
+    for k, sign in enumerate(_SPLIT[n][1][1:], 1):
+        det = det + terms[k] if sign > 0 else det - terms[k]
+    return det
 
 
 def _incidence_from_candidates(An, bn, scale, pts, body):
@@ -542,15 +565,19 @@ def _facet_rows(start, active, n):
     facets by :func:`_facet_meets`, so of the rows active on the same vertex
     set only the first is kept.  The rows of all the bodies go at once.
     """
+    E = len(start) - 1
     whole = _local_bits(np.ones((1, active.shape[1]), dtype=bool), start)[:, 0]
-    return _facet_meets(whole, np.arange(len(start) - 1), _local_bits(active, start), n)
+    keep = np.zeros((E, active.shape[0]), dtype=bool)
+    keep[_facet_meets(whole, np.arange(E), _local_bits(active, start), n)] = True
+    return keep
 
 
 _FACE_BLOCK = 4096   # faces per block of the meets in _facet_meets
 
 
 def _facet_meets(faces, fbody, bits, k):
-    """(faces, m) mask: the meet of each k-face with a row is a facet of it.
+    """(face, row) index pairs, in that order: the meet of a k-face with the
+    row is a facet of the face.
 
     A face is a row of bits over its own body's vertices, ``fbody`` holds
     each face's body and ``bits`` (E, m, W) the incidence rows of the bodies
@@ -559,27 +586,31 @@ def _facet_meets(faces, fbody, bits, k):
     1995, 2.2).  So a meet is a facet of G iff it is proper, keeps at least
     k vertices and lies inside no other such meet; of equal meets the first
     row's is kept.  Containment is tested only between two such meets of
-    the same face, in blocks of faces, so the (faces, m, W) words stay small.
+    the same face, in blocks of faces, so the (faces, m, W) words stay
+    small.  Rows are gathered with ``take``, which numpy runs several times
+    faster than fancy indexing on arrays of more than one axis.
     """
-    hit = np.zeros((len(faces), bits.shape[1]), dtype=bool)
+    m, W = bits.shape[1:]
+    pairs = []
     for lo in range(0, len(faces), _FACE_BLOCK):
-        blk = slice(lo, lo + _FACE_BLOCK)
-        face, rows = faces[blk, None, :], bits[fbody[blk]]
-        meets = face & rows
-        f, j = np.nonzero((np.bitwise_count(meets).sum(axis=-1) >= k)
-                          & (face & ~rows).any(axis=-1))
-        meet = meets[f, j]
+        face = faces[lo:lo + _FACE_BLOCK, None, :]
+        meets = face & bits.take(fbody[lo:lo + _FACE_BLOCK], axis=0)
+        cand = np.flatnonzero((np.bitwise_count(meets).sum(axis=-1) >= k)
+                              & (meets != face).any(axis=-1))
+        f, j = np.divmod(cand, m)
+        meet = meets.reshape(-1, W).take(cand, axis=0)
         # every ordered pair (a, b) of candidates of one face; f ascends
         size = np.bincount(f)[f]
         a = np.repeat(np.arange(len(f)), size)
-        b = (np.repeat(np.searchsorted(f, f), size) + np.arange(len(a))
-             - np.repeat(np.cumsum(size) - size, size))
-        inside = (~(meet[a] & ~meet[b]).any(axis=-1)
-                  & ((meet[a] != meet[b]).any(axis=-1) | (b < a)))
+        b = np.arange(len(a)) - np.repeat(np.cumsum(size) - size - np.searchsorted(f, f), size)
+        ma, mb = meet.take(a, axis=0), meet.take(b, axis=0)
+        inside = ~(ma & ~mb).any(axis=-1) & ((ma != mb).any(axis=-1) | (b < a))
         top = np.ones(len(f), dtype=bool)
         top[a[inside]] = False
-        hit[lo + f[top], j[top]] = True
-    return hit
+        pairs.append((lo + f[top], j[top]))
+    if not pairs:
+        return np.empty(0, dtype=int), np.empty(0, dtype=int)
+    return tuple(np.concatenate(x) for x in zip(*pairs))
 
 
 def _local_bits(active, start):
@@ -607,7 +638,7 @@ def _face_vertices(rows, fbody, start):
     vertex order.  The vertex indices are global: body e's vertices start
     at ``start[e]``.
     """
-    f, local = np.nonzero(rows)
+    f, local = np.divmod(np.flatnonzero(rows), rows.shape[1])
     return f, start[fbody[f]] + local
 
 
@@ -619,7 +650,7 @@ def _centroids(f, v, count, points):
     """
     n = points.shape[1]
     sums = np.bincount((f[:, None] * n + np.arange(n)).ravel(),
-                       weights=points[v].ravel(), minlength=count * n)
+                       weights=points.take(v, axis=0).ravel(), minlength=count * n)
     return sums.reshape(count, n) / np.bincount(f, minlength=count)[:, None]
 
 

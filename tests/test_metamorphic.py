@@ -1,4 +1,4 @@
-"""Metamorphic checks of the H-form pipeline.
+"""Metamorphic checks of the H-form and V-form pipelines.
 
 Each transformation of a body's rows has a known effect on the body: a row
 permutation, a duplicated row and a row made redundant leave it as it is, a
@@ -7,8 +7,12 @@ vertices by lam, its volume by lam^n and its surface area by lam^(n-1).  The
 vertex enumeration, the volume and the surface area must follow, and the
 hull of a body's vertices must give the body back.  Every vertex of the
 24-cell lies on six rows, so each goes through the merge of candidates with
-the same active set.
+the same active set.  The same holds of a point cloud's hull: repeated
+points, points within the merge tolerance of another, interior points and a
+permutation leave it as it is, and rigid motions and scalings move it.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -135,3 +139,79 @@ def test_v_h_v_round_trip(small_suite, which):
         assert sorted(gap.argmin(axis=1)) == list(range(len(planes)))
         assert gap.min(axis=1).max() <= PLANE_BOUND
         assert ib.volume(K) == pytest.approx(ib.volume(H), rel=ROUND_TRIP_BOUND)
+
+
+def sphere_cloud(n, on_hull, inside, seed):
+    """A point cloud like the benchmark's V-form inputs: the cross-polytope's
+    vertices and ``on_hull - 2n`` more points on the unit sphere, then
+    ``inside`` points in the ball of radius 0.9/sqrt(n), which the
+    cross-polytope contains."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((on_hull - 2 * n + inside, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dirs[on_hull - 2 * n:] *= 0.9 / np.sqrt(n) * rng.uniform(size=(inside, 1))
+    return np.vstack([np.eye(n), -np.eye(n), dirs])
+
+
+CLOUDS = {
+    "cube": lambda: np.array(list(itertools.product((0.0, 1.0), repeat=3))),
+    "cloud2": lambda: sphere_cloud(2, 16, 24, 151),
+    "cloud3": lambda: sphere_cloud(3, 20, 20, 48),
+    "cloud4": lambda: sphere_cloud(4, 10, 2, 187),
+    "cross3": lambda: np.vstack([np.eye(3), -np.eye(3)]),
+    "cross4": lambda: np.vstack([np.eye(4), -np.eye(4)]),
+}
+
+
+def doubled(P, rng):
+    return np.vstack([P, P]), lambda V: V, 1.0
+
+
+def jittered(P, rng):
+    # 3e-10 is within the point merge tolerance TAU_PT * scale of every cloud
+    step = rng.standard_normal(P.shape)
+    step *= 3e-10 / np.linalg.norm(step, axis=1)[:, None]
+    return np.vstack([P, P + step]), lambda V: V, 1.0
+
+
+def with_interior(P, rng):
+    # convex combinations of the points, halfway to their centroid
+    c = P.mean(axis=0)
+    mix = rng.dirichlet(np.ones(len(P)), size=2 * len(P)) @ P
+    return np.vstack([P, c + 0.5 * (mix - c)]), lambda V: V, 1.0
+
+
+def shuffled(P, rng):
+    return P[rng.permutation(len(P))], lambda V: V, 1.0
+
+
+def moved(P, rng):
+    Q, _ = np.linalg.qr(rng.standard_normal((P.shape[1], P.shape[1])))
+    t = rng.standard_normal(P.shape[1])
+    return P @ Q.T + t, lambda V: V @ Q.T + t, 1.0
+
+
+def rescaled(lam):
+    def transform(P, rng):
+        return lam * P, lambda V: lam * V, lam
+    return transform
+
+
+V_TRANSFORMS = {"doubled": doubled, "jittered": jittered, "interior": with_interior,
+                "permuted": shuffled, "rigid": moved,
+                "scaled-1e-3": rescaled(1e-3), "scaled-1e3": rescaled(1e3)}
+
+
+@pytest.mark.parametrize("which", list(CLOUDS))
+@pytest.mark.parametrize("name", list(V_TRANSFORMS))
+def test_v_form_transformation(which, name):
+    P = CLOUDS[which]()
+    P2, move, lam = V_TRANSFORMS[name](P, np.random.default_rng(23))
+    K, K2 = ib.convex_hull(ib.VertexSet(P)), ib.convex_hull(ib.VertexSet(P2))
+    n = P.shape[1]
+    assert K2.m == K.m
+    assert_same_vertex_set(move(ib.vertex_enumeration(K).points),
+                           ib.vertex_enumeration(K2).points, K2.scale)
+    assert ib.volume(K2) == pytest.approx(lam ** n * ib.volume(K), rel=MEASURE_BOUND)
+    assert ib.surface_area(K2) == pytest.approx(lam ** (n - 1) * ib.surface_area(K),
+                                                rel=MEASURE_BOUND)

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
 import inbody as ib
-from inbody import lp, polytope
+from inbody import lp, metrics, neighbourhood, polytope
 from inbody.errors import BadParameter, DegenerateNumerics, OutsideBody
 from tests.conftest import (box, cross_polytope, cut_cube_rows, hrep, noisy_cone,
                             twenty_four_cell)
@@ -325,3 +326,147 @@ class TestPancakeFamily:
             ib.pancake_family(1, 2.0)
         with pytest.raises(BadParameter):
             ib.pancake_family(2, 0.5)
+
+
+def chain_flag_volumes(An, bn, points, start, active, centres):
+    """Reference for metrics._flag_volumes: the walk once per chain.
+
+    It extends every chain by each facet of its face, with one lexsorted key
+    per chain at every level, keeps the chains as an n-column matrix of face
+    indices, and expands each flag's determinant from its own (n, n) rows
+    along the first row (by the 2 x 2 minors of the first two rows at n = 4).
+    """
+    m, n = An.shape
+    E = len(start) - 1
+    bits = polytope._local_bits(active, start)
+    body, row = np.nonzero(bits.any(axis=-1))
+    faces, fbody = bits[body, row], body
+    face = np.arange(len(faces))
+    flags, levels, seen = face[:, None], [(faces, fbody)], 0
+    for k in range(n - 1, 0, -1):
+        hit = np.zeros((len(faces), m), dtype=bool)
+        hit[polytope._facet_meets(faces, fbody, bits, k)] = True
+        chain, j = np.nonzero(hit[face])
+        parent = face[chain]
+        key = np.empty((len(chain), faces.shape[1] + 1), dtype=np.uint64)
+        key[:, 0] = fbody[parent]
+        key[:, 1:] = faces[parent] & bits[fbody[parent], j]
+        order = np.lexsort(key.T[::-1])
+        ordered = key[order]
+        new_face = np.ones(len(key), dtype=bool)
+        new_face[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        face = np.empty(len(key), dtype=int)
+        face[order] = np.cumsum(new_face) - 1
+        seen += len(faces)
+        faces, fbody = ordered[new_face, 1:], fbody[parent[order[new_face]]]
+        flags = np.concatenate([flags[chain], (seen + face)[:, None]], axis=1)
+        levels.append((faces, fbody))
+    faces, fbody = (np.concatenate(x) for x in zip(*levels))
+    f, v = polytope._face_vertices(polytope._unpack(faces), fbody, start)
+    offsets = polytope._centroids(f, v, len(faces), points) - centres[fbody]
+    M = offsets[flags]
+    a = [[M[:, i, j] for j in range(n)] for i in range(n)]
+    if n == 1:
+        dets = a[0][0]
+    elif n == 2:
+        dets = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    elif n == 3:
+        dets = (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+    elif n == 4:
+        pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        top = [a[0][i] * a[1][j] - a[0][j] * a[1][i] for i, j in pairs]
+        low = [a[2][i] * a[3][j] - a[2][j] * a[3][i] for i, j in pairs[::-1]]
+        dets = (top[0] * low[0] - top[1] * low[1] + top[2] * low[2]
+                + top[3] * low[3] - top[4] * low[4] + top[5] * low[5])
+    else:
+        dets = np.linalg.det(M)
+    cones = np.bincount(flags[:, 0], weights=np.abs(dets), minlength=len(body))
+    nfact = math.factorial(n)
+    vols = np.bincount(body, weights=cones, minlength=E) / nfact
+    dists = bn[body, row] - (An[row] * centres[body]).sum(axis=1)
+    fvols = np.zeros((E, m))
+    fvols[body, row] = n * cones / dists / nfact
+    return vols, fvols
+
+
+def kernel_inputs(H):
+    """The arguments _cone_decomposition gives the kernel: H's minimal form
+    as a stack of one, coned from its incentre."""
+    Hm = polytope.remove_redundant_halfspaces(H)
+    V, active = polytope.vertex_incidence(Hm)
+    An, bn, _ = Hm.unit_form()
+    return (An, bn[None], V.points, np.array([0, V.count]), active,
+            ib.incentre(Hm).incentre[None])
+
+
+def assert_same_as_chain_walk(args, rel=0.0):
+    vols, fvols = metrics._flag_volumes(*args)
+    ref_vols, ref_fvols = chain_flag_volumes(*args)
+    if rel == 0.0:
+        assert np.array_equal(vols, ref_vols)
+        assert np.array_equal(fvols, ref_fvols)
+    else:
+        np.testing.assert_allclose(vols, ref_vols, rtol=rel, atol=0.0)
+        np.testing.assert_allclose(fvols, ref_fvols, rtol=rel, atol=0.0)
+
+
+class TestFlagKernel:
+    """The walk once per face gives the chain walk's numbers bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_small_suite_alone(self, small_suite, n):
+        for H in small_suite[n]:
+            assert_same_as_chain_walk(kernel_inputs(H))
+
+    @pytest.mark.parametrize("build", [
+        lambda: box(3), lambda: ib.convex_hull(ib.VertexSet(
+            [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])),
+        lambda: box(4), lambda: cross_polytope(3), lambda: cross_polytope(4),
+        lambda: twenty_four_cell(), lambda: hrep([[1.0], [-1.0]], [2.0, 1.0])],
+        ids=["cube3", "tetrahedron", "cube4", "cross3", "cross4", "24-cell", "interval"])
+    def test_named_bodies_alone(self, build):
+        assert_same_as_chain_walk(kernel_inputs(build()))
+
+    @pytest.mark.parametrize("n, seed", [(3, 7), (4, 8)])
+    def test_profile_stacks(self, monkeypatch, n, seed):
+        # every block of offsets that _eroded_volumes hands the kernel, on
+        # one random body: each stack mixes bodies of different face lattices
+        H = ib.random_suite(n, 1, seed)[0]
+        blocks = []
+        kernel = neighbourhood._flag_volumes
+
+        def recording(*args):
+            blocks.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(neighbourhood, "_flag_volumes", recording)
+        inc = ib.incentre(H)
+        neighbourhood._eroded_volumes(H, np.linspace(0.0, inc.inradius, 33)[1:])
+        assert blocks and max(len(args[3]) - 1 for args in blocks) > 1
+        for args in blocks:
+            assert_same_as_chain_walk(args)
+
+    @pytest.mark.parametrize("build", [
+        lambda: cross_polytope(5), lambda: box(5),
+        lambda: hrep(np.vstack([-np.eye(5), np.ones(5)]), [0.0] * 5 + [1.0])],
+        ids=["cross5", "cube5", "simplex5"])
+    def test_five_dimensional_bodies(self, build):
+        assert_same_as_chain_walk(kernel_inputs(build()), rel=1e-14)
+
+    @pytest.mark.parametrize("build", [
+        lambda: box(8), lambda: hrep(np.vstack([-np.eye(9), np.ones(9)]), [0.0] * 9 + [1.0])],
+        ids=["cube8", "simplex9"])
+    def test_flag_cap_refuses_before_expanding(self, build):
+        # 2^8 8! and 10! flags: the cap must fire on the chain count before
+        # the chains are expanded, not after
+        args = kernel_inputs(build())
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadParameter):
+                metrics._flag_volumes(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
