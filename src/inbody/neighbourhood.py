@@ -235,8 +235,8 @@ def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
     block = (np.cumsum(counts) - counts) // _PROFILE_BLOCK
     for k in np.flatnonzero(np.bincount(block)):
         sel = np.flatnonzero(block == k)
-        body, s = np.nonzero(on[sel])
-        pts = x[s] - eps[sel][body, None] * d[s]
+        body, s = np.divmod(np.flatnonzero(on.take(sel, axis=0)), on.shape[1])
+        pts = x.take(s, axis=0) - eps.take(sel).take(body)[:, None] * d.take(s, axis=0)
         points, start, active = _incidence_from_candidates(
             An, bn[sel], scale[sel], pts, body)
         keep = _facet_rows(start, active, H.dim)

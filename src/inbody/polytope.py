@@ -13,9 +13,13 @@ half-spaces, a couple hundred points).  The convex hull of k points is the
 vertex enumeration of their polar body, so it too tries C(k, n) subsets.  The
 subsets are solved in batches, one routine for a right-hand side of one
 column (the vertices of one body) or two (the vertex paths of all the
-inner parallel bodies of one minimal form, see :func:`_vertex_paths`).  The
-steps after them (naming each vertex by the rows it lies on, refining it,
-testing facets) take a stack of bodies that share their unit normals and
+inner parallel bodies of one minimal form, see :func:`_vertex_paths`).  Up
+to n = 4 a batch is array operations over all its subsets: each
+determinant is split into 2 x 2 minors as :func:`_det` splits it, and each
+solution is read by Cramer's rule from cofactors built of the same minors
+(:func:`_subset_solves`); above n = 4 LU solves them.  The steps after
+them (naming each vertex by the rows it lies on, refining it, testing
+facets) take a stack of bodies that share their unit normals and
 differ in their offsets: the inner parallel bodies of a profile go through
 them in one pass, and a single body is a stack of one.  They are array
 operations over all vertices or faces of the stack at once, in blocks that
@@ -258,11 +262,13 @@ def vertex_enumeration(H: HalfspaceSystem) -> VertexSet:
     """All vertices of a validated body, via exhaustive n-subsets.
 
     Every n-subset of halfspaces with an invertible normal matrix is
-    solved; solutions are kept iff feasible within the facet tolerance,
-    merged by active set (of the solutions on the same rows within the
-    facet tolerance the first is kept), then refined against that active
-    set: a simple vertex solves its n active rows, any other takes the
-    least squares solution of its active rows.
+    solved, by Cramer's rule from its cofactors up to n = 4 and by LU above
+    (:func:`_subset_solves`).  The solutions are kept iff feasible within
+    the facet tolerance, merged by active set (of the solutions on the
+    same rows within the facet tolerance the first is kept), then refined
+    against that active set: a simple vertex solves its n active rows, any
+    other takes the least squares solution of its active rows.  So a
+    vertex does not depend on how its candidate was solved.
     """
     V, _ = vertex_incidence(H)
     return V
@@ -278,10 +284,9 @@ def vertex_incidence(H: HalfspaceSystem):
     An, bn, _ = H.unit_form()
     feas_tol = TAU_FACET * body_scale(H)
     candidates = [np.empty((0, H.dim))]
-    for sols in _subset_solves(An, bn[:, None]):
-        sols = sols[..., 0]
+    for (sols,) in _subset_solves(An, bn[None]):
         feas = np.all(sols @ An.T - bn <= feas_tol, axis=1)
-        candidates.append(sols[feas])
+        candidates.append(sols.compress(feas, axis=0))
     pts = np.vstack(candidates)
     points, _, active = _incidence_from_candidates(
         An, bn[None], np.array([body_scale(H)]), pts, np.zeros(len(pts), dtype=int))
@@ -305,8 +310,7 @@ def _vertex_paths(H: HalfspaceSystem):
     n = H.dim
     feas_tol = TAU_FACET * body_scale(H)
     paths = [np.empty((0, 2 * n + 2))]
-    for sols in _subset_solves(An, np.column_stack([bn, np.ones_like(bn)])):
-        x, d = sols[..., 0], sols[..., 1]
+    for x, d in _subset_solves(An, np.vstack([bn, np.ones_like(bn)])):
         p = x @ An.T - bn
         q = d @ An.T - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -315,23 +319,53 @@ def _vertex_paths(H: HalfspaceSystem):
         hi = np.where(q < 0, t, np.inf).min(axis=1)
         never = ((q == 0) & (p > feas_tol)).any(axis=1)
         on = (lo <= hi) & (hi >= 0) & ~never
-        paths.append(np.column_stack([x[on], d[on], lo[on], hi[on]]))
+        paths.append(np.column_stack([x, d, lo, hi]).compress(on, axis=0))
     paths = np.vstack(paths)
     return paths[:, :n], paths[:, n:2 * n], paths[:, -2], paths[:, -1]
 
 
 def _subset_solves(An, rhs):
-    """Solutions of A_S y = rhs_S for the n-subsets S with invertible A_S.
+    """Solutions of A_S y = r_S for the n-subsets S with invertible A_S.
 
-    Yields one (C, n, k) array per chunk of subsets, in subset order, for a
-    right-hand side of k columns.
+    ``rhs`` holds k right-hand sides as rows, (k, m).  Yields one (k, C, n)
+    array per chunk of subsets, in subset order.  A_S counts as invertible
+    when |det A_S| > 1e-10, its determinant split as :func:`_det` splits
+    it.  Up to n = 4 each solution is then read by Cramer's rule from the
+    cofactors of A_S, which come from the same 2 x 2 minors: one pass of
+    array operations over the chunk, where LU would make one LAPACK call
+    per subset.  Cramer's rule is not backward stable, but at these sizes
+    its error stays a small multiple of the condition number times the
+    unit roundoff (Higham 2002, 1.10.1), and each vertex is refined from
+    its active rows afterwards, so a candidate only has to land within the
+    facet tolerance.  Above n = 4 the subsets are solved by LU.  Rows are
+    gathered with ``take`` and selected with ``compress``.
     """
     m, n = An.shape
+    AT = np.ascontiguousarray(An.T)
     for chunk in _combo_chunks(m, n):
-        sub = An[chunk]                      # (C, n, n)
-        good = np.abs(_det(sub)) > 1e-10
-        if good.any():
-            yield np.linalg.solve(sub[good], rhs[chunk[good]])
+        if n > 4:
+            sub = An.take(chunk, axis=0)
+            good = np.abs(_det(sub)) > 1e-10
+            if good.any():
+                yield np.linalg.solve(sub.compress(good, axis=0),
+                                      rhs.T.take(chunk.compress(good, axis=0), axis=0)
+                                      ).transpose(2, 0, 1)
+            continue
+        # G[j, i]: entry (i, j) of every A_S of the chunk, contiguous over S
+        G = AT.take(chunk.T, axis=1)
+        det, minors = _split_det([G[:, i].T for i in range(n)])
+        good = np.abs(det) > 1e-10
+        if not good.all():
+            G, det = G.compress(good, axis=2), det.compress(good)
+            minors = [mi.compress(good, axis=1) for mi in minors]
+            chunk = chunk.compress(good, axis=0)
+        if not det.size:
+            continue
+        r = rhs.take(chunk.T, axis=1)                 # (k, n, C)
+        x = np.zeros((rhs.shape[0], n, det.size))
+        for i, cof in enumerate(_cofactor_rows(G, minors)):
+            x += cof * r[:, i, None]
+        yield (x / det).transpose(0, 2, 1)
 
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -339,26 +373,76 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # rows: the column pairs of their 2 x 2 minors, and the sign of each term
 _SPLIT = {3: (((1, 2), (0, 2), (0, 1)), (1, -1, 1)),
           4: (_PAIRS[::-1], (1, -1, 1, 1, -1, 1))}
+# the columns other than j, ascending, for each column j of a 4 x 4 matrix
+_REST = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 
 def _det(M):
     """Determinants of a stack of n x n matrices (..., n, n).
 
     Up to n = 4 by cofactor expansion over the whole stack (by 2 x 2 minors
-    at n = 4, see :func:`_laplace`): on random and nearly singular matrices
-    about as accurate as LU, and on thousands of matrices 7 to 33 times
-    faster than a LAPACK call per matrix.  Above that by LU.
+    at n = 4, see :func:`_split_det`): on random and nearly singular
+    matrices about as accurate as LU, and on thousands of matrices 7 to 33
+    times faster than a LAPACK call per matrix.  Above that by LU.
     """
     n = M.shape[-1]
+    if n > 4:
+        return np.linalg.det(M)
+    return _split_det([M[..., i, :] for i in range(n)])[0]
+
+
+def _split_det(rows):
+    """Determinants of n x n matrices, n <= 4, given as their n rows, each
+    a stack (..., n), with the 2 x 2 minors they were split into.
+
+    The minors are those of the last two rows over :data:`_SPLIT` (n = 3),
+    of the only two rows (n = 2), or of the first two rows over
+    :data:`_PAIRS` and the last two over :data:`_SPLIT` (n = 4, see
+    :func:`_laplace`); n = 1 has none.
+    """
+    n = len(rows)
     if n == 1:
-        return M[..., 0, 0]
+        return rows[0][..., 0], []
     if n == 2:
-        return _minors(M[..., 0, :], M[..., 1, :], _PAIRS[:1])[0]
-    if n <= 4:
-        head = (np.moveaxis(M[..., 0, :], -1, 0) if n == 3
-                else _minors(M[..., 0, :], M[..., 1, :], _PAIRS))
-        return _laplace(head, _minors(M[..., -2, :], M[..., -1, :], _SPLIT[n][0]), n)
-    return np.linalg.det(M)
+        low = _minors(rows[0], rows[1], _PAIRS[:1])
+        return low[0], [low]
+    low = _minors(rows[-2], rows[-1], _SPLIT[n][0])
+    if n == 3:
+        return _laplace(np.moveaxis(rows[0], -1, 0), low, 3), [low]
+    head = _minors(rows[0], rows[1], _PAIRS)
+    return _laplace(head, low, 4), [head, low]
+
+
+def _cofactor_rows(G, minors):
+    """The cofactors C_ij of stacked n x n matrices, n <= 4, one row i at a
+    time: each an (n, C) array over j.
+
+    ``G[j, i]`` (n, n, C) holds entry (i, j) of every matrix, and
+    ``minors`` are :func:`_split_det`'s.  At n = 3 row i is the cross
+    product of the other two rows.  At n = 4 the 3 x 3 minor of C_ij is
+    expanded along the other row of i's pair, (0, 1) or (2, 3), by the 2 x 2
+    minors of the opposite pair that the determinant was split into.
+    """
+    n = G.shape[0]
+    if n == 1:
+        yield np.ones_like(G[0])
+    elif n == 2:
+        yield np.stack([G[1, 1], -G[0, 1]])
+        yield np.stack([-G[1, 0], G[0, 0]])
+    elif n == 3:
+        for i in range(3):
+            yield _minors(G[:, (i + 1) % 3].T, G[:, (i + 2) % 3].T, ((1, 2), (2, 0), (0, 1)))
+    else:
+        head, low = minors
+        for i in range(4):
+            a = G[:, i ^ 1]
+            # the minors of the opposite pair of rows, keyed by column pair
+            opp = dict(zip(_SPLIT[4][0], low) if i < 2 else zip(_PAIRS, head))
+            cof = np.empty((4,) + a.shape[1:])
+            for j, (p, q, r) in enumerate(_REST):
+                term = a[p] * opp[q, r] - a[q] * opp[p, r] + a[r] * opp[p, q]
+                cof[j] = term if (i + j) % 2 == 0 else -term
+            yield cof
 
 
 def _minors(a, b, pairs):
@@ -405,17 +489,18 @@ def _incidence_from_candidates(An, bn, scale, pts, body):
     if np.any(np.bincount(body, minlength=E) == 0):
         raise GeometryError("no vertices found for a validated body")
     feas_tol = TAU_FACET * scale
-    act = np.abs(bn[body] - pts @ An.T) <= feas_tol[body, None]          # (N, m)
+    act = np.abs(bn.take(body, axis=0) - pts @ An.T) <= feas_tol.take(body)[:, None]
     # the body's bytes, then the active row as bits: packed, the keys of the
     # 30,080 candidates of the 5-cross-polytope stay within a megabyte
     key = np.hstack([body.astype(np.int64)[:, None].view(np.uint8),
                      np.packbits(act, axis=1)])
     first = _first_rows(key)
-    body = body[first]
-    pts = _refine_vertices(act[first], An, bn[body], feas_tol[body, None])
+    body = body.take(first)
+    pts = _refine_vertices(act.take(first, axis=0), An, bn.take(body, axis=0),
+                           feas_tol.take(body)[:, None])
     order = np.lexsort([*pts.T[::-1], body])
-    pts, body = pts[order], body[order]
-    active = np.abs(bn[body].T - An @ pts.T) <= feas_tol[body]
+    pts, body = pts.take(order, axis=0), body.take(order)
+    active = np.abs(bn.take(body, axis=0).T - An @ pts.T) <= feas_tol.take(body)
     return pts, np.searchsorted(body, np.arange(E + 1)), active
 
 
@@ -508,21 +593,22 @@ def _refine_vertices(act, An, bn, feas_tol):
     R x = Q^T b.  A vertex whose refined point leaves an active row by more
     than feas_tol, or that has fewer than n active rows, is an error.
     """
-    n = An.shape[1]
-    offs = np.where(act, bn, 0.0)
+    m, n = An.shape
     refined = np.empty((act.shape[0], n))
     counts = act.sum(axis=1)
     if counts.min(initial=n) < n:
         raise DegenerateNumerics("a vertex has fewer active rows than the dimension")
     for c in np.flatnonzero(np.bincount(counts)):
         idx = np.flatnonzero(counts == c)
-        rows = np.nonzero(act[idx])[1].reshape(-1, c)
-        b = offs[idx[:, None], rows]
+        # the active cells of these vertices, flat and in row order
+        cells = np.flatnonzero(act.take(idx, axis=0))
+        rows = (cells % m).reshape(-1, c)
+        b = bn.take(idx, axis=0).take(cells).reshape(-1, c)
         if c == n:
-            refined[idx] = np.linalg.solve(An[rows], b[..., None])[..., 0]
+            refined[idx] = np.linalg.solve(An.take(rows, axis=0), b[..., None])[..., 0]
         else:
             # R x = Q^T b, with Q^T b summed in row order
-            q, r = np.linalg.qr(An[rows])
+            q, r = np.linalg.qr(An.take(rows, axis=0))
             qtb = sum(b[:, i, None] * q[:, i] for i in range(c))
             refined[idx] = np.linalg.solve(r, qtb[..., None])[..., 0]
     resid = np.where(act, np.abs(bn - refined @ An.T), 0.0)
@@ -624,6 +710,8 @@ def _local_bits(active, start):
     sizes = start[1:] - start[:-1]
     body = np.repeat(np.arange(len(sizes)), sizes)
     rows = np.zeros((len(sizes), m, 64 * -(-int(sizes.max()) // 64)), dtype=bool)
+    # one scatter through an advanced index: on the profiles' stacks it is
+    # faster than a flat put of the active cells
     rows[body, :, np.arange(total) - start[body]] = active.T
     return np.packbits(rows, axis=-1, bitorder="little").view(np.uint64)
 

@@ -45,6 +45,30 @@ def cut_cube_rows():
     return A, np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0 + 4.5e-7])
 
 
+def written_out_det(M):
+    """Determinants of a stack of n x n matrices (..., n, n) by the cofactor
+    expressions written out: along the first row, by the 2 x 2 minors of
+    the first two rows at n = 4, and by LU above n = 4.  The terms are those
+    of polytope._det, in its order, so the two agree bit for bit."""
+    n = M.shape[-1]
+    a = [[M[..., i, j] for j in range(n)] for i in range(n)]
+    if n == 1:
+        return a[0][0]
+    if n == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    if n == 3:
+        return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+    if n == 4:
+        pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        top = [a[0][i] * a[1][j] - a[0][j] * a[1][i] for i, j in pairs]
+        low = [a[2][i] * a[3][j] - a[2][j] * a[3][i] for i, j in pairs[::-1]]
+        return (top[0] * low[0] - top[1] * low[1] + top[2] * low[2]
+                + top[3] * low[3] - top[4] * low[4] + top[5] * low[5])
+    return np.linalg.det(M)
+
+
 def wide_rows():
     """A 12-d body with 40 half-spaces: C(40, 12) = 5.6e9 vertex candidates."""
     extra = np.random.default_rng(0).standard_normal((16, 12))

@@ -9,7 +9,7 @@ import inbody as ib
 from inbody import lp, metrics, neighbourhood, polytope
 from inbody.errors import BadParameter, DegenerateNumerics, OutsideBody
 from tests.conftest import (box, cross_polytope, cut_cube_rows, hrep, noisy_cone,
-                            twenty_four_cell)
+                            twenty_four_cell, written_out_det)
 
 
 def triangle_incircle_radius(p0, p1, p2):
@@ -364,24 +364,7 @@ def chain_flag_volumes(An, bn, points, start, active, centres):
     faces, fbody = (np.concatenate(x) for x in zip(*levels))
     f, v = polytope._face_vertices(polytope._unpack(faces), fbody, start)
     offsets = polytope._centroids(f, v, len(faces), points) - centres[fbody]
-    M = offsets[flags]
-    a = [[M[:, i, j] for j in range(n)] for i in range(n)]
-    if n == 1:
-        dets = a[0][0]
-    elif n == 2:
-        dets = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    elif n == 3:
-        dets = (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-    elif n == 4:
-        pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-        top = [a[0][i] * a[1][j] - a[0][j] * a[1][i] for i, j in pairs]
-        low = [a[2][i] * a[3][j] - a[2][j] * a[3][i] for i, j in pairs[::-1]]
-        dets = (top[0] * low[0] - top[1] * low[1] + top[2] * low[2]
-                + top[3] * low[3] - top[4] * low[4] + top[5] * low[5])
-    else:
-        dets = np.linalg.det(M)
+    dets = written_out_det(offsets[flags])
     cones = np.bincount(flags[:, 0], weights=np.abs(dets), minlength=len(body))
     nfact = math.factorial(n)
     vols = np.bincount(body, weights=cones, minlength=E) / nfact
