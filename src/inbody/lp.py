@@ -67,11 +67,16 @@ def solve_lp(c, A, b, start, *, maximize: bool = True) -> LpResult:
         raise ValueError("start point violates the constraints")
 
     # Columns: u (p), w (p), slacks (m); the rhs is the start's slack.
-    M = np.hstack([A, -A, np.eye(m)])
-    T = np.hstack([M, slack[:, None]])
+    width = 2 * p + m + 1
+    T = np.zeros((m, width))
+    T[:, :p] = A
+    T[:, p:2 * p] = -A
+    T.reshape(-1)[2 * p::width + 1] = 1.0     # T[i, 2p + i], the slack identity
+    T[:, -1] = slack
+    M = T[:, :-1].copy()                      # the columns before any pivot
     basis = 2 * p + np.arange(m)
     # At the slack basis the reduced costs are the objective itself.
-    obj = np.zeros(2 * p + m + 1)
+    obj = np.zeros(width)
     obj[:p] = c if maximize else -c
     obj[p:2 * p] = -obj[:p]
     status = _pivot_loop(T, basis, obj, max(10 * (m + 1), 50))
@@ -95,23 +100,31 @@ def solve_lp(c, A, b, start, *, maximize: bool = True) -> LpResult:
 
 
 def _pivot_loop(T, basis, obj, cap):
-    """Bland's-rule pivoting until optimal / unbounded / cap."""
+    """Bland's-rule pivoting until optimal / unbounded / cap.
+
+    At these sizes the numpy calls, not the arithmetic, cost the time, so
+    each pivot makes as few as it can.  The ratios go into one buffer with
+    inf where the entering column is not positive, so a column with no
+    positive entry, or a tableau with no rows, has an infinite least ratio:
+    the objective is unbounded.
+    """
+    rhs = T[:, -1]
+    ratios = np.empty(T.shape[0])
     for _ in range(cap):
         # Bland: the first column with a positive reduced cost enters
-        improving = np.flatnonzero(obj[:-1] > _PIVOT_TOL)
-        if not improving.size:
+        improving = obj[:-1] > _PIVOT_TOL
+        enter = improving.argmax()
+        if not improving[enter]:
             return "optimal"
-        enter = improving[0]
         col = T[:, enter]
-        pos = col > _PIVOT_TOL
-        if not pos.any():
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=col > _PIVOT_TOL)
+        best = ratios.min(initial=np.inf)
+        if best == np.inf:
             return "unbounded"
-        ratios = np.full(col.shape, np.inf)
-        ratios[pos] = T[pos, -1] / col[pos]
-        best = ratios.min()
         # Bland tie-break: smallest basic-variable index among minimisers.
-        tied = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))
-        leave = tied[np.argmin(basis[tied])]
+        tied = (ratios <= best + 1e-9 * (1.0 + abs(best))).nonzero()[0]
+        leave = tied[0] if tied.size == 1 else tied[np.argmin(basis[tied])]
         _pivot(T, obj, leave, enter)
         basis[leave] = enter
     return "cap"

@@ -7,10 +7,14 @@ every distance formula.  Tolerances are relative to a per-body scale derived
 from a circumradius estimate, so small eroded bodies keep meaningful
 comparisons.
 
-Vertex enumeration is exhaustive over n-subsets, which is the simplest
-correct algorithm at the intended desk scale (dimension <= ~4, a few dozen
-half-spaces, a couple hundred points).  The convex hull of k points is the
-vertex enumeration of their polar body, so it too tries C(k, n) subsets.  The
+Vertex enumeration tries every n-subset of the rows that can reach the
+body (:func:`_reachable_rows`), which is the simplest correct algorithm at
+the intended desk scale (dimension <= ~4, a few dozen half-spaces, a couple
+hundred points).  A row that cannot reach the body's bounding box, widened
+by the tolerance, is left out: box rows cut away, redundant planes beyond
+the body.  The convex hull of k points is the vertex enumeration of their
+polar body, where the row of a point deep inside the hull reaches nothing,
+so it tries C(k', n) subsets for the k' points that can be vertices.  The
 subsets are solved in batches, one routine for a right-hand side of one
 column (the vertices of one body) or two (the vertex paths of all the
 inner parallel bodies of one minimal form, see :func:`_vertex_paths`).  Up
@@ -31,7 +35,6 @@ a face are its maximal proper meets with the rows (:func:`_facet_meets`).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -259,16 +262,19 @@ def contains_point(H: HalfspaceSystem, x, slack: float = 0.0) -> bool:
 
 
 def vertex_enumeration(H: HalfspaceSystem) -> VertexSet:
-    """All vertices of a validated body, via exhaustive n-subsets.
+    """All vertices of a validated body, via the n-subsets of its rows.
 
-    Every n-subset of halfspaces with an invertible normal matrix is
-    solved, by Cramer's rule from its cofactors up to n = 4 and by LU above
-    (:func:`_subset_solves`).  The solutions are kept iff feasible within
-    the facet tolerance, merged by active set (of the solutions on the
-    same rows within the facet tolerance the first is kept), then refined
-    against that active set: a simple vertex solves its n active rows, any
-    other takes the least squares solution of its active rows.  So a
-    vertex does not depend on how its candidate was solved.
+    The subsets are those of the rows that can reach the body
+    (:func:`_reachable_rows`): a subset through any other row meets at no
+    point feasible within the facet tolerance.  Every such n-subset with an
+    invertible normal matrix is solved, by Cramer's rule from its cofactors
+    up to n = 4 and by LU above (:func:`_subset_solves`).  The solutions
+    are kept iff feasible within the facet tolerance on every row, merged
+    by active set (of the solutions on the same rows within the facet
+    tolerance the first is kept), then refined against that active set: a
+    simple vertex solves its n active rows, any other takes the least
+    squares solution of its active rows.  So a vertex does not depend on
+    how its candidate was solved.
     """
     V, _ = vertex_incidence(H)
     return V
@@ -283,8 +289,9 @@ def vertex_incidence(H: HalfspaceSystem):
 
     An, bn, _ = H.unit_form()
     feas_tol = TAU_FACET * body_scale(H)
+    rows = _reachable_rows(H)
     candidates = [np.empty((0, H.dim))]
-    for (sols,) in _subset_solves(An, bn[None]):
+    for (sols,) in _subset_solves(An.take(rows, axis=0), bn.take(rows)[None]):
         feas = np.all(sols @ An.T - bn <= feas_tol, axis=1)
         candidates.append(sols.compress(feas, axis=0))
     pts = np.vstack(candidates)
@@ -293,6 +300,33 @@ def vertex_incidence(H: HalfspaceSystem):
     result = (VertexSet(points), active)
     H._cache["incidence"] = result
     return result
+
+
+def _reachable_rows(H: HalfspaceSystem) -> np.ndarray:
+    """The rows of H that a vertex can be active on, as ascending indices.
+
+    Over the unit rows, the Chebyshev centre c and radius r give
+    a . c <= b - r on every row, so every point feasible within the facet
+    tolerance tol lies in c + (1 + tol / r)(K - c), and so in the same
+    homothety of the bounding box.  On that box row j is at most
+    a_j . c + (1 + tol / r)(top_j - a_j . c), with top_j the row's largest
+    value over the box's corners, sum_i max(a_ji lo_i, a_ji hi_i).  Where
+    that bound is below b_j - tol no such point lies within tol of row j, so
+    no subset through the row meets at a candidate and no vertex is active
+    on it; the test is against b_j - 2 tol, and the second tol is a margin
+    for the roundoff of the box and the centre.  This is the row-bound test
+    of LP presolve (Brearley, Mitra & Williams 1975).  A body with no box
+    or no centre keeps every row.
+    """
+    if H.bbox is None or H.cheb_center is None:
+        return np.arange(H.m)
+    An, bn, _ = H.unit_form()
+    tol = TAU_FACET * body_scale(H)
+    lo, hi = H.bbox
+    at_centre = An @ H.cheb_center
+    top = np.maximum(An * lo, An * hi).sum(axis=1)
+    bound = at_centre + (1.0 + tol / H.cheb_radius) * (top - at_centre)
+    return np.flatnonzero(bound >= bn - 2.0 * tol)
 
 
 def _vertex_paths(H: HalfspaceSystem):
@@ -506,23 +540,64 @@ def _incidence_from_candidates(An, bn, scale, pts, body):
 
 @functools.lru_cache(maxsize=64)
 def _combo_array(m, n):
-    return np.array(list(itertools.combinations(range(m), n)), dtype=int)
+    """The n-subsets of range(m) in lexicographic order, one per row: each
+    first entry followed by the (n - 1)-subsets that can follow it."""
+    if n == 0:
+        return np.zeros((1, 0), dtype=int)
+    return _prefixed(np.arange(m - n + 1)[:, None], _tail_counts(m, n - 1),
+                     _combo_array(m, n - 1))
 
 
 def _combo_chunks(m, n):
+    """The n-subsets of range(m) in lexicographic order, as arrays of at
+    most ``_COMBO_CHUNK`` rows, or as one array if they fit in one.
+
+    Above that a subset is split into a head and a tail of t entries, with
+    t the most for which the table of all C(m, t) tails fits in a chunk;
+    the heads come from this function in chunks of their own, and each
+    chunk of heads is cut into runs whose subsets fit in a chunk.
+    """
     total = math.comb(m, n)
     if total > _COMBO_CAP:
         raise BadParameter(
             f"C({m}, {n}) = {total} subsets exceed the enumeration cap {_COMBO_CAP}")
-    if total <= _COMBO_CHUNK:
+    # at n = 1 the subsets are the rows, and one array of them costs what b does
+    if total <= _COMBO_CHUNK or n == 1:
         yield _combo_array(m, n)
         return
-    combos = itertools.combinations(range(m), n)
-    while True:
-        chunk = list(itertools.islice(combos, _COMBO_CHUNK))
-        if not chunk:
-            return
-        yield np.array(chunk, dtype=int)
+    t = n - 1
+    while math.comb(m, t) > _COMBO_CHUNK:
+        t -= 1
+    tails, count = _combo_array(m, t), _tail_counts(m, t)
+    for heads in _combo_chunks(m - t, n - t):
+        sizes = count.take(heads[:, -1])
+        ends = np.cumsum(sizes)
+        lo = 0
+        while lo < len(heads):
+            hi = int(np.searchsorted(ends, ends[lo] - sizes[lo] + _COMBO_CHUNK, side="right"))
+            yield _prefixed(heads[lo:hi], count, tails)
+            lo = hi
+
+
+def _tail_counts(m, t):
+    """C(m - a - 1, t) for a in range(m): the t-subsets of range(m) whose
+    entries all exceed a, which are the last that many in lexicographic
+    order."""
+    return np.array([math.comb(m - a - 1, t) for a in range(m)], dtype=int)
+
+
+def _prefixed(heads, count, tails):
+    """Each row of ``heads`` followed by each row of ``tails`` that can
+    follow it, in order.  ``tails`` holds the t-subsets of range(m) in
+    lexicographic order and ``count`` is :func:`_tail_counts`, so a head
+    that ends at a takes the last ``count[a]`` rows of ``tails``."""
+    sizes = count.take(heads[:, -1])
+    ends = np.cumsum(sizes)
+    idx = np.arange(sizes.sum()) + np.repeat(len(tails) - ends, sizes)
+    out = np.empty((len(idx), heads.shape[1] + tails.shape[1]), dtype=int)
+    out[:, :heads.shape[1]] = heads.repeat(sizes, axis=0)
+    out[:, heads.shape[1]:] = tails.take(idx, axis=0)
+    return out
 
 
 def _dedup_points(pts, tol):

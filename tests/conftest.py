@@ -69,6 +69,28 @@ def written_out_det(M):
     return np.linalg.det(M)
 
 
+def polar_of(P):
+    """{y : (p_i - c) . y <= 1} of the points P about their centroid c."""
+    return hrep(P - P.mean(axis=0), np.ones(len(P)))
+
+
+def polar_body(k, n, seed):
+    """The polar body of k standard-normal points."""
+    return polar_of(np.random.default_rng(seed).standard_normal((k, n)))
+
+
+def sphere_cloud(n, on_hull, inside, seed):
+    """A point cloud like the benchmark's V-form inputs: the cross-polytope's
+    vertices and ``on_hull - 2n`` more points on the unit sphere, then
+    ``inside`` points in the ball of radius 0.9/sqrt(n), which the
+    cross-polytope contains."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((on_hull - 2 * n + inside, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dirs[on_hull - 2 * n:] *= 0.9 / np.sqrt(n) * rng.uniform(size=(inside, 1))
+    return np.vstack([np.eye(n), -np.eye(n), dirs])
+
+
 def wide_rows():
     """A 12-d body with 40 half-spaces: C(40, 12) = 5.6e9 vertex candidates."""
     extra = np.random.default_rng(0).standard_normal((16, 12))

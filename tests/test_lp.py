@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from inbody.errors import Unbounded
+import inbody as ib
+from inbody import lp
+from inbody.errors import SolverFailure, Unbounded
 from inbody.lp import solve_lp
+from tests.conftest import (box, cross_polytope, polar_body, polar_of, sphere_cloud,
+                            twenty_four_cell)
 
 
 def test_simple_box_maximum():
@@ -119,3 +123,124 @@ def test_deterministic_pivoting():
     r2 = solve_lp(c, A, b, np.zeros(3))
     assert np.array_equal(r1.x, r2.x)
     assert r1.value == r2.value
+
+
+def reference_solve_lp(c, A, b, start, maximize=True, cap=None):
+    """Reference: the one-phase simplex with one numpy step per operation,
+    returning (x, value, pivots) or the loop's status when it stops short:
+    a tableau stacked from its blocks, ratios by masked division, the
+    unbounded test on the mask and the tie-break by argmin over every tie."""
+    m, p = A.shape
+    slack = b - A @ start
+    M = np.hstack([A, -A, np.eye(m)])
+    T = np.hstack([M, slack[:, None]])
+    basis = 2 * p + np.arange(m)
+    obj = np.zeros(2 * p + m + 1)
+    obj[:p] = c if maximize else -c
+    obj[p:2 * p] = -obj[:p]
+    pivots = 0
+    for _ in range(max(10 * (m + 1), 50) if cap is None else cap):
+        improving = np.flatnonzero(obj[:-1] > lp._PIVOT_TOL)
+        if not improving.size:
+            break
+        enter = improving[0]
+        col = T[:, enter]
+        pos = col > lp._PIVOT_TOL
+        if not pos.any():
+            return "unbounded"
+        ratios = np.full(col.shape, np.inf)
+        ratios[pos] = T[pos, -1] / col[pos]
+        best = ratios.min()
+        tied = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))
+        leave = tied[np.argmin(basis[tied])]
+        T[leave] /= T[leave, enter]
+        factors = T[:, enter].copy()
+        factors[leave] = 0.0
+        T -= factors[:, None] * T[leave]
+        obj -= obj[enter] * T[leave]
+        basis[leave] = enter
+        pivots += 1
+    else:
+        return "cap"
+    fixed = start.copy()
+    fixed[basis[basis < 2 * p] % p] = 0.0
+    z = np.zeros(2 * p + m)
+    z[basis] = np.linalg.solve(M[:, basis], b - A @ fixed)
+    x = fixed + z[:p] - z[p:2 * p]
+    return x, float(c @ x), pivots
+
+
+def validation_lps(monkeypatch, bodies):
+    """Every LP that validate_body makes on the bodies, as (c, A, b, start,
+    maximize)."""
+    calls = []
+    solve = lp.solve_lp
+
+    def recording(c, A, b, start, maximize=True):
+        calls.append((c, A, b, start, maximize))
+        return solve(c, A, b, start, maximize=maximize)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "solve_lp", recording)
+        for H in bodies:
+            ib.validate_body(ib.HalfspaceSystem(H.A, H.b))
+    return calls
+
+
+LP_FAMILIES = {
+    # degenerate vertices, where the tie-break among equal ratios decides
+    "degenerate": lambda: [box(n) for n in (2, 3, 4)] + [cross_polytope(n) for n in (3, 4, 5)]
+    + [twenty_four_cell(), ib.scale_about(cross_polytope(4), np.full(4, 0.3), 1.7)],
+    "random-suite": lambda: [H for n in (2, 3, 4) for H in ib.random_suite(n, 60, seed=30 + n)],
+    "pancakes": lambda: [ib.pancake_family(n, K) for n in (2, 3, 4)
+                         for K in (1.0, 10.0, 100.0, 1000.0)],
+    "polar-bodies": lambda: [polar_body(k, n, s) for k, n in ((40, 2), (40, 3), (12, 4))
+                             for s in range(5)]
+    + [polar_of(sphere_cloud(n, on, inside, seed))
+       for n, on, inside, seed in ((2, 16, 24, 151), (3, 20, 20, 48), (4, 10, 2, 187))],
+}
+
+
+@pytest.mark.parametrize("family", sorted(LP_FAMILIES))
+def test_validation_lps_match_reference(monkeypatch, family):
+    # the same point, value and pivot count as the reference, bit for bit,
+    # on every LP of every validation: 2n + 1 per body
+    bodies = LP_FAMILIES[family]()
+    calls = validation_lps(monkeypatch, bodies)
+    assert len(calls) == sum(2 * H.dim + 1 for H in bodies)
+    pivots = []
+    pivot = lp._pivot
+
+    def counting(*args):
+        pivots.append(1)
+        return pivot(*args)
+
+    monkeypatch.setattr(lp, "_pivot", counting)
+    for c, A, b, start, maximize in calls:
+        del pivots[:]
+        res = solve_lp(c, A, b, start, maximize=maximize)
+        x, value, count = reference_solve_lp(c, A, b, start, maximize)
+        assert np.array_equal(res.x, x) and res.value == value
+        assert len(pivots) == count
+
+
+def test_no_rows_is_unbounded():
+    with pytest.raises(Unbounded):
+        solve_lp(np.array([1.0, 0.0]), np.zeros((0, 2)), np.zeros(0), np.zeros(2))
+    assert reference_solve_lp(np.array([1.0, 0.0]), np.zeros((0, 2)), np.zeros(0),
+                              np.zeros(2)) == "unbounded"
+
+
+def test_pivot_cap_raises(monkeypatch):
+    # max x + y on the unit square takes two pivots and a third step that
+    # finds the basis optimal; with a cap of two the loop stops short, as
+    # the reference does
+    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    b = np.array([1.0, 0.0, 1.0, 0.0])
+    c, start = np.array([1.0, 1.0]), np.array([0.5, 0.5])
+    assert reference_solve_lp(c, A, b, start, cap=2) == "cap"
+    assert reference_solve_lp(c, A, b, start, cap=3)[2] == 2
+    loop = lp._pivot_loop
+    monkeypatch.setattr(lp, "_pivot_loop", lambda T, basis, obj, cap: loop(T, basis, obj, 2))
+    with pytest.raises(SolverFailure):
+        solve_lp(c, A, b, start)

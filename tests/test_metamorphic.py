@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import inbody as ib
-from tests.conftest import box, cross_polytope, hrep, twenty_four_cell
+from tests.conftest import box, cross_polytope, hrep, sphere_cloud, twenty_four_cell
 
 # Worst cases measured over these bodies: vertices 5.7e-14 * scale apart (a
 # polygon scaled by 1e-3, at a vertex whose two rows have condition number
@@ -139,18 +139,6 @@ def test_v_h_v_round_trip(small_suite, which):
         assert sorted(gap.argmin(axis=1)) == list(range(len(planes)))
         assert gap.min(axis=1).max() <= PLANE_BOUND
         assert ib.volume(K) == pytest.approx(ib.volume(H), rel=ROUND_TRIP_BOUND)
-
-
-def sphere_cloud(n, on_hull, inside, seed):
-    """A point cloud like the benchmark's V-form inputs: the cross-polytope's
-    vertices and ``on_hull - 2n`` more points on the unit sphere, then
-    ``inside`` points in the ball of radius 0.9/sqrt(n), which the
-    cross-polytope contains."""
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((on_hull - 2 * n + inside, n))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    dirs[on_hull - 2 * n:] *= 0.9 / np.sqrt(n) * rng.uniform(size=(inside, 1))
-    return np.vstack([np.eye(n), -np.eye(n), dirs])
 
 
 CLOUDS = {

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -15,8 +17,8 @@ from inbody.errors import (
     Infeasible,
     Unbounded,
 )
-from tests.conftest import (box, cross_polytope, cut_cube_rows, hrep, twenty_four_cell,
-                            wide_rows, written_out_det)
+from tests.conftest import (box, cross_polytope, cut_cube_rows, hrep, polar_body, polar_of,
+                            sphere_cloud, twenty_four_cell, wide_rows, written_out_det)
 
 
 class TestValidateBody:
@@ -369,6 +371,166 @@ class TestSubsetCap:
             ib.convex_hull(ib.VertexSet(pts))
 
 
+class TestComboChunks:
+    @pytest.mark.parametrize("m, n", [(60, 3), (50, 4), (30, 5), (20, 8), (300, 2),
+                                      (25_000, 1), (7, 7), (3, 4)])
+    def test_chunks_follow_itertools(self, m, n):
+        # streamed against itertools, chunk by chunk; above one chunk every
+        # chunk but those at n = 1, where the subsets are the rows, is within
+        # the bound
+        ref = itertools.combinations(range(m), n)
+        chunks = 0
+        for chunk in polytope._combo_chunks(m, n):
+            expect = np.array(list(itertools.islice(ref, len(chunk))), dtype=int)
+            assert np.array_equal(chunk, expect.reshape(-1, n))
+            assert n == 1 or len(chunk) <= polytope._COMBO_CHUNK
+            chunks += 1
+        assert next(ref, None) is None
+        assert (chunks > 1) == (n > 1 and math.comb(m, n) > polytope._COMBO_CHUNK)
+
+
+def exhaustive_incidence(H):
+    """Reference: the vertices and incidence from every n-subset of the rows."""
+    An, bn, _ = H.unit_form()
+    feas_tol = polytope.TAU_FACET * polytope.body_scale(H)
+    candidates = [np.empty((0, H.dim))]
+    for (sols,) in polytope._subset_solves(An, bn[None]):
+        feas = np.all(sols @ An.T - bn <= feas_tol, axis=1)
+        candidates.append(sols.compress(feas, axis=0))
+    pts = np.vstack(candidates)
+    points, _, active = polytope._incidence_from_candidates(
+        An, bn[None], np.array([polytope.body_scale(H)]), pts, np.zeros(len(pts), dtype=int))
+    return points, active
+
+
+def row_bound(H, factor=True, slack=True):
+    """Reference: the rows whose bound over the box, about the centre, comes
+    within 2 tol of b; ``factor`` and ``slack`` switch off the homothety
+    factor 1 + tol / r and the 2 tol, to make the two mutants."""
+    An, bn, _ = H.unit_form()
+    tol = polytope.TAU_FACET * H.scale
+    lo, hi = H.bbox
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    top = (corners @ An.T).max(axis=0)
+    c = An @ H.cheb_center
+    lam = 1.0 + tol / H.cheb_radius if factor else 1.0
+    return np.flatnonzero(c + lam * (top - c) >= bn - (2.0 * tol if slack else 0.0))
+
+
+def assert_prunes_soundly(H, rows):
+    """No vertex of the exhaustive route is active on a row left out, and no
+    n-subset through such a row, solved by LU, meets at a point feasible
+    within the facet tolerance."""
+    An, bn, _ = H.unit_form()
+    m, n = An.shape
+    tol = polytope.TAU_FACET * H.scale
+    _, active = exhaustive_incidence(H)
+    for j in np.setdiff1d(np.arange(m), rows):
+        assert not active[j].any(), f"row {j} is active on a vertex"
+        others = np.delete(np.arange(m), j)
+        subsets = np.array([(j, *S) for S in itertools.combinations(others, n - 1)])
+        M = An[subsets]
+        good = np.abs(np.linalg.det(M)) > 1e-10
+        x = np.linalg.solve(M[good], bn[subsets[good]][..., None])[..., 0]
+        assert not np.all(x @ An.T - bn <= tol, axis=1).any(), f"row {j} holds a candidate"
+
+
+def wedge(alpha, offsets):
+    """The triangle with apex (1, 0) of half-angle alpha and its back on
+    x = 0, with the rows x <= 1 + k tol for k in ``offsets``."""
+    s, c = np.sin(alpha), np.cos(alpha)
+    A, b = np.array([[s, c], [s, -c], [-1.0, 0.0]]), np.array([s, s, 0.0])
+    tol = polytope.TAU_FACET * hrep(A, b).scale
+    return hrep(np.vstack([A, np.tile([1.0, 0.0], (len(offsets), 1))]),
+                np.concatenate([b, 1.0 + tol * np.asarray(offsets)]))
+
+
+def reachable_families(small_suite):
+    """The bodies the reachable rows are checked on, by family."""
+    return {
+        "small-suite": lambda: [H for hs in small_suite.values() for H in hs],
+        "random-suite": lambda: [H for n in (2, 3, 4)
+                                 for H in ib.random_suite(n, 30, seed=70 + n)],
+        "pancakes": lambda: [ib.pancake_family(n, K) for n in (2, 3, 4)
+                             for K in (1.0, 10.0, 100.0, 1000.0)],
+        "cut-cube": lambda: [hrep(*cut_cube_rows())],
+        "cross-polytopes": lambda: [cross_polytope(n) for n in (3, 4)],
+        "24-cell": lambda: [twenty_four_cell()],
+        "polar-clouds": lambda: [polar_of(sphere_cloud(n, on, inside, seed))
+                                 for n, on, inside in ((2, 16, 24), (3, 20, 20), (4, 10, 2))
+                                 for seed in (151, 48, 187, 5, 6)],
+        # a sharp apex, where a row 3 tol past it holds a candidate, and a
+        # blunt one, whose vertex is refined 0.38 tol past it and is active
+        # on a row at 1.08 tol, past the bound over the box (1.015 tol)
+        "wedges": lambda: [wedge(0.01, [3.0]), wedge(np.radians(80.0), [0.4, 1.08])],
+    }
+
+
+REACHABLE_FAMILIES = ["small-suite", "random-suite", "pancakes", "cut-cube",
+                      "cross-polytopes", "24-cell", "polar-clouds", "wedges"]
+
+
+class TestReachableRows:
+    """Enumerating the subsets of the reachable rows names the vertices
+    that every subset names."""
+
+    @pytest.mark.parametrize("family", REACHABLE_FAMILIES)
+    def test_incidence_matches_exhaustive(self, small_suite, family):
+        for H in reachable_families(small_suite)[family]():
+            V, active = polytope.vertex_incidence(fresh(H))
+            points, active_ref = exhaustive_incidence(H)
+            assert np.array_equal(V.points, points)
+            assert np.array_equal(active, active_ref)
+
+    @pytest.mark.parametrize("family", REACHABLE_FAMILIES)
+    def test_pruned_rows_hold_no_vertex(self, small_suite, family):
+        for H in reachable_families(small_suite)[family]():
+            rows = polytope._reachable_rows(H)
+            assert np.array_equal(rows, row_bound(H))
+            assert_prunes_soundly(H, rows)
+
+    def test_rows_are_pruned(self, small_suite):
+        # the test has work to do: the polar rows of interior points go
+        pruned = [H.m - len(polytope._reachable_rows(H))
+                  for H in reachable_families(small_suite)["polar-clouds"]()]
+        assert min(pruned) > 0
+
+    @pytest.mark.parametrize("mutant, body", [
+        (dict(factor=False), wedge(0.01, [3.0])),
+        (dict(slack=False), wedge(np.radians(80.0), [0.4, 1.08])),
+    ])
+    def test_mutants_are_caught(self, mutant, body):
+        # without the factor the sharp apex loses a vertex; without the
+        # slack the blunt one loses a row that is active on its vertex
+        assert not np.array_equal(row_bound(body, **mutant), row_bound(body))
+        with pytest.raises(AssertionError):
+            assert_prunes_soundly(body, row_bound(body, **mutant))
+
+    def test_touching_redundant_row_is_kept(self, unit_square):
+        H = hrep(np.vstack([unit_square.A, [[1.0, 1.0]]]), np.append(unit_square.b, 2.0))
+        assert 4 in polytope._reachable_rows(H)
+        V, active = polytope.vertex_incidence(H)
+        assert np.round(V.points[active[4]], 12).tolist() == [[1.0, 1.0]]
+
+    def test_body_without_box_or_centre_keeps_every_row(self, unit_cube):
+        H = ib.HalfspaceSystem(unit_cube.A, unit_cube.b, validated=True, scale=unit_cube.scale)
+        assert polytope._reachable_rows(H).tolist() == list(range(6))
+
+    def test_far_rows_no_longer_reach_the_cap(self, monkeypatch):
+        # C(1006, 3) = 1.7e8 subsets exceed the cap, so the exhaustive route
+        # refuses the cube; of its rows only the six faces are reachable
+        far = np.random.default_rng(2).standard_normal((1000, 3))
+        H = hrep(np.vstack([np.eye(3), -np.eye(3), far]),
+                 np.concatenate([np.ones(3), np.zeros(3), 10.0 * np.linalg.norm(far, axis=1)]))
+        V, active = polytope.vertex_incidence(fresh(H))
+        assert sorted(map(tuple, np.round(V.points, 12))) == sorted(
+            itertools.product((0.0, 1.0), repeat=3))
+        assert not active[6:].any()
+        monkeypatch.setattr(polytope, "_reachable_rows", lambda H: np.arange(H.m))
+        with pytest.raises(BadParameter):
+            polytope.vertex_incidence(fresh(H))
+
+
 class TestContainsPoint:
     def test_centre_inside(self, unit_square):
         assert ib.contains_point(unit_square, [0.5, 0.5], 0.0)
@@ -521,12 +683,6 @@ def affine_rank_facet_rows(H):
             svals = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
             keep[j] = (svals > tol).sum() == H.dim - 1
     return keep
-
-
-def polar_body(k, n, seed):
-    """{y : (p_i - c) . y <= 1} of k standard-normal points about their centroid."""
-    pts = np.random.default_rng(seed).standard_normal((k, n))
-    return hrep(pts - pts.mean(axis=0), np.ones(k))
 
 
 class TestFacetRule:
