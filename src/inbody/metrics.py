@@ -184,10 +184,11 @@ def _flag_volumes(An, bn, points, start, active, centres):
     edge it took at each level.  A flag's determinant, of the rows centroid
     F_{n-1} - c, ..., centroid F_0 - c, is split as :func:`polytope._det`
     splits it.  At n = 3 and 4 the 2 x 2 minors of its (edge, vertex) rows
-    are taken once per last edge of the diagram, at n = 4 those of its
-    (facet, ridge) rows once per first edge, and at n = 2 a flag is an
-    edge.  Each flag's terms are summed in _det's order, so its determinant
-    is _det's of the flag's matrix, and the facet sums run in flag order.
+    are taken once per last edge of the diagram, and at n = 4 those of its
+    (facet, ridge) rows once per first edge; in other dimensions each
+    flag's matrix goes to _det whole.  Each flag's terms are summed in
+    _det's order, so its determinant is _det's of the flag's matrix, and
+    the facet sums run in flag order.
     All bodies are walked at once: a face is a row of bits over its own
     body's vertices (:func:`polytope._local_bits`), so the faces of every
     body go through each step together, and a body's numbers do not depend
@@ -259,11 +260,7 @@ def _flag_volumes(An, bn, points, start, active, centres):
     offsets = _centroids(f, v, len(faces), points) - centres.take(fbody, axis=0)
     at = [0, *itertools.accumulate(len(level[0]) for level in levels)]
     off = [offsets[lo:hi] for lo, hi in zip(at, at[1:])]
-    if n == 2:
-        # a flag is a Hasse edge (facet, vertex)
-        dets = _minors(off[0].take(facet, axis=0), off[1].take(edges[0][1], axis=0),
-                       _PAIRS[:1])[0]
-    elif n in (3, 4):
+    if n in (3, 4):
         # the minors of the (edge, vertex) rows once per last Hasse edge,
         # and at n = 4 those of the (facet, ridge) rows once per first one
         parent, child = edges[-1]

@@ -28,8 +28,9 @@ each seed under the J^d word products as one (J^d, k, n) array, and the
 volumes and inradii of all of them as (J^d, seeds) arrays.  A depth is made
 at once: its word products are one stacked matrix product, and each seed's
 vertices are mapped through the whole stack.  In one dimension a hole is an
-interval, so its length and inradius are closed forms taken over the whole
-depth; above one dimension each image gets its own hull.
+interval, whose length is a closed form over the whole depth made only of
+products and sums of non-negative numbers; above one dimension each image
+gets its own hull.  A map's image of the simplex is read in closed form.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from . import metrics
 from .errors import (
     BadParameter,
     DegenerateImage,
-    DegenerateInput,
     DimensionMismatch,
     IfsValidationError,
     InsufficientDepth,
@@ -52,13 +52,11 @@ from .errors import (
     Unstable,
 )
 from .polytope import (
-    TAU_FACET,
     TAU_PT,
     TAU_REP,
     HalfspaceSystem,
     VertexSet,
     _chebyshev,
-    _floored_scale,
     convex_hull,
 )
 
@@ -218,14 +216,14 @@ def validate_ifs(ifs: ProjectiveIFS,
     simplex maps into itself, (c) the simplex images have pairwise disjoint
     interiors, (d) every seed hole keeps a positive margin to the simplex
     boundary, and (e) image volumes plus hole volumes account for the whole
-    simplex, confirming the declared complement.  An image that is no
-    simplex (a vertex sent to a non-positive coordinate sum, or flattened by
-    a singular matrix) fails simplex_images, and (c) and (e) are skipped.
-    The margin of (d) is the least slack of a hole vertex p to the chart
-    simplex: p_i, and (1 - sum p) / sqrt(n).  In (e) N sends the simplex's
-    vertex e_i to its column i over the column's sum s_i, so the image has
-    the volume |det N| / (n! prod s_i); a seed hole's volume is that of
-    :func:`_measure_holes`, which measures every generated hole.
+    simplex, confirming the declared complement.  N sends the simplex's
+    vertex e_i to its column i over the column's sum s_i, so its image is a
+    simplex iff |det N| and every s_i exceed TAU_PT; if one is not, that
+    fails simplex_images and (c) and (e) are skipped.  No hull is made: (c)
+    reads the images' H-forms (:func:`_simplex_image`) and (e) their volumes
+    |det N| / (n! prod s_i), and the seed holes' volumes of
+    :func:`_measure_holes`.  The margin of (d) is the least slack of a hole
+    vertex p to the chart simplex: p_i, and (1 - sum p) / sqrt(n).
     """
     checks: list[CheckResult] = []
     n = ifs.n
@@ -233,6 +231,7 @@ def validate_ifs(ifs: ProjectiveIFS,
         raise DimensionMismatch(f"seed holes must be points of the {n}-d chart")
 
     dets = [float(np.linalg.det(M)) for M in ifs.matrices]
+    sums = [M.sum(axis=0) for M in ifs.matrices]
     bad = [lab for lab, d in zip(ifs.labels, dets) if abs(d) <= TAU_PT]
     checks.append(CheckResult(
         "injective_matrices", not bad,
@@ -244,21 +243,15 @@ def validate_ifs(ifs: ProjectiveIFS,
         "nonnegative_entries", not neg,
         "all entries >= 0" if not neg else f"negative entries: {neg}"))
 
-    hulls = []
-    image_ok = True
-    try:
-        base = chart_simplex_vertices(n)
-        hulls = [convex_hull(image_polytope(M, base)) for M in ifs.matrices]
-    except (DegenerateImage, DegenerateInput, BadParameter) as exc:
-        image_ok = False
-        checks.append(CheckResult("simplex_images", False, str(exc)))
-
-    if image_ok:
-        overlaps = []
-        for i in range(len(hulls)):
-            for j in range(i + 1, len(hulls)):
-                if _interiors_intersect(hulls[i], hulls[j]):
-                    overlaps.append((ifs.labels[i], ifs.labels[j]))
+    flat = [lab for lab, d, s in zip(ifs.labels, dets, sums)
+            if abs(d) <= TAU_PT or s.min() <= TAU_PT]
+    if flat:
+        checks.append(CheckResult("simplex_images", False, f"no simplex image: {flat}"))
+    else:
+        images = [_simplex_image(M) for M in ifs.matrices]
+        overlaps = [(ifs.labels[i], ifs.labels[j])
+                    for i, j in itertools.combinations(range(len(images)), 2)
+                    if _interiors_intersect(images[i], images[j])]
         checks.append(CheckResult(
             "disjoint_image_interiors", not overlaps,
             "pairwise disjoint" if not overlaps else f"overlapping: {overlaps}"))
@@ -272,10 +265,11 @@ def validate_ifs(ifs: ProjectiveIFS,
         "positive margin" if not margin_bad
         else f"holes touching the simplex boundary: {margin_bad}"))
 
-    if image_ok and ifs.matrices:
-        total = sum(abs(d) / (math.factorial(n) * float(np.prod(M.sum(axis=0))))
-                    for d, M in zip(dets, ifs.matrices))
-        total += sum(float(_measure_holes(h.points[None])[0][0]) for h in seed_holes)
+    if not flat and ifs.matrices:
+        total = sum(abs(d) / (math.factorial(n) * float(np.prod(s)))
+                    for d, s in zip(dets, sums))
+        total += sum(float(_measure_holes(np.eye(n + 1)[None], np.ones(1), h,
+                                          h.points[None])[0][0]) for h in seed_holes)
         target = 1.0 / math.factorial(n)
         gap = abs(total - target)
         cover_ok = gap <= TAU_REP * max(1.0, target)
@@ -284,6 +278,12 @@ def validate_ifs(ifs: ProjectiveIFS,
             f"covered volume {total:.12g} vs simplex {target:.12g}"))
 
     return IfsValidationReport(checks)
+
+
+def _simplex_image(N) -> HalfspaceSystem:
+    """The image {q : N^-1 lift(q) >= 0} of the simplex, for invertible N."""
+    B = np.linalg.inv(N)
+    return HalfspaceSystem(B[:, :1] - B[:, 1:], B[:, 0])
 
 
 def _interiors_intersect(H1: HalfspaceSystem, H2: HalfspaceSystem) -> bool:
@@ -309,14 +309,15 @@ def generate_holes(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
         raise IfsValidationError(f"hypothesis checks failed: {names}")
 
     table = HoleTable(ifs.n, list(ifs.labels), [], [], [])
-    for depth, level in enumerate(_word_levels(ifs, max_depth)):
+    for depth, (level, dets) in enumerate(_word_levels(ifs, max_depth)):
         images = [_chart_images(level, seed.points) if depth else seed.points[None]
                   for seed in seed_holes]
         if not images:
             continue
         vols, inrs = (np.stack(m, axis=1)                      # (words, seeds)
-                      for m in zip(*map(_measure_holes, images)))
-        bad = np.argwhere((vols <= 0) | (inrs <= 0))
+                      for m in zip(*(_measure_holes(level, dets, seed, pts)
+                                     for seed, pts in zip(seed_holes, images))))
+        bad = np.argwhere(~((vols > 0) & (inrs > 0)))
         if bad.size:
             w, seed_idx = bad[0]
             word = list(itertools.product(ifs.labels, repeat=depth))[w]
@@ -328,45 +329,50 @@ def generate_holes(ifs: ProjectiveIFS, seed_holes: list[VertexSet],
 
 
 def _word_levels(ifs: ProjectiveIFS, max_depth: int):
-    """Word products by word length 0..max_depth, one stack per length.
+    """Word products by word length 0..max_depth, one stack per length, each
+    with the determinants of its products.
 
     Level m holds N_w for every length-m word w in label order, made as one
     stacked matmul of level m-1 with every matrix.  (``einsum`` sums in
-    another order and moves hole ends by an ulp.)  The word cap is checked
+    another order and moves hole ends by an ulp.)  det N_w is the product of
+    its letters' determinants, each taken once: ``np.linalg.det(N_w)``
+    cancels as the difference of the images does.  The word cap is checked
     before the first level is made.
     """
     J = len(ifs.matrices)
     if J and J ** max_depth > _WORD_CAP:
         raise BadParameter("word tree too large at this depth")
-    level = np.eye(ifs.n + 1)[None]
-    yield level
+    level, dets = np.eye(ifs.n + 1)[None], np.ones(1)
+    yield level, dets
     if not J:
         return
     stack = np.stack(ifs.matrices)
+    letters = np.array([np.linalg.det(M) for M in ifs.matrices])
     for _ in range(max_depth):
         level = (level[:, None] @ stack[None]).reshape(-1, *stack.shape[1:])
-        yield level
+        dets = (dets[:, None] * letters).ravel()
+        yield level, dets
 
 
-def _measure_holes(pts):
-    """Volume and inradius of the hull of each point set of a stack (h, k, n).
+def _measure_holes(level, dets, seed, images):
+    """Volume and inradius of one seed's images (h, k, n) under the word
+    products ``level`` (h, n+1, n+1), whose determinants are ``dets``.
 
-    An interval is [min, max]: its length is max - min and its inradius
-    half of that.  It collapses as in :func:`convex_hull`, with that
-    function's scale and rank threshold: the one singular value of the
-    centred points is their norm, and the test on it also covers the point
-    merge of a two-point set.  Above one dimension each set gets its hull.
+    An interval [p, q] goes to one of length |det N_w| (q - p) /
+    (sigma_w(p) sigma_w(q)), sigma_w(x) the coordinate sum of N_w (1 - x, x),
+    and inradius half of that.  Its factors are products and sums of
+    non-negative numbers, so it keeps full relative accuracy however short
+    the hole (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, ch. 3); a hole is degenerate iff its length is not positive.
+    Above one dimension each image gets its hull.
     """
-    if pts.shape[2] > 1:
-        hulls = [convex_hull(VertexSet(p)) for p in pts]
+    if images.shape[2] > 1:
+        hulls = [convex_hull(VertexSet(p)) for p in images]
         return (np.array([metrics.volume(h) for h in hulls]),
                 np.array([metrics.incentre(h).inradius for h in hulls]))
-    centroid = pts.mean(axis=1)                                  # (h, 1)
-    centred = pts - centroid[:, None]
-    scale = _floored_scale(np.abs(centred).max(axis=(1, 2)), np.abs(centroid[:, 0]))
-    if not np.all(np.linalg.norm(centred, axis=(1, 2)) > TAU_FACET * scale):
-        raise DegenerateInput("points do not affinely span the ambient space")
-    vol = pts.max(axis=(1, 2)) - pts.min(axis=(1, 2))
+    p, q = seed.points.min(), seed.points.max()
+    sigma = level.sum(axis=1) @ np.array([[1.0 - p, 1.0 - q], [p, q]])
+    vol = np.abs(dets) * (q - p) / (sigma[:, 0] * sigma[:, 1])
     return vol, vol / 2.0
 
 
@@ -476,7 +482,7 @@ def _word_norms(ifs: ProjectiveIFS, max_depth: int, norm: str):
         raise BadParameter("norm series needs at least one matrix")
     levels = _word_levels(ifs, max_depth)
     next(levels)                                  # the empty word
-    return [_norms_of(level, norm) for level in levels]
+    return [_norms_of(level, norm) for level, _ in levels]
 
 
 def _norms_of(stack, kind):
@@ -633,11 +639,8 @@ def auto_seed_holes(ifs: ProjectiveIFS) -> list[VertexSet]:
     if ifs.n != 1:
         raise BadParameter("automatic seed holes are defined for n = 1 only")
     base = chart_simplex_vertices(1)
-    spans = []
-    for M in ifs.matrices:
-        img = image_polytope(M, base).points
-        spans.append((float(img.min()), float(img.max())))
-    spans.sort()
+    spans = sorted((float(img.min()), float(img.max()))
+                   for img in (image_polytope(M, base).points for M in ifs.matrices))
     holes = []
     cursor = 0.0
     for lo, hi in spans:

@@ -265,6 +265,23 @@ class TestExitCodes:
         assert not out.exists()
         assert json.loads(capsys.readouterr().err)["error"] == "BadParameter"
 
+    @pytest.mark.parametrize("matrices, error", [
+        ({"a": [[3, 2], [0, 1]], "b": [[1, 0], [2, 3]]}, "IfsValidationError"),
+        ({"a": [[2, 1], [0, 1]], "b": [[1, 0], [1, 2]]}, "DegenerateImage"),
+    ], ids=["thirds", "halves"])
+    def test_coinciding_seed_ends_are_validation_errors(self, tmp_path, capsys,
+                                                        matrices, error):
+        # a seed hole of no length: the thirds leave their gap uncovered, and
+        # the halves cover the interval, so the hole fails as a hole
+        path = tmp_path / "ifs.json"
+        path.write_text(json.dumps({**CANTOR, "matrices": matrices,
+                                    "seed_holes": [[[0.5], [0.5]]]}))
+        out = tmp_path / "out.json"
+        argv = ["attractor", "--input", str(path), "--output", str(out), "--max-depth", "8"]
+        assert run(config_from_args(argv)) == 1
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == error
+
     def test_nan_eps_is_validation_error(self, cube_file, tmp_path, capsys):
         out = tmp_path / "nan.json"
         argv = ["inner", "--input", str(cube_file), "--output", str(out),

@@ -11,7 +11,7 @@ import inbody as ib
 from inbody import lp
 from inbody.errors import (
     BadParameter,
-    DegenerateInput,
+    DegenerateImage,
     IfsValidationError,
     InsufficientDepth,
     SolverFailure,
@@ -62,7 +62,6 @@ class TestApplyProjective:
             ib.apply_projective(np.eye(2), [1.5])
 
     def test_collapsed_image_rejected(self):
-        from inbody.errors import DegenerateImage
         # kills the complementary coordinate; at t = 0 the image sum vanishes
         N = np.array([[0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DegenerateImage):
@@ -163,10 +162,43 @@ class TestValidateIfs:
         with pytest.raises(IfsValidationError, match="injective_matrices"):
             ib.generate_holes(ifs, [ib.VertexSet(seed)], 2)
 
+    def test_zero_column_sum_reported(self):
+        # invertible, but e_1 goes to a zero coordinate sum: no simplex image
+        ifs = ib.ProjectiveIFS(1, [np.array([[1.0, -1.0], [0.0, 1.0]]), np.eye(2)])
+        report = ib.validate_ifs(ifs, [ib.VertexSet([[0.4], [0.6]])])
+        assert [c.name for c in report.violations()] == [
+            "nonnegative_entries", "simplex_images"]
+
     def test_generation_refuses_on_violation(self):
         ifs, _ = ib.middle_thirds_ifs()
         with pytest.raises(IfsValidationError):
             ib.generate_holes(ifs, [ib.VertexSet([[0.0], [1 / 3]])], 2)
+
+    @pytest.mark.parametrize("factory", [
+        ib.middle_thirds_ifs, lambda: _two_seed_ifs(), lambda: _quarter_grid_ifs()],
+        ids=["thirds", "two-seed", "quarter-grid"])
+    def test_image_hform_has_the_hull_vertices(self, factory):
+        from inbody.projective import _simplex_image, chart_simplex_vertices
+        ifs, _ = factory()
+        simplex = chart_simplex_vertices(ifs.n)
+        for M in ifs.matrices:
+            got = ib.vertex_enumeration(ib.validate_body(_simplex_image(M))).points
+            want = ib.vertex_enumeration(ib.convex_hull(ib.image_polytope(M, simplex))).points
+            assert got.shape == want.shape == simplex.points.shape
+            assert np.allclose(_lexsorted(got), _lexsorted(want), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("factory, hulls", [
+        (ib.middle_thirds_ifs, 0), (lambda: _two_seed_ifs(), 0),
+        (lambda: _quarter_grid_ifs(), 1)], ids=["thirds", "two-seed", "quarter-grid"])
+    def test_images_get_no_hull(self, factory, hulls, monkeypatch):
+        # only a seed hole above one dimension is measured by its hull
+        from inbody import projective
+        calls = []
+        hull = projective.convex_hull
+        monkeypatch.setattr(projective, "convex_hull", lambda V: calls.append(V) or hull(V))
+        ifs, seeds = factory()
+        assert ib.validate_ifs(ifs, seeds).ok
+        assert len(calls) == hulls
 
     def test_wrong_cover_flagged(self):
         # declaring only half the gap leaves uncovered volume
@@ -286,16 +318,28 @@ class TestGenerateHoles:
         assert len(holes) == 2 ** 17 - 1
         assert peak < 16e6
 
-    def test_collapse_raises_at_parent_depth(self):
-        # branches pinned near t = 1 shrink their holes by about K per level;
-        # at depth 5 the smallest are below the hull's tolerance
-        K = 1000.0
-        ifs = ib.ProjectiveIFS(1, [np.array([[K, K - 1.0], [0.0, 1.0]]),
-                                   np.array([[1.0, 0.0], [K - 1.0, K]])])
-        seeds = [ib.VertexSet([[1.0 / K], [1.0 - 1.0 / K]])]
-        assert len(ib.generate_holes(ifs, seeds, 4)) == 31
-        with pytest.raises(DegenerateInput):
-            ib.generate_holes(ifs, seeds, 5)
+    def test_pinned_branches_run_past_the_old_collapse(self):
+        # branches pinned near t = 1 shrink their holes by K per level; from
+        # depth 6 the two ends of some holes are one float, but every length
+        # keeps full relative accuracy
+        K = 1000
+        mats = [[[K, K - 1], [0, 1]], [[1, 0], [K - 1, K]]]
+        gap = (Fraction(1, K), Fraction(K - 1, K))
+        ifs, seeds = _interval_system(mats, gap)
+        holes = ib.generate_holes(ifs, seeds, 8)
+        assert len(holes) == 2 ** 9 - 1
+        assert _worst_relative_error(holes.volume, _exact_lengths(mats, gap, 8)) <= 1e-13
+
+    @pytest.mark.parametrize("mats, error", [
+        # the thirds leave their gap uncovered; the halves cover the interval,
+        # so the empty seed passes validation and fails as a hole
+        ([[[3, 2], [0, 1]], [[1, 0], [2, 3]]], IfsValidationError),
+        ([[[2, 1], [0, 1]], [[1, 0], [1, 2]]], DegenerateImage),
+    ], ids=["thirds", "halves"])
+    def test_coinciding_seed_ends_raise_typed_errors(self, mats, error):
+        ifs = ib.ProjectiveIFS(1, [np.array(M, dtype=float) for M in mats])
+        with pytest.raises(error):
+            ib.generate_holes(ifs, [ib.VertexSet([[0.5], [0.5]])], 3)
 
     def test_plane_quarter_grid_closed_form(self):
         # 15 maps of ratio 1/4 onto the triangles of the chart's 1/4 grid
@@ -314,7 +358,9 @@ class TestGenerateHoles:
                                          lambda: _conjugated(ib.parabolic_ifs, 0.7)])
     def test_matches_per_hole_reference(self, factory):
         # the conjugated system has non-integer word products, so the order
-        # in which they are summed shows in the ends
+        # in which they are summed shows in the ends; the lengths are the
+        # exact lengths of the float inputs within 9.7e-16 relative, where
+        # the difference of the ends cancels
         ifs, seeds = factory()
         depth = 7
         by_label = dict(zip(ifs.labels, ifs.matrices))
@@ -328,12 +374,10 @@ class TestGenerateHoles:
                 body = ib.image_polytope(P, seed)
             else:
                 body = seed
-            hull = ib.convex_hull(body)
             assert np.array_equal(h.body.points, body.points)
-            assert h.volume == pytest.approx(ib.volume(hull), rel=2e-15, abs=0.0)
             assert h.inradius == h.volume / 2.0
-            assert h.inradius == pytest.approx(ib.incentre(hull).inradius,
-                                               rel=0.0, abs=1e-16)
+        exact = _exact_lengths(ifs.matrices, seeds[0].points.ravel(), depth)
+        assert _worst_relative_error(holes.volume, exact) <= 2e-15
 
 
 # maps onto [0, 1/5], [2/5, 3/5] and [4/5, 1] leave two seed gaps
@@ -369,6 +413,59 @@ def _conjugated(factory, d):
     seeds = [ib.VertexSet(d * s.points / (1.0 - s.points + d * s.points))
              for s in seeds]
     return ib.ProjectiveIFS(1, mats, list(ifs.labels)), seeds
+
+
+def _interval_system(mats, gap):
+    """An interval system and its seed gap in floats, from exact entries."""
+    ifs = ib.ProjectiveIFS(1, [np.array(M, dtype=float) for M in mats])
+    return ifs, [ib.VertexSet([[float(gap[0])], [float(gap[1])]])]
+
+
+def _exact_conjugate(mats, d):
+    """D N D^-1 with D = diag(1, d) in exact arithmetic, and the seed gap
+    (1/3, 2/3) seen through the chart map t -> d t / (1 - t + d t)."""
+    exact = [[[Fraction(M[0][0]), Fraction(M[0][1]) / d],
+              [Fraction(M[1][0]) * d, Fraction(M[1][1])]] for M in mats]
+    gap = tuple(d * t / (1 - t + d * t) for t in (Fraction(1, 3), Fraction(2, 3)))
+    return exact, gap
+
+
+def _exact_lengths(mats, gap, depth):
+    """Exact lengths of an interval system's holes down to ``depth``, per
+    depth in the table's word order, as (numerators, denominators).
+
+    Each rational matrix is scaled to integer entries (the action is the
+    same), and the gap's ends p = P / D lift to the integer vectors
+    (D - P, P), which go through every word in integers.  A hole whose ends
+    went to u and v has length |u_0 v_1 - u_1 v_0| / ((u_0 + u_1)(v_0 + v_1)).
+    """
+    ints = []
+    for M in mats:
+        entries = [Fraction(x) for row in M for x in row]
+        k = math.lcm(*(x.denominator for x in entries))
+        ints.append(np.array([int(x * k) for x in entries], dtype=object).reshape(2, 2))
+    ends = [Fraction(t) for t in gap]
+    x = np.array([[[e.denominator - e.numerator, e.numerator] for e in ends]],
+                 dtype=object)                                  # (words, end, 2)
+    lengths = []
+    for d in range(depth + 1):
+        u, v = x[:, 0], x[:, 1]
+        lengths.append((np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]),
+                        (u[:, 0] + u[:, 1]) * (v[:, 0] + v[:, 1])))
+        if d < depth:
+            # a first letter N_j in front of every word v: N_j N_v
+            x = np.concatenate([x @ N.T for N in ints])
+    return lengths
+
+
+def _worst_relative_error(volumes, exact):
+    """Largest |got - exact| / exact over a table's volumes, in integers."""
+    worst = 0.0
+    for got, (num, den) in zip(volumes, exact):
+        for g, a, b in zip(got.ravel().tolist(), num.tolist(), den.tolist()):
+            m, e = g.as_integer_ratio()
+            worst = max(worst, abs(m * b - a * e) / (a * e))
+    return worst
 
 
 def _table_of_one_hole_per_depth(volumes, inradii):
@@ -659,6 +756,10 @@ class TestBoxCounting:
         assert ib.box_counting_dimension(ifs, seeds, 1, res, holes=holes) == slope
 
 
+def _lexsorted(pts):
+    return pts[np.lexsort(pts.T[::-1])]
+
+
 def _snap_one(q):
     qi = round(q)
     return float(qi) if abs(q - qi) <= 1e-6 else q
@@ -723,3 +824,33 @@ class TestParabolicExample:
         norm_est = ib.norm_series_exponent(ifs, max_depth=10, tol=0.01)
         assert norm_est.s_star <= hole_est.s_star + 0.02
         assert 0.0 <= hole_est.s_star <= 1.0
+
+
+_PARABOLIC_MATS = [[[1, 0], [2, 1]], [[1, 2], [0, 1]]]
+
+
+class TestClosedFormLengths:
+    """Interval holes far shorter than their distance from 0, where the
+    difference of the ends cancels (by 3.7e-4 relative at depth 16 on the
+    parabolic pair), against exact lengths."""
+
+    def test_parabolic_runs_at_depth_twenty(self):
+        # the shortest hole is 2.3e-16 long, next to an end at 0 or 1
+        ifs, seeds = ib.parabolic_ifs()
+        holes = ib.generate_holes(ifs, seeds, 20)
+        assert len(holes) == 2 ** 21 - 1
+        assert all(np.all(v > 0) for v in holes.volume)
+        est = ib.critical_exponent(ifs, seeds, 20, tol=0.01, holes=holes)
+        assert 0.0 < est.s_star < 1.0
+
+    @pytest.mark.parametrize("mats, gap", [
+        (_PARABOLIC_MATS, (Fraction(1, 3), Fraction(2, 3))),
+        _exact_conjugate(_PARABOLIC_MATS, Fraction(7, 10)),
+        _exact_conjugate(_PARABOLIC_MATS, Fraction(13, 10)),
+    ], ids=["parabolic", "conjugated-0.7", "conjugated-1.3"])
+    def test_depth_eighteen_lengths_are_exact(self, mats, gap):
+        # measured worst: 7.6e-16, 1.9e-15 and 3.4e-15 relative; a
+        # conjugated copy's float matrices and gap are its exact ones rounded
+        ifs, seeds = _interval_system(mats, gap)
+        holes = ib.generate_holes(ifs, seeds, 18)
+        assert _worst_relative_error(holes.volume, _exact_lengths(mats, gap, 18)) <= 1e-13
