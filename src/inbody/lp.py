@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverFailure, Unbounded
+from .errors import BadParameter, SolverFailure, Unbounded
 
 _PIVOT_TOL = 1e-10
+_TABLEAU_CAP = 10**7   # most tableau entries one LP may take, about 80 MB
 
 
 @dataclass
@@ -50,6 +51,8 @@ def solve_lp(c, A, b, start, *, maximize: bool = True) -> LpResult:
 
     Raises:
         ValueError: bad shapes, or ``start`` violates a constraint.
+        BadParameter: the m x (m + 2p + 1) tableau would take more than
+            ``_TABLEAU_CAP`` entries; refused before it is allocated.
         Unbounded: the objective is unbounded over the feasible region.
         SolverFailure: the pivot cap was exceeded.
     """
@@ -62,6 +65,9 @@ def solve_lp(c, A, b, start, *, maximize: bool = True) -> LpResult:
     m, p = A.shape
     if c.shape[0] != p or b.shape[0] != m or start.shape != (p,):
         raise ValueError("inconsistent LP shapes")
+    if m * (m + 2 * p + 1) > _TABLEAU_CAP:
+        raise BadParameter(f"an LP of {m} rows in {p} variables exceeds the cap of "
+                           f"{_TABLEAU_CAP} tableau entries")
     slack = b - A @ start
     if not np.all(slack >= 0.0):
         raise ValueError("start point violates the constraints")

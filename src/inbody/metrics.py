@@ -40,16 +40,15 @@ from .polytope import (
     VertexSet,
     _affine_basis,
     _centroids,
-    _chebyshev,
     _det,
     _face_vertices,
     _facet_meets,
     _laplace,
     _local_bits,
     _minors,
+    _scale_from_box,
     _unpack,
     as_vector,
-    body_scale,
     convex_hull,
     remove_redundant_halfspaces,
     validate_body,
@@ -79,16 +78,18 @@ class HeronReport:
 
 
 def distance_to_boundary(H: HalfspaceSystem, x) -> float:
-    """Distance from an interior point to the boundary.
+    """Distance from an interior point to the boundary of a validated body.
 
     For a point of a polytope this is exactly ``min_i (b_i - a_i.x)/||a_i||``;
-    a point more than the facet tolerance outside some row is refused.
+    a point more than the facet tolerance (relative to the body's scale)
+    outside some row is refused.
     """
+    if not H.validated:
+        raise BadParameter("distance_to_boundary requires a validated body")
     x = as_vector(x, H.dim)
-    scale = body_scale(H)
     An, bn, _ = H.unit_form()
     dist = float(np.min(bn - An @ x))
-    if not dist >= -TAU_FACET * scale:
+    if not dist >= -TAU_FACET * H.scale:
         raise OutsideBody("point lies outside the body")
     return dist
 
@@ -96,22 +97,18 @@ def distance_to_boundary(H: HalfspaceSystem, x) -> float:
 def incentre(H: HalfspaceSystem) -> IncentreResult:
     """Chebyshev centre: maximize r s.t. a_i.x + r ||a_i|| <= b_i.
 
-    The centre and radius are read from ``H.cheb_center``/``H.cheb_radius``
-    when a producer has set them, and otherwise solved once and stored
-    there.  Any optimizer is accepted when the incentre is non-unique
-    (slab-like bodies); downstream results are stated for the fixed
-    returned point.
+    Read from the certificate of a validated body (``H.cheb_center``,
+    ``H.cheb_radius``), which its producer solved; no LP is solved here and
+    H is left as it is.  Any optimizer is accepted when the incentre is
+    non-unique (slab-like bodies); downstream results are stated for the
+    fixed returned point.
     """
     if not H.validated:
         raise BadParameter("incentre requires a validated body")
     An, bn, _ = H.unit_form()
-    if H.cheb_center is None:
-        H.cheb_center, H.cheb_radius = _chebyshev(An, bn)
-    x_star = H.cheb_center.copy()
-    r = H.cheb_radius
-    tol = TAU_FACET * body_scale(H)
-    touching = np.flatnonzero(np.abs(bn - An @ x_star - r) <= tol)
-    return IncentreResult(incentre=x_star, inradius=r,
+    touching = np.flatnonzero(np.abs(bn - An @ H.cheb_center - H.cheb_radius)
+                              <= TAU_FACET * H.scale)
+    return IncentreResult(incentre=H.cheb_center.copy(), inradius=H.cheb_radius,
                           touching_facets=[int(i) for i in touching])
 
 
@@ -119,13 +116,13 @@ def facet_volume(F: Facet) -> float:
     """(n-1)-volume of a facet via isometric embedding one dimension down.
 
     The chart is the SVD basis of the centred facet points, the same
-    decomposition that measures their affine rank.
+    decomposition that measures their affine rank, relative to the scale of
+    their bounding box.
     """
     pts = F.vertices.points
     n = pts.shape[1]
     centred = pts - pts.mean(axis=0)
-    scale = max(float(np.linalg.norm(centred, axis=1).max(initial=0.0)), 1e-12)
-    basis = _affine_basis(pts, scale)
+    basis = _affine_basis(pts, _scale_from_box(pts.min(axis=0), pts.max(axis=0)))
     if basis.shape[0] != n - 1:
         raise DegenerateFacet("facet does not have affine dimension n-1")
     if n == 1:

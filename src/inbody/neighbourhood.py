@@ -26,7 +26,7 @@ The curve eps -> vol(L_eps) is concave with a non-increasing derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .polytope import (
     _facet_rows,
     _incidence_from_candidates,
     _vertex_paths,
-    body_scale,
     remove_redundant_halfspaces,
     vertex_incidence,
 )
@@ -101,9 +100,8 @@ def inner_parallel_body(H: HalfspaceSystem, eps: float) -> HalfspaceSystem | Non
     Hm, inc, b, empty = _erosion(H, np.array([eps]))
     if empty[0]:
         return None
-    return remove_redundant_halfspaces(HalfspaceSystem(
-        Hm.A.copy(), b[0], validated=True, scale=H.scale, bbox=H.bbox,
-        cheb_center=inc.incentre, cheb_radius=inc.inradius - eps))
+    return remove_redundant_halfspaces(replace(
+        Hm, b=b[0], cheb_center=inc.incentre, cheb_radius=inc.inradius - eps))
 
 
 def _erosion(H: HalfspaceSystem, eps: np.ndarray):
@@ -115,13 +113,13 @@ def _erosion(H: HalfspaceSystem, eps: np.ndarray):
     inc = incentre(H)
     Hm = remove_redundant_halfspaces(H)
     b = Hm.b - eps[:, None] * Hm.unit_form()[2]
-    return Hm, inc, b, inc.inradius - eps <= TAU_FACET * body_scale(H)
+    return Hm, inc, b, inc.inradius - eps <= TAU_FACET * H.scale
 
 
 def _clamped_eps(H: HalfspaceSystem, eps: float):
     """The incentre of H and eps, clamped to [0, inradius] if within tolerance."""
     inc = incentre(H)
-    slack = TAU_FACET * body_scale(H)
+    slack = TAU_FACET * H.scale
     if not -slack <= eps <= inc.inradius + slack:
         raise EpsOutOfRange("offset must lie in [0, inradius]")
     return inc, min(max(eps, 0.0), inc.inradius)
@@ -161,7 +159,7 @@ def scale_copy_containment_check(H: HalfspaceSystem, eps: float) -> bool:
     shrunk = inc.incentre + lam * (V.points - inc.incentre)
     An, bn, _ = H.unit_form()
     resid = shrunk @ An.T - (bn - eps)
-    return bool(np.all(resid <= TAU_FACET * body_scale(H)))
+    return bool(np.all(resid <= TAU_FACET * H.scale))
 
 
 def neighbourhood_profile(H: HalfspaceSystem,
@@ -228,7 +226,7 @@ def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
     # the offsets as the eroded body's unit form has them, so that they are
     # bit-identical to those of inner_parallel_body
     bn = b[inside] / norms
-    scale = np.full(len(eps), body_scale(H))
+    scale = np.full(len(eps), H.scale)
     centres = np.tile(inc.incentre, (len(eps), 1))
     # blocks of offsets with about _PROFILE_BLOCK candidates each bound memory
     counts = on.sum(axis=1)

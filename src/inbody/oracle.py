@@ -30,8 +30,9 @@ class McEstimate:
 
 
 def bounding_box(H: HalfspaceSystem):
-    """Per-coordinate (mins, maxs) certified by 2n linear programs."""
-    if H.bbox is None:
+    """Per-coordinate (mins, maxs) certified by 2n linear programs: read from
+    a validated body's certificate, or made by validating a raw one."""
+    if not H.validated:
         H = validate_body(H)
     lo, hi = H.bbox
     return lo.copy(), hi.copy()

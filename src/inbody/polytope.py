@@ -3,9 +3,12 @@
 Bodies are carried either as an H-form (intersection of half-spaces
 ``A x <= b``) or a V-form (vertex set whose hull is the body).  Normals are
 stored unnormalized, and each system keeps its unit form, made with it, for
-every distance formula.  Tolerances are relative to a per-body scale derived
-from a circumradius estimate, so small eroded bodies keep meaningful
-comparisons.
+every distance formula.  A validated body carries one certificate, made by
+:func:`validate_body` or :func:`convex_hull` and only read elsewhere: its
+bounding box, its inscribed ball and its scale, which for every producer
+is the half-diagonal of the box, floored (:func:`_scale_from_box`).
+Tolerances are relative to that scale, so small eroded bodies keep
+meaningful comparisons.
 
 Vertex enumeration tries every n-subset of the rows that can reach the
 body (:func:`_reachable_rows`), which is the simplest correct algorithm at
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,6 +58,7 @@ TAU_PT = 1e-9     # input-point merge / interior threshold (scale-relative)
 TAU_FACET = 1e-7  # on-facet residual (scale-relative)
 TAU_REP = 1e-6    # report tolerance (relative)
 
+_COORD_CAP = 1e150      # largest coordinate or offset: its square stays finite
 _COMBO_CHUNK = 20_000   # n-subset batch size, bounds peak memory
 _COMBO_CAP = 10**8      # most n-subsets one enumeration may try
 _DEDUP_BLOCK = 256      # points per distance block in _dedup_points
@@ -95,14 +99,16 @@ class Halfspace:
         object.__setattr__(self, "b", float(self.b))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class HalfspaceSystem:
-    """Convex region {x : A x <= b}.
+    """Convex region {x : A x <= b}, frozen.
 
-    ``validated`` asserts the region is bounded with non-empty interior
-    (established by :func:`validate_body`).  Instances are treated as
-    immutable after construction; derived quantities (vertices, incidence,
-    minimal form, ...) are memoized on first use.
+    ``validated`` (bounded, with non-empty interior) holds iff the body
+    carries its whole certificate: ``scale``, box ``bbox`` and inscribed
+    ball ``cheb_center``, ``cheb_radius``; any other mix is refused.  Only
+    :func:`validate_body` and :func:`convex_hull` make one; the maps of a
+    body map it, and everything else reads it.  Derived quantities
+    (vertices, incidence, minimal form, ...) are memoized on first use.
     """
 
     A: np.ndarray
@@ -115,12 +121,16 @@ class HalfspaceSystem:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.b = np.asarray(self.b, dtype=float).ravel()
+        object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, dtype=float)))
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=float).ravel())
         if self.A.shape[0] != self.b.shape[0]:
             raise BadParameter("A and b row counts disagree")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
             raise BadParameter("halfspace data must be finite")
+        certificate = (self.scale, self.bbox, self.cheb_center, self.cheb_radius)
+        if [x is not None for x in certificate] != [bool(self.validated)] * 4:
+            raise BadParameter("a validated body carries scale, bbox, cheb_center "
+                               "and cheb_radius, and any other body none of them")
         norms = _check_normals(self.A)
         self._cache["unit"] = (self.A / norms[:, None], self.b / norms, norms)
 
@@ -166,20 +176,9 @@ class Facet:
     vertices: VertexSet
 
 
-def body_scale(H: HalfspaceSystem) -> float:
-    """Circumradius-like scale used to make tolerances relative.
-
-    The scale that :func:`validate_body` or :func:`convex_hull` set, or got
-    by validating H.  Both floor it (:func:`_floored_scale`) so that
-    near-degenerate bodies do not drive tolerances below double-precision
-    noise on O(1) coordinates.
-    """
-    if H.scale is not None:
-        return H.scale
-    return validate_body(H).scale
-
-
 def _scale_from_box(lo, hi) -> float:
+    """The scale of a body with the bounding box [lo, hi]: its half-diagonal,
+    floored by :func:`_floored_scale` at the box's centre."""
     radius = 0.5 * float(np.linalg.norm(hi - lo))
     return float(_floored_scale(radius, float(np.linalg.norm(0.5 * (hi + lo)))))
 
@@ -200,8 +199,11 @@ def validate_body(H: HalfspaceSystem) -> HalfspaceSystem:
     before the box LPs, the scale floor of :func:`_floored_scale` at the
     centre, which no body's scale is below, and after them the body's
     scale.  So a flat input is EmptyInterior whether or not it is bounded.
+    A unit offset or a box coordinate beyond ``_COORD_CAP`` is refused, so
+    that every square the certificate takes stays finite.
 
     Raises:
+        BadParameter: an offset or the box lies beyond ``_COORD_CAP``.
         Infeasible: the constraints contradict each other.
         EmptyInterior: the region is flat at the working tolerance.
         Unbounded: some coordinate direction is unbounded.
@@ -210,6 +212,7 @@ def validate_body(H: HalfspaceSystem) -> HalfspaceSystem:
         raise BadParameter("dimension must be >= 1")
     n = H.dim
     An, bn, _ = H.unit_form()
+    _check_coordinates(bn)
     center, radius = _chebyshev(An, bn)
     if radius < -1e-8 * (1.0 + np.abs(bn).max(initial=0.0)):
         raise Infeasible("constraint system has no solution")
@@ -218,21 +221,25 @@ def validate_body(H: HalfspaceSystem) -> HalfspaceSystem:
         # flat at any scale; a centre that misses one of its own rows by
         # roundoff has a radius within roundoff of zero or below it
         raise EmptyInterior("region has no interior at tolerance")
-    lo = np.empty(n)
-    hi = np.empty(n)
+    box = np.empty((2, n))                      # row 0 = mins, row 1 = maxs
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        hi[i] = lp.solve_lp(e, An, bn, center, maximize=True).value
-        lo[i] = lp.solve_lp(e, An, bn, center, maximize=False).value
-    scale = _scale_from_box(lo, hi)
+        box[1, i] = lp.solve_lp(e, An, bn, center, maximize=True).value
+        box[0, i] = lp.solve_lp(e, An, bn, center, maximize=False).value
+    _check_coordinates(box)
+    scale = _scale_from_box(*box)
     if radius <= TAU_PT * scale:
         raise EmptyInterior("region has no interior at tolerance")
 
-    out = HalfspaceSystem(H.A.copy(), H.b.copy(), validated=True, scale=scale,
-                          bbox=np.vstack([lo, hi]), cheb_center=center,
-                          cheb_radius=radius)
-    return out
+    return HalfspaceSystem(H.A.copy(), H.b.copy(), validated=True, scale=scale,
+                           bbox=box, cheb_center=center, cheb_radius=radius)
+
+
+def _check_coordinates(x):
+    """Refuse coordinates or offsets beyond ``_COORD_CAP`` in magnitude."""
+    if np.abs(x).max(initial=0.0) > _COORD_CAP:
+        raise BadParameter(f"coordinates and offsets beyond {_COORD_CAP:g} are refused")
 
 
 def _chebyshev(An, bn):
@@ -288,7 +295,7 @@ def vertex_incidence(H: HalfspaceSystem):
         return H._cache["incidence"]
 
     An, bn, _ = H.unit_form()
-    feas_tol = TAU_FACET * body_scale(H)
+    feas_tol = TAU_FACET * H.scale
     rows = _reachable_rows(H)
     candidates = [np.empty((0, H.dim))]
     for (sols,) in _subset_solves(An.take(rows, axis=0), bn.take(rows)[None]):
@@ -296,7 +303,7 @@ def vertex_incidence(H: HalfspaceSystem):
         candidates.append(sols.compress(feas, axis=0))
     pts = np.vstack(candidates)
     points, _, active = _incidence_from_candidates(
-        An, bn[None], np.array([body_scale(H)]), pts, np.zeros(len(pts), dtype=int))
+        An, bn[None], np.array([H.scale]), pts, np.zeros(len(pts), dtype=int))
     result = (VertexSet(points), active)
     H._cache["incidence"] = result
     return result
@@ -315,13 +322,10 @@ def _reachable_rows(H: HalfspaceSystem) -> np.ndarray:
     no subset through the row meets at a candidate and no vertex is active
     on it; the test is against b_j - 2 tol, and the second tol is a margin
     for the roundoff of the box and the centre.  This is the row-bound test
-    of LP presolve (Brearley, Mitra & Williams 1975).  A body with no box
-    or no centre keeps every row.
+    of LP presolve (Brearley, Mitra & Williams 1975).
     """
-    if H.bbox is None or H.cheb_center is None:
-        return np.arange(H.m)
     An, bn, _ = H.unit_form()
-    tol = TAU_FACET * body_scale(H)
+    tol = TAU_FACET * H.scale
     lo, hi = H.bbox
     at_centre = An @ H.cheb_center
     top = np.maximum(An * lo, An * hi).sum(axis=1)
@@ -342,7 +346,7 @@ def _vertex_paths(H: HalfspaceSystem):
     """
     An, bn, _ = H.unit_form()
     n = H.dim
-    feas_tol = TAU_FACET * body_scale(H)
+    feas_tol = TAU_FACET * H.scale
     paths = [np.empty((0, 2 * n + 2))]
     for x, d in _subset_solves(An, np.vstack([bn, np.ones_like(bn)])):
         p = x @ An.T - bn
@@ -709,9 +713,7 @@ def remove_redundant_halfspaces(H: HalfspaceSystem) -> HalfspaceSystem:
     V, active = vertex_incidence(H)
     keep = _facet_rows(np.array([0, V.count]), active, H.dim)[0]
 
-    out = HalfspaceSystem(H.A[keep], H.b[keep], validated=True, scale=H.scale,
-                          bbox=H.bbox, cheb_center=H.cheb_center,
-                          cheb_radius=H.cheb_radius)
+    out = replace(H, A=H.A[keep], b=H.b[keep])
     out._cache["incidence"] = (V, active[keep])
     out._cache["minimal"] = out
     H._cache["minimal"] = out
@@ -856,15 +858,19 @@ def convex_hull(V: VertexSet) -> HalfspaceSystem:
     the hull's scale would make its tolerances too tight on facets far
     from c.  The enumeration tries C(k, n) subsets for k points, so this is
     meant for desk scale (<= ~200 points, n <= 4).  An interval is written
-    directly.
+    directly.  The hull's certificate is made here: its box and scale
+    (:func:`_scale_from_box`) from the points left after the merge, and its
+    inscribed ball from the Chebyshev LP on its own unit rows.
     """
     pts = np.atleast_2d(np.asarray(V.points, dtype=float))
     n = pts.shape[1]
+    _check_coordinates(pts)
+    if pts.shape[0] < n + 1:
+        raise DegenerateInput("points do not affinely span the ambient space")
     centroid = pts.mean(axis=0)
-    spread = np.linalg.norm(pts - centroid, axis=1)
-    scale = float(_floored_scale(spread.max(initial=0.0),
-                                 float(np.linalg.norm(centroid))))
-    pts = _dedup_points(pts, TAU_PT * scale)
+    pts = _dedup_points(pts, TAU_PT * _scale_from_box(pts.min(axis=0), pts.max(axis=0)))
+    box = np.vstack([pts.min(axis=0), pts.max(axis=0)])
+    scale = _scale_from_box(*box)
     k = pts.shape[0]
     if k < n + 1 or len(_affine_basis(pts, scale)) < n:
         raise DegenerateInput("points do not affinely span the ambient space")
@@ -890,8 +896,9 @@ def convex_hull(V: VertexSet) -> HalfspaceSystem:
         vpts = cand[(rows[:, None] == polar.A).all(axis=2).any(axis=1)]
         order = np.lexsort(vpts.T[::-1])
         vpts, active = vpts[order], active[:, order]
-    out = HalfspaceSystem(A, b, validated=True, scale=scale,
-                          bbox=np.vstack([pts.min(axis=0), pts.max(axis=0)]))
+    center, radius = _chebyshev(*HalfspaceSystem(A, b).unit_form()[:2])
+    out = HalfspaceSystem(A, b, validated=True, scale=scale, bbox=box,
+                          cheb_center=center, cheb_radius=radius)
     out._cache["incidence"] = (VertexSet(vpts), active)
     out._cache["minimal"] = out
     return out
@@ -901,7 +908,11 @@ def scale_about(obj, center, lam: float):
     """Image of a body under ``x -> center + lam * (x - center)``.
 
     Works on either representation: vertex sets map pointwise; H-forms map
-    each (a, b) to (a, lam * b + (1 - lam) * a . center).
+    each (a, b) to (a, lam * b + (1 - lam) * a . center).  A validated body
+    maps to a validated body for lam > 0: its box, ball and vertices map
+    the same way, and its scale is that of the new box
+    (:func:`_scale_from_box`), so it keeps its floor however small lam.
+    At lam = 0 the body is flat and comes back unvalidated.
     """
     if lam < 0:
         raise BadParameter("scale factor must be non-negative")
@@ -911,15 +922,13 @@ def scale_about(obj, center, lam: float):
     if isinstance(obj, HalfspaceSystem):
         c = as_vector(center, obj.dim)
         b_new = lam * obj.b + (1.0 - lam) * (obj.A @ c)
-        out = HalfspaceSystem(obj.A.copy(), b_new,
-                              validated=obj.validated and lam > 0.0,
-                              scale=None if obj.scale is None else obj.scale * lam)
-        if obj.bbox is not None:
-            out.bbox = c + lam * (obj.bbox - c)
-        if obj.cheb_center is not None and lam > 0.0:
-            out.cheb_center = c + lam * (obj.cheb_center - c)
-            out.cheb_radius = obj.cheb_radius * lam
-        if "incidence" in obj._cache and lam > 0.0:
+        if not (obj.validated and lam > 0.0):
+            return HalfspaceSystem(obj.A, b_new)
+        box = c + lam * (obj.bbox - c)
+        out = replace(obj, b=b_new, scale=_scale_from_box(*box), bbox=box,
+                      cheb_center=c + lam * (obj.cheb_center - c),
+                      cheb_radius=obj.cheb_radius * lam)
+        if "incidence" in obj._cache:
             V, active = obj._cache["incidence"]
             out._cache["incidence"] = (VertexSet(c + lam * (V.points - c)), active)
         return out

@@ -45,6 +45,7 @@ from . import metrics
 from .errors import (
     BadParameter,
     DegenerateImage,
+    DegenerateInput,
     DimensionMismatch,
     IfsValidationError,
     InsufficientDepth,
@@ -215,13 +216,14 @@ def validate_ifs(ifs: ProjectiveIFS,
     (a) every matrix is injective, (b) entries are non-negative so the
     simplex maps into itself, (c) the simplex images have pairwise disjoint
     interiors, (d) every seed hole keeps a positive margin to the simplex
-    boundary, and (e) image volumes plus hole volumes account for the whole
-    simplex, confirming the declared complement.  N sends the simplex's
-    vertex e_i to its column i over the column's sum s_i, so its image is a
-    simplex iff |det N| and every s_i exceed TAU_PT; if one is not, that
-    fails simplex_images and (c) and (e) are skipped.  No hull is made: (c)
-    reads the images' H-forms (:func:`_simplex_image`) and (e) their volumes
-    |det N| / (n! prod s_i), and the seed holes' volumes of
+    boundary and has positive volume, and (e) image volumes plus hole
+    volumes account for the whole simplex, confirming the declared
+    complement.  N sends the simplex's vertex e_i to its column i over the
+    column's sum s_i, so its image is a simplex iff |det N| and every s_i
+    exceed TAU_PT; if one is not, that fails simplex_images and (c) and (e)
+    are skipped.  No hull is made for the images: (c) reads their H-forms
+    (:func:`_simplex_image`) and (e) their volumes |det N| / (n! prod s_i).
+    The seed holes' volumes, which (d) and (e) read, are those of
     :func:`_measure_holes`.  The margin of (d) is the least slack of a hole
     vertex p to the chart simplex: p_i, and (1 - sum p) / sqrt(n).
     """
@@ -265,11 +267,16 @@ def validate_ifs(ifs: ProjectiveIFS,
         "positive margin" if not margin_bad
         else f"holes touching the simplex boundary: {margin_bad}"))
 
+    seed_vols = [_seed_volume(h) for h in seed_holes]
+    empty = [idx for idx, v in enumerate(seed_vols) if not v > 0.0]
+    checks.append(CheckResult(
+        "holes_have_volume", not empty,
+        "positive volumes" if not empty else f"holes of no volume: {empty}"))
+
     if not flat and ifs.matrices:
         total = sum(abs(d) / (math.factorial(n) * float(np.prod(s)))
                     for d, s in zip(dets, sums))
-        total += sum(float(_measure_holes(np.eye(n + 1)[None], np.ones(1), h,
-                                          h.points[None])[0][0]) for h in seed_holes)
+        total += sum(seed_vols)
         target = 1.0 / math.factorial(n)
         gap = abs(total - target)
         cover_ok = gap <= TAU_REP * max(1.0, target)
@@ -278,6 +285,16 @@ def validate_ifs(ifs: ProjectiveIFS,
             f"covered volume {total:.12g} vs simplex {target:.12g}"))
 
     return IfsValidationReport(checks)
+
+
+def _seed_volume(hole: VertexSet) -> float:
+    """A seed hole's volume by :func:`_measure_holes`; 0 for points that
+    span no volume."""
+    try:
+        return float(_measure_holes(np.eye(hole.dim + 1)[None], np.ones(1), hole,
+                                    hole.points[None])[0][0])
+    except DegenerateInput:
+        return 0.0
 
 
 def _simplex_image(N) -> HalfspaceSystem:

@@ -267,12 +267,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("matrices, error", [
         ({"a": [[3, 2], [0, 1]], "b": [[1, 0], [2, 3]]}, "IfsValidationError"),
-        ({"a": [[2, 1], [0, 1]], "b": [[1, 0], [1, 2]]}, "DegenerateImage"),
+        ({"a": [[2, 1], [0, 1]], "b": [[1, 0], [1, 2]]}, "IfsValidationError"),
     ], ids=["thirds", "halves"])
     def test_coinciding_seed_ends_are_validation_errors(self, tmp_path, capsys,
                                                         matrices, error):
         # a seed hole of no length: the thirds leave their gap uncovered, and
-        # the halves cover the interval, so the hole fails as a hole
+        # the halves cover the interval, so the seed fails for its length
         path = tmp_path / "ifs.json"
         path.write_text(json.dumps({**CANTOR, "matrices": matrices,
                                     "seed_holes": [[[0.5], [0.5]]]}))
@@ -305,7 +305,22 @@ class TestExitCodes:
          1, "BadParameter"),
         ({"dim": 10, "vertices": np.vstack([np.zeros(10), np.eye(10)]).tolist()},
          1, "BadParameter"),
-    ], ids=["ragged", "negative-dim", "zero-dim", "huge-normal", "8-cube", "10-simplex"])
+        # coordinates whose squares overflow: refused before any LP, or
+        # after the box LPs
+        ({"dim": 2, "halfspaces": [{"a": a, "b": b} for a, b in zip(
+            [[1, 0], [-1, 0], [0, 1], [0, -1]], [1e308, 1e308, 1, 1])]}, 1, "BadParameter"),
+        ({"dim": 2, "vertices": [[1e308, 0], [-1e308, 0], [0, 1]]}, 1, "BadParameter"),
+        ({"dim": 2, "vertices": [[1e200, 0], [-1e200, 0], [0, 1e200]]}, 1, "BadParameter"),
+        ({"dim": 2, "halfspaces": [{"a": a, "b": 1e200} for a in
+                                   [[1, 0], [-1, 0], [0, 1], [0, -1]]]}, 1, "BadParameter"),
+        ({"dim": 2, "halfspaces": [{"a": [-1, 0], "b": 0}, {"a": [0, -1], "b": 0},
+                                   {"a": [1e-5, 1], "b": 1e149}]}, 1, "BadParameter"),
+        # the polar body's Chebyshev LP would need a 20,000-row tableau
+        ({"dim": 3, "vertices": np.random.default_rng(0).standard_normal((20_000, 3)).tolist()},
+         1, "BadParameter"),
+    ], ids=["ragged", "negative-dim", "zero-dim", "huge-normal", "8-cube", "10-simplex",
+            "slab-1e308", "points-1e308", "points-1e200", "square-1e200", "box-1e154",
+            "cloud-20000"])
     def test_adversarial_json(self, tmp_path, capsys, obj, code, error):
         path = tmp_path / "adversarial.json"
         path.write_text(json.dumps(obj))

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import inbody as ib
 from inbody import lp
-from inbody.errors import SolverFailure, Unbounded
+from inbody.errors import BadParameter, SolverFailure, Unbounded
 from inbody.lp import solve_lp
 from tests.conftest import (box, cross_polytope, polar_body, polar_of, sphere_cloud,
                             twenty_four_cell)
@@ -244,3 +246,28 @@ def test_pivot_cap_raises(monkeypatch):
     monkeypatch.setattr(lp, "_pivot_loop", lambda T, basis, obj, cap: loop(T, basis, obj, 2))
     with pytest.raises(SolverFailure):
         solve_lp(c, A, b, start)
+
+
+def test_tableau_cap_refuses_before_allocating():
+    # 20,000 rows would take a 20,000 x 20,009 tableau, 3.2 GB; the refusal
+    # comes before any of it is allocated
+    H = ib.HalfspaceSystem(np.random.default_rng(0).standard_normal((20_000, 3)),
+                           np.ones(20_000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadParameter, match="tableau"):
+            ib.validate_body(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_tableau_cap_is_inclusive(monkeypatch):
+    # the Chebyshev LP of the unit square: 4 rows in 3 variables, 4 x 11 entries
+    square = box(2)
+    monkeypatch.setattr(lp, "_TABLEAU_CAP", 44)
+    assert ib.validate_body(ib.HalfspaceSystem(square.A, square.b)).cheb_radius == 0.5
+    monkeypatch.setattr(lp, "_TABLEAU_CAP", 43)
+    with pytest.raises(BadParameter):
+        ib.validate_body(ib.HalfspaceSystem(square.A, square.b))

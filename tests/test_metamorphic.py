@@ -203,3 +203,17 @@ def test_v_form_transformation(which, name):
     assert ib.volume(K2) == pytest.approx(lam ** n * ib.volume(K), rel=MEASURE_BOUND)
     assert ib.surface_area(K2) == pytest.approx(lam ** (n - 1) * ib.surface_area(K),
                                                 rel=MEASURE_BOUND)
+
+
+@pytest.mark.parametrize("which", list(CLOUDS))
+@pytest.mark.parametrize("name", list(V_TRANSFORMS))
+def test_hull_certificate_is_its_h_forms(which, name):
+    # the hull's certificate is the one validate_body makes of its H-form:
+    # the same box scale up to the roundoff of the box LPs (2.9e-16
+    # measured), and the same Chebyshev LP on the same unit rows
+    P, _, _ = V_TRANSFORMS[name](CLOUDS[which](), np.random.default_rng(23))
+    K = ib.convex_hull(ib.VertexSet(P))
+    ref = ib.validate_body(ib.HalfspaceSystem(K.A, K.b))
+    assert K.scale == pytest.approx(ref.scale, rel=1e-13, abs=0.0)
+    assert np.array_equal(K.cheb_center, ref.cheb_center)
+    assert K.cheb_radius == ref.cheb_radius

@@ -226,7 +226,7 @@ class TestMinkowskiCertificate:
         # planes, and Minkowski's relation fails by about 2e-8 of the surface
         A = np.vstack([np.eye(2), -np.eye(2), [[1.0, 1.0]]])
         b = np.array([length, 1.0, 0.0, 0.0, length + 1.0])
-        tol = polytope.TAU_FACET * polytope.body_scale(hrep(A, b))
+        tol = polytope.TAU_FACET * hrep(A, b).scale
         b[-1] += 0.99 * tol * math.sqrt(2.0)
         H = hrep(A, b)
         offsets = ib.vertex_enumeration(H).points - [length, 1.0]

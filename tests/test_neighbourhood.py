@@ -53,8 +53,11 @@ class TestErodesMinimalForm:
 
     @staticmethod
     def eroded_rows(H, eps):
+        # the erosion keeps the box, and the ball shrinks by eps about its centre
         offset = ib.HalfspaceSystem(H.A, H.b - eps * np.linalg.norm(H.A, axis=1),
-                                    validated=True, scale=H.scale, bbox=H.bbox)
+                                    validated=True, scale=H.scale, bbox=H.bbox,
+                                    cheb_center=H.cheb_center,
+                                    cheb_radius=H.cheb_radius - eps)
         return ib.remove_redundant_halfspaces(offset)
 
     @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])

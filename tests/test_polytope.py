@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -392,14 +393,14 @@ class TestComboChunks:
 def exhaustive_incidence(H):
     """Reference: the vertices and incidence from every n-subset of the rows."""
     An, bn, _ = H.unit_form()
-    feas_tol = polytope.TAU_FACET * polytope.body_scale(H)
+    feas_tol = polytope.TAU_FACET * H.scale
     candidates = [np.empty((0, H.dim))]
     for (sols,) in polytope._subset_solves(An, bn[None]):
         feas = np.all(sols @ An.T - bn <= feas_tol, axis=1)
         candidates.append(sols.compress(feas, axis=0))
     pts = np.vstack(candidates)
     points, _, active = polytope._incidence_from_candidates(
-        An, bn[None], np.array([polytope.body_scale(H)]), pts, np.zeros(len(pts), dtype=int))
+        An, bn[None], np.array([H.scale]), pts, np.zeros(len(pts), dtype=int))
     return points, active
 
 
@@ -512,8 +513,19 @@ class TestReachableRows:
         V, active = polytope.vertex_incidence(H)
         assert np.round(V.points[active[4]], 12).tolist() == [[1.0, 1.0]]
 
-    def test_body_without_box_or_centre_keeps_every_row(self, unit_cube):
-        H = ib.HalfspaceSystem(unit_cube.A, unit_cube.b, validated=True, scale=unit_cube.scale)
+    def test_body_without_box_or_centre_is_refused(self, unit_cube):
+        # every validated body carries its box and centre, so the row bound
+        # always has them: a partial certificate is refused at construction
+        whole = dict(scale=unit_cube.scale, bbox=unit_cube.bbox,
+                     cheb_center=unit_cube.cheb_center, cheb_radius=unit_cube.cheb_radius)
+        for missing in whole:
+            part = {k: v for k, v in whole.items() if k != missing}
+            for validated in (True, False):
+                with pytest.raises(BadParameter):
+                    ib.HalfspaceSystem(unit_cube.A, unit_cube.b, validated=validated, **part)
+        with pytest.raises(BadParameter):
+            ib.HalfspaceSystem(unit_cube.A, unit_cube.b, validated=False, **whole)
+        H = ib.HalfspaceSystem(unit_cube.A, unit_cube.b, validated=True, **whole)
         assert polytope._reachable_rows(H).tolist() == list(range(6))
 
     def test_far_rows_no_longer_reach_the_cap(self, monkeypatch):
@@ -672,7 +684,7 @@ def affine_rank_facet_rows(H):
     """Reference: a row is a facet row iff the SVD rank of its centred active
     vertices is n - 1, and of rows with equal active sets the first is kept."""
     V, active = polytope.vertex_incidence(H)
-    tol = polytope.TAU_FACET * polytope.body_scale(H)
+    tol = polytope.TAU_FACET * H.scale
     keep, seen = np.zeros(H.m, dtype=bool), set()
     for j, row in enumerate(active):
         if row.tobytes() in seen:
@@ -709,6 +721,58 @@ class TestFacetRule:
             assert np.array_equal(rule, affine_rank_facet_rows(H))
 
 
+class TestCertificate:
+    """A body's certificate is made by validate_body or convex_hull, mapped
+    whole by the maps of a body, and only read everywhere else."""
+
+    @staticmethod
+    def certificate(H):
+        return H.validated, H.scale, H.bbox, H.cheb_center, H.cheb_radius
+
+    def test_system_is_frozen(self, unit_square):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            unit_square.scale = 1.0
+
+    def test_hull_carries_its_ball(self, monkeypatch):
+        hull = ib.convex_hull(ib.VertexSet(sphere_cloud(3, 20, 20, 48)))
+        before = self.certificate(hull)
+        assert before[0] and hull.cheb_radius > 0.0
+        assert ib.contains_point(hull, hull.cheb_center, -hull.cheb_radius * (1 - 1e-12))
+        monkeypatch.setattr(lp, "solve_lp", lambda *a, **k: pytest.fail("an LP was solved"))
+        inc = ib.incentre(hull)
+        assert self.certificate(hull) == before
+        assert np.array_equal(inc.incentre, hull.cheb_center)
+        assert inc.inradius == hull.cheb_radius
+
+    def test_raw_body_refused_by_distance(self, unit_square):
+        raw = ib.HalfspaceSystem(unit_square.A, unit_square.b)
+        with pytest.raises(BadParameter):
+            ib.distance_to_boundary(raw, [0.5, 0.5])
+
+    def test_maps_carry_the_certificate(self, unit_square):
+        H = ib.HalfspaceSystem(np.vstack([unit_square.A, [[1.0, 1.0]]]),
+                               np.append(unit_square.b, 3.0))
+        H = ib.validate_body(H)
+        Hm = ib.remove_redundant_halfspaces(H)
+        assert Hm.m == 4 and self.certificate(Hm) == self.certificate(H)
+        inner = ib.inner_parallel_body(H, 0.1)
+        assert inner.validated and inner.cheb_radius == pytest.approx(0.4)
+        assert inner.scale == H.scale and np.array_equal(inner.bbox, H.bbox)
+        big = ib.scale_about(H, [0.0, 0.0], 2.0)
+        assert big.validated and big.scale == 2.0 * H.scale
+        assert big.cheb_center.tolist() == [1.0, 1.0] and big.cheb_radius == 1.0
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e-8, 1e-10])
+    def test_scaled_body_keeps_the_scale_of_its_box(self, lam):
+        # the scale is the floored half-diagonal of the box for every body,
+        # so a tiny copy keeps the floor that its own validation gives it
+        tri = hrep([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0])
+        small = ib.scale_about(tri, [0.3, 0.2], lam)
+        ref = ib.validate_body(ib.HalfspaceSystem(small.A, small.b))
+        assert small.scale == pytest.approx(ref.scale, rel=1e-12)
+        assert small.scale == polytope._scale_from_box(*small.bbox)
+
+
 class TestScaleAbout:
     def test_identity(self, unit_square):
         H = ib.scale_about(unit_square, [0.5, 0.5], 1.0)
@@ -719,6 +783,7 @@ class TestScaleAbout:
         # every halfspace boundary passes through the centre now
         assert H.A @ np.array([0.5, 0.5]) == pytest.approx(H.b)
         assert not H.validated
+        assert (H.scale, H.bbox, H.cheb_center, H.cheb_radius) == (None,) * 4
 
     def test_square_about_incentre(self, unit_square):
         H = ib.scale_about(unit_square, [0.5, 0.5], 0.8)

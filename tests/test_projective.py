@@ -102,7 +102,7 @@ class TestValidateIfs:
         assert [c.name for c in report.checks] == [
             "injective_matrices", "nonnegative_entries",
             "disjoint_image_interiors", "holes_avoid_boundary",
-            "images_and_holes_cover"]
+            "holes_have_volume", "images_and_holes_cover"]
 
     def test_identical_maps_overlap(self):
         ifs, seeds = ib.middle_thirds_ifs()
@@ -199,6 +199,19 @@ class TestValidateIfs:
         ifs, seeds = factory()
         assert ib.validate_ifs(ifs, seeds).ok
         assert len(calls) == hulls
+
+    @pytest.mark.parametrize("n, seed", [
+        (1, [[0.5], [0.5]]), (2, [[0.2, 0.2], [0.3, 0.3], [0.4, 0.4]])], ids=["1d", "2d"])
+    def test_seed_of_no_volume_named(self, n, seed):
+        # the halves of the interval, or the identity, cover the simplex, so
+        # only the seed's own volume shows that it is no hole
+        mats = [[[2, 1], [0, 1]], [[1, 0], [1, 2]]] if n == 1 else [np.eye(3)]
+        ifs = ib.ProjectiveIFS(n, [np.array(M, dtype=float) for M in mats])
+        report = ib.validate_ifs(ifs, [ib.VertexSet(seed)])
+        assert [(c.name, c.detail) for c in report.violations()] == [
+            ("holes_have_volume", "holes of no volume: [0]")]
+        with pytest.raises(IfsValidationError, match="holes_have_volume"):
+            ib.generate_holes(ifs, [ib.VertexSet(seed)], 2)
 
     def test_wrong_cover_flagged(self):
         # declaring only half the gap leaves uncovered volume
@@ -331,10 +344,10 @@ class TestGenerateHoles:
         assert _worst_relative_error(holes.volume, _exact_lengths(mats, gap, 8)) <= 1e-13
 
     @pytest.mark.parametrize("mats, error", [
-        # the thirds leave their gap uncovered; the halves cover the interval,
-        # so the empty seed passes validation and fails as a hole
+        # the thirds leave their gap uncovered; the halves cover the
+        # interval, and the seed itself is refused for having no volume
         ([[[3, 2], [0, 1]], [[1, 0], [2, 3]]], IfsValidationError),
-        ([[[2, 1], [0, 1]], [[1, 0], [1, 2]]], DegenerateImage),
+        ([[[2, 1], [0, 1]], [[1, 0], [1, 2]]], IfsValidationError),
     ], ids=["thirds", "halves"])
     def test_coinciding_seed_ends_raise_typed_errors(self, mats, error):
         ifs = ib.ProjectiveIFS(1, [np.array(M, dtype=float) for M in mats])
