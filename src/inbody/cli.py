@@ -19,7 +19,7 @@ from . import __version__, formats, metrics, neighbourhood, oracle, projective
 from .errors import GeometryError
 from .polytope import TAU_REP
 
-_COMMANDS = ("metrics", "inner", "bounds", "profile", "oracle", "attractor", "norms")
+_COMMANDS = ("metrics", "inner", "profile", "oracle", "attractor", "norms")
 
 
 @dataclass
@@ -78,7 +78,9 @@ def run(config: RunConfig) -> int:
 
 
 def _dispatch(config: RunConfig):
-    if config.command in ("metrics", "inner", "bounds", "profile", "oracle"):
+    if config.command not in _COMMANDS:
+        raise ValueError(f"unknown command '{config.command}'")
+    if config.command in ("metrics", "inner", "profile", "oracle"):
         with open(config.input_path) as fh:
             body = formats.load_polytope(json.load(fh))
     else:
@@ -90,7 +92,7 @@ def _dispatch(config: RunConfig):
     if config.command == "metrics":
         return {**asdict(metrics.heron_bounds(body)), **meta}
 
-    if config.command in ("inner", "bounds"):
+    if config.command == "inner":
         if config.eps is None:
             raise ValueError(f"--eps is required for '{config.command}'")
         rep = neighbourhood.bounds_report(body, config.eps)
@@ -118,12 +120,10 @@ def _dispatch(config: RunConfig):
                 "box_resolutions": [float(r) for r in resolutions],
                 "assume_measure_zero": assume, **meta}
 
-    if config.command == "norms":
-        est = projective.norm_series_exponent(ifs, config.max_depth,
-                                              tol=config.tol, norm=config.norm)
-        return {**formats.estimate_to_dict(est), "norm": config.norm, **meta}
-
-    raise ValueError(f"unknown command '{config.command}'")
+    # the one command left, "norms"
+    est = projective.norm_series_exponent(ifs, config.max_depth,
+                                          tol=config.tol, norm=config.norm)
+    return {**formats.estimate_to_dict(est), "norm": config.norm, **meta}
 
 
 def _oracle_payload(body, config: RunConfig) -> dict:

@@ -1,10 +1,12 @@
 """Dense linear programming via the simplex method from a feasible start.
 
 Every linear program in this package (Chebyshev centres, bounding boxes,
-overlap probes) is a dense problem with a few dozen constraints, so a small
-self-contained tableau solver is used instead of an external one.  Bland's
-pivoting rule makes the pivot sequence finite and fully deterministic; the
-iteration cap scales with the constraint count.
+overlap probes) has a few free variables and any number of constraints.
+A small self-contained simplex keeps the condensed (Tucker) tableau, the
+columns of the nonbasic variables only, since every basic column is a
+unit vector (Chvátal, *Linear Programming*, 1983, ch. 8): its memory and
+each pivot's work grow as m·p, not m².  Bland's rule makes the pivot
+sequence finite and deterministic; the iteration cap scales with m.
 
 Problems are stated as
 
@@ -25,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, SolverFailure, Unbounded
+from .errors import SolverFailure, Unbounded
 
 _PIVOT_TOL = 1e-10
-_TABLEAU_CAP = 10**7   # most tableau entries one LP may take, about 80 MB
 
 
 @dataclass
@@ -51,10 +52,9 @@ def solve_lp(c, A, b, start, *, maximize: bool = True) -> LpResult:
 
     Raises:
         ValueError: bad shapes, or ``start`` violates a constraint.
-        BadParameter: the m x (m + 2p + 1) tableau would take more than
-            ``_TABLEAU_CAP`` entries; refused before it is allocated.
         Unbounded: the objective is unbounded over the feasible region.
-        SolverFailure: the pivot cap was exceeded.
+        SolverFailure: the pivot cap was exceeded, or the final basis is
+            singular.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -65,64 +65,61 @@ def solve_lp(c, A, b, start, *, maximize: bool = True) -> LpResult:
     m, p = A.shape
     if c.shape[0] != p or b.shape[0] != m or start.shape != (p,):
         raise ValueError("inconsistent LP shapes")
-    if m * (m + 2 * p + 1) > _TABLEAU_CAP:
-        raise BadParameter(f"an LP of {m} rows in {p} variables exceeds the cap of "
-                           f"{_TABLEAU_CAP} tableau entries")
     slack = b - A @ start
-    if not np.all(slack >= 0.0):
+    if not (slack >= 0.0).all():
         raise ValueError("start point violates the constraints")
 
-    # Columns: u (p), w (p), slacks (m); the rhs is the start's slack.
-    width = 2 * p + m + 1
-    T = np.zeros((m, width))
-    T[:, :p] = A
-    T[:, p:2 * p] = -A
-    T.reshape(-1)[2 * p::width + 1] = 1.0     # T[i, 2p + i], the slack identity
-    T[:, -1] = slack
-    M = T[:, :-1].copy()                      # the columns before any pivot
-    basis = 2 * p + np.arange(m)
-    # At the slack basis the reduced costs are the objective itself.
-    obj = np.zeros(width)
-    obj[:p] = c if maximize else -c
-    obj[p:2 * p] = -obj[:p]
-    status = _pivot_loop(T, basis, obj, max(10 * (m + 1), 50))
+    # Variables: u (p), w (p), then the slacks (m).  N holds the nonbasic
+    # columns, first u and w, then the rhs (the start's slack); its last
+    # row holds their reduced costs, at the slack basis the objective.
+    N = np.zeros((m + 1, 2 * p + 1))
+    N[:m, :p], N[:m, -1] = A, slack
+    N[m, :p] = c if maximize else -c
+    np.negative(N[:, :p], out=N[:, p:2 * p])
+    basis = list(range(2 * p, 2 * p + m))     # the variable basic in each row
+    labels = list(range(2 * p))               # the variable in each column
+    status = _pivot_loop(N, basis, labels, max(10 * (m + 1), 50))
     if status == "cap":
         raise SolverFailure("simplex iteration cap exceeded")
     if status == "unbounded":
         raise Unbounded("objective is unbounded over the feasible region")
 
-    # One clean solve at the final basis removes the roundoff accumulated
-    # across pivots.  A variable with neither column basic stays at its
-    # start value; the rest are solved from the original b.
-    fixed = start.copy()
-    fixed[basis[basis < 2 * p] % p] = 0.0
-    z = np.zeros(2 * p + m)
+    # One clean solve at the final basis removes the pivots' roundoff.  A
+    # variable with neither column basic keeps its start value; the rest
+    # meet the rows whose slacks are nonbasic with equality.
+    cols = [j % p for j in range(2 * p) if j not in labels]
+    tight = [j - 2 * p for j in sorted(labels) if j >= 2 * p]
+    x = start.copy()
+    x[cols] = 0.0
+    At = A.take(tight, 0)
     try:
-        z[basis] = np.linalg.solve(M[:, basis], b - A @ fixed)
+        x[cols] = np.linalg.solve(At.take(cols, 1), b.take(tight) - At @ x)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure("singular final basis") from exc
-    x = fixed + z[:p] - z[p:2 * p]
     return LpResult(x=x, value=float(c @ x))
 
 
-def _pivot_loop(T, basis, obj, cap):
+def _pivot_loop(N, basis, labels, cap):
     """Bland's-rule pivoting until optimal / unbounded / cap.
 
     At these sizes the numpy calls, not the arithmetic, cost the time, so
-    each pivot makes as few as it can.  The ratios go into one buffer with
-    inf where the entering column is not positive, so a column with no
-    positive entry, or a tableau with no rows, has an infinite least ratio:
-    the objective is unbounded.
+    the entering variable is chosen in Python.  The ratios go into one
+    buffer with inf where the entering column is not positive, so a column
+    with no positive entry, or no rows, has an infinite least ratio: the
+    objective is unbounded.
     """
-    rhs = T[:, -1]
-    ratios = np.empty(T.shape[0])
+    m = len(basis)
+    cost = N[m, :-1]
+    rhs = N[:m, -1]
+    ratios = np.empty(m)
     for _ in range(cap):
-        # Bland: the first column with a positive reduced cost enters
-        improving = obj[:-1] > _PIVOT_TOL
-        enter = improving.argmax()
-        if not improving[enter]:
+        # Bland: the variable of smallest label with a positive reduced
+        # cost enters
+        improving = [j for j, r in zip(labels, cost.tolist()) if r > _PIVOT_TOL]
+        if not improving:
             return "optimal"
-        col = T[:, enter]
+        pos = labels.index(min(improving))
+        col = N[:m, pos]
         ratios.fill(np.inf)
         np.divide(rhs, col, out=ratios, where=col > _PIVOT_TOL)
         best = ratios.min(initial=np.inf)
@@ -130,15 +127,18 @@ def _pivot_loop(T, basis, obj, cap):
             return "unbounded"
         # Bland tie-break: smallest basic-variable index among minimisers.
         tied = (ratios <= best + 1e-9 * (1.0 + abs(best))).nonzero()[0]
-        leave = tied[0] if tied.size == 1 else tied[np.argmin(basis[tied])]
-        _pivot(T, obj, leave, enter)
-        basis[leave] = enter
+        leave = tied[0] if tied.size == 1 else min(tied.tolist(), key=basis.__getitem__)
+        _pivot(N, leave, pos)
+        basis[leave], labels[pos] = labels[pos], basis[leave]
     return "cap"
 
 
-def _pivot(T, obj, row, col):
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
+def _pivot(N, row, pos):
+    """The full tableau's pivot, bit for bit: the leaving variable takes the
+    entering one's column, which was the unit vector of ``row``."""
+    factors = N[:, pos].copy()
+    N[:, pos] = 0.0
+    N[row, pos] = 1.0
+    N[row] /= factors[row]
     factors[row] = 0.0
-    T -= factors[:, None] * T[row]
-    obj -= obj[col] * T[row]
+    N -= factors[:, None] * N[row]

@@ -884,16 +884,17 @@ def convex_hull(V: VertexSet) -> HalfspaceSystem:
         # the polar body a zero row
         cand = pts[np.linalg.norm(pts - centroid, axis=1) > TAU_PT * scale]
         rows = cand - centroid
-        polar = remove_redundant_halfspaces(
+        Y, polar_active = vertex_incidence(
             validate_body(HalfspaceSystem(rows, np.ones(len(rows)))))
-        Y, polar_active = vertex_incidence(polar)
+        kept = _facet_rows(np.array([0, Y.count]), polar_active, n)[0]
+        polar_active = polar_active[kept]
         first = _first_rows(polar_active.T)
         y, active = Y.points[first], polar_active[:, first].T
         norms = np.linalg.norm(y, axis=1)
         A = y / norms[:, None]
         b = 1.0 / norms + A @ centroid
-        # the kept rows, read back as the input points themselves
-        vpts = cand[(rows[:, None] == polar.A).all(axis=2).any(axis=1)]
+        # the polar body's facet rows are the hull's vertices
+        vpts = cand[kept]
         order = np.lexsort(vpts.T[::-1])
         vpts, active = vpts[order], active[:, order]
     center, radius = _chebyshev(*HalfspaceSystem(A, b).unit_form()[:2])

@@ -64,14 +64,20 @@ class TestCommands:
         assert rep["version"]
         assert rep["config"]["command"] == "metrics"
 
-    def test_inner_and_bounds_alias(self, cube_file, tmp_path):
-        code1, o1 = run_to_file("inner", cube_file, tmp_path / "i.json", eps=0.1)
-        code2, o2 = run_to_file("bounds", cube_file, tmp_path / "b.json", eps=0.1)
-        assert code1 == code2 == 0
-        r1, r2 = json.loads(o1.read_text()), json.loads(o2.read_text())
-        assert r1["l"] == r2["l"]
-        assert r1["ok"] is True
-        assert r1["l"] == pytest.approx(1 - 0.8 ** 3)
+    def test_inner_and_bounds_refused(self, cube_file, tmp_path, capsys):
+        code, out = run_to_file("inner", cube_file, tmp_path / "i.json", eps=0.1)
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert rep["ok"] is True
+        assert rep["l"] == pytest.approx(1 - 0.8 ** 3)
+        # "bounds" was an undocumented alias of "inner"; it is refused like
+        # any unknown command, before the input is read
+        code, out = run_to_file("bounds", cube_file, tmp_path / "b.json", eps=0.1)
+        assert code == 2 and not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        with pytest.raises(SystemExit) as exc:
+            config_from_args(["bounds", "--input", str(cube_file), "--eps", "0.1"])
+        assert exc.value.code == 2
 
     def test_inner_requires_eps(self, cube_file, tmp_path):
         code, _ = run_to_file("inner", cube_file, tmp_path / "x.json")
@@ -315,7 +321,8 @@ class TestExitCodes:
                                    [[1, 0], [-1, 0], [0, 1], [0, -1]]]}, 1, "BadParameter"),
         ({"dim": 2, "halfspaces": [{"a": [-1, 0], "b": 0}, {"a": [0, -1], "b": 0},
                                    {"a": [1e-5, 1], "b": 1e149}]}, 1, "BadParameter"),
-        # the polar body's Chebyshev LP would need a 20,000-row tableau
+        # 1,721 of the polar body's 20,000 rows can reach it, and their
+        # C(1721, 3) subsets pass the enumeration cap
         ({"dim": 3, "vertices": np.random.default_rng(0).standard_normal((20_000, 3)).tolist()},
          1, "BadParameter"),
     ], ids=["ragged", "negative-dim", "zero-dim", "huge-normal", "8-cube", "10-simplex",

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -83,6 +84,8 @@ def test_variable_that_never_enters_keeps_its_start():
     res = solve_lp(np.array([1.0, 0.0]), A, b, np.array([0.5, 0.25]))
     assert res.value == 1.0
     assert res.x.tolist() == [1.0, 0.25]
+    # with no cost nothing enters, and no row is solved
+    assert solve_lp(np.zeros(2), A, b, np.array([0.5, 0.25])).x.tolist() == [0.5, 0.25]
 
 
 def test_chebyshev_centre_of_square():
@@ -128,14 +131,14 @@ def test_deterministic_pivoting():
 
 
 def reference_solve_lp(c, A, b, start, maximize=True, cap=None):
-    """Reference: the one-phase simplex with one numpy step per operation,
-    returning (x, value, pivots) or the loop's status when it stops short:
-    a tableau stacked from its blocks, ratios by masked division, the
-    unbounded test on the mask and the tie-break by argmin over every tie."""
+    """Reference: the one-phase simplex on the full m x (m + 2p + 1)
+    tableau with one numpy step per operation, returning (x, value, pivots,
+    final basis) or the loop's status when it stops short: a tableau
+    stacked from its blocks, ratios by masked division, the unbounded test
+    on the mask and the tie-break by argmin over every tie."""
     m, p = A.shape
     slack = b - A @ start
-    M = np.hstack([A, -A, np.eye(m)])
-    T = np.hstack([M, slack[:, None]])
+    T = np.hstack([A, -A, np.eye(m), slack[:, None]])
     basis = 2 * p + np.arange(m)
     obj = np.zeros(2 * p + m + 1)
     obj[:p] = c if maximize else -c
@@ -164,12 +167,14 @@ def reference_solve_lp(c, A, b, start, maximize=True, cap=None):
         pivots += 1
     else:
         return "cap"
-    fixed = start.copy()
-    fixed[basis[basis < 2 * p] % p] = 0.0
-    z = np.zeros(2 * p + m)
-    z[basis] = np.linalg.solve(M[:, basis], b - A @ fixed)
-    x = fixed + z[:p] - z[p:2 * p]
-    return x, float(c @ x), pivots
+    # the clean solve on the rows whose slacks are nonbasic, in row order,
+    # for the basic variables in variable order
+    cols = np.sort(basis[basis < 2 * p]) % p
+    tight = np.setdiff1d(np.arange(m), basis - 2 * p)
+    x = start.copy()
+    x[cols] = 0.0
+    x[cols] = np.linalg.solve(A[tight][:, cols], b[tight] - A[tight] @ x)
+    return x, float(c @ x), pivots, basis
 
 
 def validation_lps(monkeypatch, bodies):
@@ -205,25 +210,32 @@ LP_FAMILIES = {
 
 @pytest.mark.parametrize("family", sorted(LP_FAMILIES))
 def test_validation_lps_match_reference(monkeypatch, family):
-    # the same point, value and pivot count as the reference, bit for bit,
-    # on every LP of every validation: 2n + 1 per body
+    # the same point, value, pivot count and final basis as the full
+    # tableau, bit for bit, on every LP of every validation: 2n + 1 per body
     bodies = LP_FAMILIES[family]()
     calls = validation_lps(monkeypatch, bodies)
     assert len(calls) == sum(2 * H.dim + 1 for H in bodies)
-    pivots = []
-    pivot = lp._pivot
+    pivots, bases = [], []
+    pivot, loop = lp._pivot, lp._pivot_loop
 
     def counting(*args):
         pivots.append(1)
         return pivot(*args)
 
+    def recording(N, basis, labels, cap):
+        status = loop(N, basis, labels, cap)
+        bases.append(list(basis))
+        return status
+
     monkeypatch.setattr(lp, "_pivot", counting)
+    monkeypatch.setattr(lp, "_pivot_loop", recording)
     for c, A, b, start, maximize in calls:
         del pivots[:]
         res = solve_lp(c, A, b, start, maximize=maximize)
-        x, value, count = reference_solve_lp(c, A, b, start, maximize)
+        x, value, count, basis = reference_solve_lp(c, A, b, start, maximize)
         assert np.array_equal(res.x, x) and res.value == value
         assert len(pivots) == count
+        assert bases.pop() == basis.tolist()
 
 
 def test_no_rows_is_unbounded():
@@ -243,31 +255,48 @@ def test_pivot_cap_raises(monkeypatch):
     assert reference_solve_lp(c, A, b, start, cap=2) == "cap"
     assert reference_solve_lp(c, A, b, start, cap=3)[2] == 2
     loop = lp._pivot_loop
-    monkeypatch.setattr(lp, "_pivot_loop", lambda T, basis, obj, cap: loop(T, basis, obj, 2))
+    monkeypatch.setattr(lp, "_pivot_loop",
+                        lambda N, basis, labels, cap: loop(N, basis, labels, 2))
     with pytest.raises(SolverFailure):
         solve_lp(c, A, b, start)
 
 
-def test_tableau_cap_refuses_before_allocating():
-    # 20,000 rows would take a 20,000 x 20,009 tableau, 3.2 GB; the refusal
-    # comes before any of it is allocated
-    H = ib.HalfspaceSystem(np.random.default_rng(0).standard_normal((20_000, 3)),
-                           np.ones(20_000))
+def test_validation_of_20000_rows():
+    # the condensed tableau takes m x (2p + 1) entries: 20,000 rows at n = 3
+    # validate in a few MB, and agree with scipy on the ball and the box
+    A = np.random.default_rng(0).standard_normal((20_000, 3))
+    H = ib.HalfspaceSystem(A, np.ones(20_000))
+    start = time.perf_counter()
+    ib.validate_body(H)
+    assert time.perf_counter() - start < 0.5
     tracemalloc.start()
     try:
-        with pytest.raises(BadParameter, match="tableau"):
-            ib.validate_body(H)
+        V = ib.validate_body(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    An, bn, _ = H.unit_form()
+    free = [(None, None)] * 4
+    ball = linprog([0, 0, 0, -1], A_ub=np.hstack([An, np.ones((20_000, 1))]), b_ub=bn,
+                   bounds=free, method="highs")
+    assert V.cheb_radius == pytest.approx(-ball.fun, rel=1e-9)
+    for i in range(3):
+        e = np.eye(3)[i]
+        lo = linprog(e, A_ub=An, b_ub=bn, bounds=free[:3], method="highs")
+        hi = linprog(-e, A_ub=An, b_ub=bn, bounds=free[:3], method="highs")
+        assert V.bbox[:, i] == pytest.approx([lo.fun, -hi.fun], rel=1e-9)
+
+
+def test_cloud_20000_refused_by_subset_cap():
+    # the hull's polar body has 20,000 rows; its LPs are solved and its
+    # vertex enumeration is refused before any subset is allocated
+    pts = np.random.default_rng(0).standard_normal((20_000, 3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadParameter, match="enumeration cap"):
+            ib.convex_hull(ib.VertexSet(pts))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16e6
-
-
-def test_tableau_cap_is_inclusive(monkeypatch):
-    # the Chebyshev LP of the unit square: 4 rows in 3 variables, 4 x 11 entries
-    square = box(2)
-    monkeypatch.setattr(lp, "_TABLEAU_CAP", 44)
-    assert ib.validate_body(ib.HalfspaceSystem(square.A, square.b)).cheb_radius == 0.5
-    monkeypatch.setattr(lp, "_TABLEAU_CAP", 43)
-    with pytest.raises(BadParameter):
-        ib.validate_body(ib.HalfspaceSystem(square.A, square.b))
