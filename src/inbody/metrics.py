@@ -7,10 +7,11 @@ from its cone and its distance to the incentre.  A flag is a path down the
 Hasse diagram of the face lattice, which is read off the vertex-facet
 incidence alone (the facets of a face are its maximal proper meets with the
 facet rows).  The kernel walks the diagram once per face, expands the
-paths into flags at the end, and splits each flag's determinant into 2 x 2
-minors that all the flags through one edge of the diagram share.  It takes
-a stack of bodies with shared normals (the eroded bodies of a profile) and
-a single body is a stack of one.
+paths into flags at the end, in runs of whole facets that bound its memory,
+and splits each flag's determinant into 2 x 2 minors that all the flags
+through one edge of the diagram share.  It takes a stack of bodies with
+shared normals (the eroded bodies of a profile) and a single body is a
+stack of one.
 The inradius is the optimum of the Chebyshev-centre linear program.  The
 "pancake" boxes [0,1] x [0,K]^{n-1} realise the extreme ratios between
 the inradius and volume/perimeter, which pins both constants of the
@@ -178,14 +179,20 @@ def _flag_volumes(An, bn, points, start, active, centres):
     sub-faces.  The paths are expanded at the end, depth first, so the
     flags come facet by facet in the order of a walk that extends every
     chain by each facet of its face; a flag keeps only its facet and the
-    edge it took at each level.  A flag's determinant, of the rows centroid
-    F_{n-1} - c, ..., centroid F_0 - c, is split as :func:`polytope._det`
-    splits it.  At n = 3 and 4 the 2 x 2 minors of its (edge, vertex) rows
-    are taken once per last edge of the diagram, and at n = 4 those of its
-    (facet, ridge) rows once per first edge; in other dimensions each
-    flag's matrix goes to _det whole.  Each flag's terms are summed in
-    _det's order, so its determinant is _det's of the flag's matrix, and
-    the facet sums run in flag order.
+    edge it took at each level.  A stack of at most _FLAG_RUN flags is
+    expanded whole.  A larger one is cut into runs of whole facets of at
+    most _FLAG_RUN flags each (:func:`_facet_runs`), from the flags below
+    each first edge counted bottom up, and the runs are expanded, and their
+    determinants taken, one at a time, so that memory is bounded by the run
+    and by the diagram, not by the number of flags.  A flag's determinant,
+    of the rows centroid F_{n-1} - c, ..., centroid F_0 - c, is split as
+    :func:`polytope._det` splits it.  At n = 3 and 4 the 2 x 2 minors of
+    its (edge, vertex) rows are taken once per last edge of the diagram,
+    and at n = 4 those of its (facet, ridge) rows once per first edge; in
+    other dimensions each flag's matrix goes to _det whole.  Each flag's
+    terms are summed in _det's order, so its determinant is _det's of the
+    flag's matrix, and the facet sums run in flag order: a facet's flags
+    are all in one run, so no run size moves a bit.
     All bodies are walked at once: a face is a row of bits over its own
     body's vertices (:func:`polytope._local_bits`), so the faces of every
     body go through each step together, and a body's numbers do not depend
@@ -229,26 +236,38 @@ def _flag_volumes(An, bn, points, start, active, centres):
         new_face = np.ones(len(key), dtype=bool)
         new_face[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
         child = np.empty(len(key), dtype=int)
-        child[order] = np.cumsum(new_face) - 1
+        child[order] = new_face.cumsum() - 1
         faces, fbody = ordered.compress(new_face, axis=0)[:, 1:], pbody[order[new_face]]
         levels.append((faces, fbody))
         edges.append((parent, child))
 
-    # the flags are the paths down the edges, depth first: flag i takes edge
-    # path[t][i] down from level t.  A chain takes every edge down from the
-    # face it ends in, and those edges are contiguous; the cap is checked on
-    # the chain count before the chains are made.
-    path = [np.arange(len(edges[0][0]))] if edges else []
-    for t in range(1, len(edges)):
-        degree = np.bincount(edges[t][0], minlength=len(levels[t][0]))
-        end = edges[t - 1][1][path[-1]]
-        counts, hi = degree[end], np.cumsum(degree)[end]
-        chains = np.cumsum(counts)
-        flags = int(chains[-1]) if len(chains) else 0
-        _check_flag_count(flags, n - 2 - t, n)
-        path = [p.repeat(counts) for p in path]
-        path.append(np.arange(flags) + np.repeat(hi - chains, counts))
-    facet = edges[0][0][path[0]] if edges else np.arange(len(body))
+    # the flags are the paths down the edges (see _flag_paths).  Up to n = 2
+    # a flag is a facet or a first edge, which the walk has made and
+    # counted, so the stack is one run.  Above, a stack whose flags fit in
+    # one run is expanded whole.  A larger one is cut into runs of whole
+    # facets after the flags below each first edge are counted bottom up
+    # (one below each edge of the last level, and below any other edge the
+    # sum over the edges down from its child), and the cap is checked on
+    # their total before any run is made
+    if len(edges) < 2:
+        runs = [(0, len(body), [np.arange(len(edges[0][0]))] if edges else [])]
+    else:
+        degree = [np.bincount(parent, minlength=len(faces))
+                  for (parent, _), (faces, _) in zip(edges[1:], levels[1:])]
+        whole = _flag_paths(edges, degree, 0, len(edges[0][0]), _FLAG_RUN)
+        if whole is not None:
+            runs = [(0, len(body), whole)]
+        else:
+            below = degree[-1]
+            for t in range(len(edges) - 2, 0, -1):
+                parent, child = edges[t]
+                below = np.bincount(parent, weights=below[child], minlength=len(levels[t][0]))
+            below = below[edges[0][1]]
+            _check_flag_count(int(below.sum()), 0, n)
+            cuts = _facet_runs(np.bincount(edges[0][0], weights=below, minlength=len(body)))
+            first = np.searchsorted(edges[0][0], cuts)
+            runs = ((f0, f1, _flag_paths(edges, degree, e0, e1))
+                    for f0, f1, e0, e1 in zip(cuts, cuts[1:], first, first[1:]))
 
     # every face's centroid from the centre, by sequential sums in vertex
     # order, so that they do not depend on the stack, split by level
@@ -262,15 +281,23 @@ def _flag_volumes(An, bn, points, start, active, centres):
         # and at n = 4 those of the (facet, ridge) rows once per first one
         parent, child = edges[-1]
         low = _minors(off[-2].take(parent, axis=0), off[-1].take(child, axis=0), _SPLIT[n][0])
-        parent, child = edges[0]
-        head = (off[0].take(facet, axis=0).T if n == 3 else
-                _minors(off[0].take(parent, axis=0), off[1].take(child, axis=0),
-                        _PAIRS).take(path[0], axis=1))
-        dets = _laplace(head, low.take(path[-1], axis=1), n)
-    else:
-        ends = [facet] + [child[p] for (_, child), p in zip(edges, path)]
-        dets = _det(np.stack([o.take(e, axis=0) for o, e in zip(off, ends)], axis=1))
-    cones = np.bincount(facet, weights=np.abs(dets), minlength=len(body))
+        if n == 4:
+            parent, child = edges[0]
+            head = _minors(off[0].take(parent, axis=0), off[1].take(child, axis=0), _PAIRS)
+
+    # a run of whole facets holds their flags in flag order, so each cone is
+    # summed as it would be in one run
+    parts = []
+    for f0, f1, path in runs:
+        facet = edges[0][0][path[0]] if edges else np.arange(f0, f1)
+        if n in (3, 4):
+            dets = _laplace(off[0].take(facet, axis=0).T if n == 3 else
+                            head.take(path[0], axis=1), low.take(path[-1], axis=1), n)
+        else:
+            ends = [facet] + [child[p] for (_, child), p in zip(edges, path)]
+            dets = _det(np.stack([o.take(e, axis=0) for o, e in zip(off, ends)], axis=1))
+        parts.append(np.bincount(facet - f0, weights=np.abs(dets), minlength=f1 - f0))
+    cones = parts[0] if len(parts) == 1 else np.concatenate(parts)
     nfact = math.factorial(n)
     vols = np.bincount(body, weights=cones, minlength=E) / nfact
     dists = bn[body, row] - (An[row] * centres[body]).sum(axis=1)
@@ -285,16 +312,56 @@ def _flag_volumes(An, bn, points, start, active, centres):
 
 
 def _check_flag_count(chains, k, n):
-    """Refuse a flag walk whose determinant stack, n^2 floats a flag, would
-    exceed _COMBO_CAP.  At least ``chains`` chains end in k-faces, and a
+    """Refuse a flag walk of more than _COMBO_CAP determinant entries, n^2 a
+    flag.  The flags are made in runs (see :func:`_flag_volumes`), so the
+    cap bounds the work and the arrays of the Hasse diagram, not the memory
+    of the flags.  At least ``chains`` chains end in k-faces, and a
     k-polytope has at least the (k+1)! flags of a k-simplex, so a body with
-    too many flags (the 9-simplex, the 8-cube) is refused before its chains
-    fill memory.
+    too many flags (the 9-simplex, the 8-cube) is refused as soon as a level
+    of the walk, or the total count, shows it.
     """
     if chains * math.factorial(k + 1) * n * n > _COMBO_CAP:
         raise BadParameter(
             f"at least {chains * math.factorial(k + 1)} flags in dimension {n} "
             f"exceed the cap of {_COMBO_CAP} determinant entries")
+
+
+_FLAG_RUN = 2048   # flags per run of whole facets in _flag_volumes
+
+
+def _flag_paths(edges, degree, lo, hi, limit=math.inf):
+    """The flags below the first edges lo..hi-1 of the Hasse diagram
+    ``edges``, depth first: flag i takes edge ``path[t][i]`` down from level
+    t.  A chain takes every edge down from the face it ends in: the edges
+    of a face are contiguous, and ``degree[t - 1]`` counts those of each
+    face of level t.  Returns None, before the level that holds them is
+    made, if there are more than ``limit`` flags.
+    """
+    path = [np.arange(lo, hi)]
+    for t in range(1, len(edges)):
+        end = edges[t - 1][1][path[-1]]
+        counts, after = degree[t - 1][end], degree[t - 1].cumsum()[end]
+        chains = counts.cumsum()
+        flags = int(chains[-1]) if len(chains) else 0
+        if flags > limit:
+            return None
+        path = [p.repeat(counts) for p in path]
+        path.append(np.arange(flags) + (after - chains).repeat(counts))
+    return path
+
+
+def _facet_runs(counts):
+    """Cut the facets, with ``counts`` flags each, into runs of consecutive
+    facets of at most _FLAG_RUN flags, a facet with more being a run alone.
+    Returns the first facet of each run and, last, the number of facets.
+    """
+    upto = counts.cumsum()
+    cuts = [0]
+    while cuts[-1] < len(upto):
+        lo = cuts[-1]
+        hi = np.searchsorted(upto, (upto[lo - 1] if lo else 0.0) + _FLAG_RUN, side="right")
+        cuts.append(max(lo + 1, int(hi)))
+    return cuts
 
 
 def volume(H: HalfspaceSystem) -> float:

@@ -9,10 +9,12 @@ one solve of the minimal form's n-subsets: each gives a vertex path linear
 in eps and the window of offsets on which it is a vertex candidate.  The
 eroded bodies of a profile then form one stack, an (E, m) array of offsets
 over the shared unit normals.  The vertex tail, the facet test and the
-flag kernel each run once over the stack; every body keeps its own
-vertices and facet rows, and its volume is bit-identical to the one it
-gets alone, which is how :func:`inner_parallel_body` and :func:`volume`
-compute it.
+flag kernel take the stack in blocks of several hundred candidate
+vertices, and the kernel takes each block's flags in runs of whole facets,
+so memory is bounded by the block and the run, not by the grid.  Every
+body keeps its own vertices and facet rows, and its volume is
+bit-identical to the one it gets alone, which is how
+:func:`inner_parallel_body` and :func:`volume` compute it.
 
 The envelope
 
@@ -178,11 +180,11 @@ def neighbourhood_profile(H: HalfspaceSystem,
     (:func:`polytope._incidence_from_candidates`), the facet test
     (:func:`polytope._facet_rows`) and the flag kernel
     (:func:`metrics._flag_volumes`), in blocks of about
-    ``_PROFILE_BLOCK`` candidates.  Each body keeps its own vertices and
-    facet rows, and its volume is bit-identical to that of
-    :func:`inner_parallel_body`, the per-offset reference, which runs the
-    same code on a stack of one.  Discrete concavity (second differences
-    <= report tolerance) is asserted before returning.
+    ``_PROFILE_BLOCK`` candidates (see :func:`_eroded_volumes`).  Each body
+    keeps its own vertices and facet rows, and its volume is bit-identical
+    to that of :func:`inner_parallel_body`, the per-offset reference, which
+    runs the same code on a stack of one.  Discrete concavity (second
+    differences <= report tolerance) is asserted before returning.
     """
     if grid_size < 3:
         raise BadParameter("grid_size must be >= 3")
@@ -207,14 +209,20 @@ def neighbourhood_profile(H: HalfspaceSystem,
                                 g_over_n=g_vals / n, chord=chord, deriv=deriv)
 
 
-_PROFILE_BLOCK = 256   # candidate vertices per stacked block of offsets
+_PROFILE_BLOCK = 768   # candidate vertices per stacked block of offsets
 
 
 def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
     """Volumes of the inner parallel bodies of H at the offsets eps (E,).
 
     The offsets must be positive.  An erosion that :func:`_erosion` finds
-    empty has volume 0.
+    empty has volume 0.  The erosions go through the vertex tail, the facet
+    test and the flag kernel in blocks of consecutive offsets with about
+    _PROFILE_BLOCK candidate vertices each.  The block bounds the memory of
+    the tail and of the kernel's walk of the face lattices; the kernel
+    bounds that of the flags itself, by its runs of facets, so the block
+    only has to be large enough that the fixed cost of each step is paid
+    rarely.
     """
     Hm, inc, b, empty = _erosion(H, eps)
     vols = np.zeros(len(eps))
@@ -228,7 +236,7 @@ def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
     bn = b[inside] / norms
     scale = np.full(len(eps), H.scale)
     centres = np.tile(inc.incentre, (len(eps), 1))
-    # blocks of offsets with about _PROFILE_BLOCK candidates each bound memory
+    # blocks of offsets with about _PROFILE_BLOCK candidates each
     counts = on.sum(axis=1)
     block = (np.cumsum(counts) - counts) // _PROFILE_BLOCK
     for k in np.flatnonzero(np.bincount(block)):

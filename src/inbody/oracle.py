@@ -4,7 +4,9 @@ Plain rejection sampling from an LP-certified bounding box.  These
 estimators deliberately share nothing with the exact cone-decomposition
 path, so agreement within a few binomial standard deviations is a real
 anti-regression signal.  Estimates are bit-for-bit reproducible for a
-given (samples, seed) pair.
+given (samples, seed) pair.  The samples are drawn and tested in blocks,
+which draw the same points as one draw of them all, so memory does not
+grow with the sample count.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .errors import BadParameter
 from .polytope import HalfspaceSystem, validate_body
 
-_CHUNK = 262_144
+_BLOCK = 2048   # samples per block of slacks, in one reused (m, block) buffer
 
 
 @dataclass
@@ -52,13 +54,23 @@ def mc_inner_volume(H: HalfspaceSystem, eps: float, samples: int,
 
 
 def _box_draws(H: HalfspaceSystem, rng: np.random.Generator, sizes):
-    """Yield, for each size k, k uniform bounding-box points and their
-    unit-row slacks ``b - A x`` (non-negative on the body)."""
+    """Yield, for each size k, k uniform bounding-box points and the least
+    unit-row slack ``min_i (b_i - a_i x)`` of each (non-negative on the
+    body).  The slacks are taken _BLOCK points at a time in one (m, _BLOCK)
+    buffer, whose columns are reduced in one pass."""
     lo, hi = bounding_box(H)
     An, bn, _ = H.unit_form()
+    resid = np.empty((bn.size, _BLOCK))
     for k in sizes:
         pts = rng.uniform(lo, hi, size=(k, lo.size))
-        yield pts, bn - pts @ An.T
+        low = np.empty(k)
+        for start in range(0, k, _BLOCK):
+            block = pts[start:start + _BLOCK]
+            r = resid[:, :len(block)]
+            np.matmul(An, block.T, out=r)
+            np.subtract(bn[:, None], r, out=r)
+            np.minimum.reduce(r, axis=0, out=low[start:start + _BLOCK])
+        yield pts, low
 
 
 def _estimate(H, samples, seed, eps):
@@ -67,12 +79,13 @@ def _estimate(H, samples, seed, eps):
     lo, hi = bounding_box(H)
     box_vol = float(np.prod(hi - lo))
     rng = np.random.default_rng(int(seed))
-    sizes = (min(_CHUNK, samples - start) for start in range(0, samples, _CHUNK))
+    # drawn in blocks, the points are those of one draw of all the samples
+    sizes = (min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK))
     hits = 0
-    for _, resid in _box_draws(H, rng, sizes):
-        inside = np.all(resid >= 0.0, axis=1)
+    for _, low in _box_draws(H, rng, sizes):
+        inside = low >= 0.0
         if eps is not None:
-            inside &= resid.min(axis=1) <= eps
+            inside &= low <= eps
         hits += int(np.count_nonzero(inside))
     p = hits / samples
     return McEstimate(mean=p * box_vol,

@@ -57,8 +57,8 @@ def sample_interior(H: HalfspaceSystem, count: int,
     """Uniform interior points by rejection from the bounding box."""
     out = []
     got = 0
-    for pts, resid in _box_draws(H, rng, itertools.repeat(max(4 * count, 64), 1000)):
-        hit = pts[np.all(resid >= 0.0, axis=1)]
+    for pts, slack in _box_draws(H, rng, itertools.repeat(max(4 * count, 64), 1000)):
+        hit = pts[slack >= 0.0]
         if hit.size:
             out.append(hit)
             got += hit.shape[0]

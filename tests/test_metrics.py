@@ -384,6 +384,22 @@ def kernel_inputs(H):
             ib.incentre(Hm).incentre[None])
 
 
+def profile_stacks(monkeypatch, H):
+    """The arguments of every stack _eroded_volumes hands the kernel in H's
+    profile at grid 33."""
+    stacks = []
+    kernel = neighbourhood._flag_volumes
+
+    def recording(*args):
+        stacks.append(args)
+        return kernel(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(neighbourhood, "_flag_volumes", recording)
+        neighbourhood._eroded_volumes(H, np.linspace(0.0, ib.incentre(H).inradius, 33)[1:])
+    return stacks
+
+
 def assert_same_as_chain_walk(args, rel=0.0):
     vols, fvols = metrics._flag_volumes(*args)
     ref_vols, ref_fvols = chain_flag_volumes(*args)
@@ -416,20 +432,54 @@ class TestFlagKernel:
     def test_profile_stacks(self, monkeypatch, n, seed):
         # every block of offsets that _eroded_volumes hands the kernel, on
         # one random body: each stack mixes bodies of different face lattices
-        H = ib.random_suite(n, 1, seed)[0]
-        blocks = []
-        kernel = neighbourhood._flag_volumes
-
-        def recording(*args):
-            blocks.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(neighbourhood, "_flag_volumes", recording)
-        inc = ib.incentre(H)
-        neighbourhood._eroded_volumes(H, np.linspace(0.0, inc.inradius, 33)[1:])
+        blocks = profile_stacks(monkeypatch, ib.random_suite(n, 1, seed)[0])
         assert blocks and max(len(args[3]) - 1 for args in blocks) > 1
         for args in blocks:
             assert_same_as_chain_walk(args)
+
+    @pytest.mark.parametrize("run", [1, 7, 1000])
+    def test_facet_runs_keep_every_number(self, monkeypatch, small_suite, run):
+        # each facet's cone is summed in flag order within its run, so the
+        # run size moves no bit: 1 and 7 flags make runs of about one facet,
+        # and 1,000 cuts the profile stack inside its bodies
+        stacks = [kernel_inputs(H) for n in (2, 3, 4) for H in small_suite[n]]
+        stacks += [kernel_inputs(build()) for build in (
+            twenty_four_cell, lambda: cross_polytope(3), lambda: cross_polytope(4))]
+        profile = profile_stacks(monkeypatch, ib.random_suite(4, 1, 8)[0])[0]
+        stacks.append(profile)
+        monkeypatch.setattr(metrics, "_FLAG_RUN", 10**9)
+        whole = [metrics._flag_volumes(*args) for args in stacks]
+        cuts = []
+        facet_runs = metrics._facet_runs
+
+        def recording(counts):
+            cuts.append(facet_runs(counts))
+            return cuts[-1]
+
+        monkeypatch.setattr(metrics, "_FLAG_RUN", run)
+        monkeypatch.setattr(metrics, "_facet_runs", recording)
+        for args, (vols, fvols) in zip(stacks, whole):
+            cuts.clear()
+            got_vols, got_fvols = metrics._flag_volumes(*args)
+            assert np.array_equal(got_vols, vols)
+            assert np.array_equal(got_fvols, fvols)
+        # the profile stack's facets come body by body, and a run starts
+        # inside a body
+        start, active = profile[3], profile[4]
+        facets = [np.count_nonzero(active[:, lo:hi].any(axis=1))
+                  for lo, hi in zip(start, start[1:])]
+        assert len(facets) > 1 and len(cuts) == 1
+        assert set(cuts[0]) - {0, *np.cumsum(facets)}
+
+    def test_stack_of_one_is_one_run(self, monkeypatch, small_suite):
+        # a body whose flags fit in one run is not cut
+        def refuse(counts):
+            raise AssertionError("cut into runs")
+
+        monkeypatch.setattr(metrics, "_facet_runs", refuse)
+        for n in (2, 3, 4):
+            for H in small_suite[n]:
+                metrics._flag_volumes(*kernel_inputs(H))
 
     @pytest.mark.parametrize("build", [
         lambda: cross_polytope(5), lambda: box(5),

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import inbody as ib
+from inbody import oracle
 from inbody.errors import BadParameter
-from tests.conftest import box
+from tests.conftest import box, sphere_cloud
 
 
 class TestBoundingBox:
@@ -85,3 +88,47 @@ class TestDeterminism:
                 for s in range(40, 48)])
         # sqrt(16) = 4x shrink expected; accept anything clearly improving
         assert errs[320_000] < errs[20_000] / 1.5
+
+
+def full_matrix_estimate(H, samples, seed, eps):
+    """The estimate from one draw of all the samples and their full (samples,
+    m) slack matrix."""
+    lo, hi = ib.bounding_box(H)
+    An, bn, _ = H.unit_form()
+    pts = np.random.default_rng(seed).uniform(lo, hi, size=(samples, lo.size))
+    resid = bn - pts @ An.T
+    inside = np.all(resid >= 0.0, axis=1)
+    if eps is not None:
+        inside &= resid.min(axis=1) <= eps
+    return np.count_nonzero(inside) / samples * float(np.prod(hi - lo))
+
+
+class TestBlocks:
+    """Blocks of samples give the hits of one full draw, in bounded memory."""
+
+    @pytest.mark.parametrize("samples", [5 * oracle._BLOCK, 5 * oracle._BLOCK + 1, 12_345])
+    def test_equals_full_matrix(self, small_suite, samples):
+        for n in (2, 3, 4):
+            for H in small_suite[n][:4]:
+                r = ib.incentre(H).inradius
+                assert ib.mc_volume(H, samples, 3).mean == full_matrix_estimate(
+                    H, samples, 3, None)
+                for eps in (0.0, 0.3 * r, 2.0 * r):
+                    assert ib.mc_inner_volume(H, eps, samples, 3).mean == \
+                        full_matrix_estimate(H, samples, 3, eps)
+
+    def test_million_samples_memory(self):
+        # a hull of 36 facets, as the CLI's oracle gets from a V-form cloud:
+        # at 10^6 samples the full slack matrix alone is 288 MB, and chunks
+        # of 262,144 samples peaked at 239 MB.  The blocks peaked at
+        # 901,248 bytes (numpy 2.4)
+        H = ib.convex_hull(ib.VertexSet(sphere_cloud(3, 20, 20, 1)))
+        assert H.m == 36
+        tracemalloc.start()
+        try:
+            est = ib.mc_inner_volume(H, 0.15, 10**6, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+        assert est.samples == 10**6 and 0.0 < est.mean < ib.volume(H)
