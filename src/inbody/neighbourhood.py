@@ -9,12 +9,11 @@ one solve of the minimal form's n-subsets: each gives a vertex path linear
 in eps and the window of offsets on which it is a vertex candidate.  The
 eroded bodies of a profile then form one stack, an (E, m) array of offsets
 over the shared unit normals.  The vertex tail, the facet test and the
-flag kernel take the stack in blocks of several hundred candidate
-vertices, and the kernel takes each block's flags in runs of whole facets,
-so memory is bounded by the block and the run, not by the grid.  Every
-body keeps its own vertices and facet rows, and its volume is
-bit-identical to the one it gets alone, which is how
-:func:`inner_parallel_body` and :func:`volume` compute it.
+volume kernel take the stack in blocks of several hundred candidate
+vertices, so memory is bounded by the block and by the face lattices of
+its bodies, not by the grid.  Every body keeps its own vertices and facet
+rows, and its volume is bit-identical to the one it gets alone, which is
+how :func:`inner_parallel_body` and :func:`volume` compute it.
 
 The envelope
 
@@ -33,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadParameter, EpsOutOfRange, GeometryError
-from .metrics import _flag_volumes, incentre, volume
+from .metrics import _pyramid_volumes, incentre, volume
 from .polytope import (
     TAU_FACET,
     TAU_REP,
@@ -178,8 +177,8 @@ def neighbourhood_profile(H: HalfspaceSystem,
     candidates.  The candidates of all the bodies, each tagged with its
     body, then go together through the vertex tail
     (:func:`polytope._incidence_from_candidates`), the facet test
-    (:func:`polytope._facet_rows`) and the flag kernel
-    (:func:`metrics._flag_volumes`), in blocks of about
+    (:func:`polytope._facet_rows`) and the volume kernel
+    (:func:`metrics._pyramid_volumes`), in blocks of about
     ``_PROFILE_BLOCK`` candidates (see :func:`_eroded_volumes`).  Each body
     keeps its own vertices and facet rows, and its volume is bit-identical
     to that of :func:`inner_parallel_body`, the per-offset reference, which
@@ -217,12 +216,11 @@ def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
 
     The offsets must be positive.  An erosion that :func:`_erosion` finds
     empty has volume 0.  The erosions go through the vertex tail, the facet
-    test and the flag kernel in blocks of consecutive offsets with about
+    test and the volume kernel in blocks of consecutive offsets with about
     _PROFILE_BLOCK candidate vertices each.  The block bounds the memory of
-    the tail and of the kernel's walk of the face lattices; the kernel
-    bounds that of the flags itself, by its runs of facets, so the block
-    only has to be large enough that the fixed cost of each step is paid
-    rarely.
+    the tail and of the kernel, whose arrays grow with the face lattices of
+    the block's bodies; it is large enough that the fixed cost of each step
+    is paid rarely.
     """
     Hm, inc, b, empty = _erosion(H, eps)
     vols = np.zeros(len(eps))
@@ -247,6 +245,6 @@ def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
             An, bn[sel], scale[sel], pts, body)
         keep = _facet_rows(start, active, H.dim)
         facet_active = active & keep[np.repeat(np.arange(len(sel)), np.diff(start))].T
-        vols[inside[sel]] = _flag_volumes(An, bn[sel], points, start, facet_active,
-                                          centres[sel])[0]
+        vols[inside[sel]] = _pyramid_volumes(An, bn[sel], points, start, facet_active,
+                                             centres[sel])[0]
     return vols

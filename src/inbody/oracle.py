@@ -53,23 +53,34 @@ def mc_inner_volume(H: HalfspaceSystem, eps: float, samples: int,
     return _estimate(H, samples, seed, eps=float(eps))
 
 
+def _blocks(count):
+    """Consecutive blocks of ``count`` samples, as (start, stop) pairs: of
+    _BLOCK samples each, but a last block of one sample is folded into the
+    block before it.  BLAS takes a block of one by a matrix-vector product,
+    whose slacks can differ in the last bit from those of a matrix product
+    of the same points."""
+    cuts = list(range(0, count, _BLOCK)) + [count]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return zip(cuts, cuts[1:])
+
+
 def _box_draws(H: HalfspaceSystem, rng: np.random.Generator, sizes):
     """Yield, for each size k, k uniform bounding-box points and the least
     unit-row slack ``min_i (b_i - a_i x)`` of each (non-negative on the
-    body).  The slacks are taken _BLOCK points at a time in one (m, _BLOCK)
-    buffer, whose columns are reduced in one pass."""
+    body).  The slacks are taken a block at a time (:func:`_blocks`) in one
+    (m, _BLOCK + 1) buffer, whose columns are reduced in one pass."""
     lo, hi = bounding_box(H)
     An, bn, _ = H.unit_form()
-    resid = np.empty((bn.size, _BLOCK))
+    resid = np.empty((bn.size, _BLOCK + 1))
     for k in sizes:
         pts = rng.uniform(lo, hi, size=(k, lo.size))
         low = np.empty(k)
-        for start in range(0, k, _BLOCK):
-            block = pts[start:start + _BLOCK]
-            r = resid[:, :len(block)]
-            np.matmul(An, block.T, out=r)
+        for start, stop in _blocks(k):
+            r = resid[:, :stop - start]
+            np.matmul(An, pts[start:stop].T, out=r)
             np.subtract(bn[:, None], r, out=r)
-            np.minimum.reduce(r, axis=0, out=low[start:start + _BLOCK])
+            np.minimum.reduce(r, axis=0, out=low[start:stop])
         yield pts, low
 
 
@@ -80,7 +91,7 @@ def _estimate(H, samples, seed, eps):
     box_vol = float(np.prod(hi - lo))
     rng = np.random.default_rng(int(seed))
     # drawn in blocks, the points are those of one draw of all the samples
-    sizes = (min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK))
+    sizes = (stop - start for start, stop in _blocks(samples))
     hits = 0
     for _, low in _box_draws(H, rng, sizes):
         inside = low >= 0.0

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,11 @@ import inbody as ib
 from inbody import projective
 from inbody.cli import RunConfig, _default_resolutions, config_from_args, run
 from tests.conftest import noisy_cone, wide_rows
+
+# [-1, 1]^8 and the hull of 0 and the unit vectors of R^10
+EIGHT_CUBE = {"dim": 8, "halfspaces": [{"a": row.tolist(), "b": 1}
+                                       for row in np.vstack([np.eye(8), -np.eye(8)])]}
+TEN_SIMPLEX = {"dim": 10, "vertices": np.vstack([np.zeros(10), np.eye(10)]).tolist()}
 
 
 @pytest.fixture
@@ -304,13 +310,10 @@ class TestExitCodes:
         ({"dim": 2, "halfspaces": [{"a": [1e308, 1e308], "b": 1},
                                    {"a": [-1, 0], "b": 0}, {"a": [0, -1], "b": 0}]},
          1, "BadParameter"),
-        # 2^8 8! flags, and the 11! of the 10-simplex: each would take
-        # gigabytes of determinant entries
-        ({"dim": 8, "halfspaces": [{"a": row.tolist(), "b": 1}
-                                   for row in np.vstack([np.eye(8), -np.eye(8)])]},
-         1, "BadParameter"),
-        ({"dim": 10, "vertices": np.vstack([np.zeros(10), np.eye(10)]).tolist()},
-         1, "BadParameter"),
+        # 2^8 8! flags, and the 11! of the 10-simplex: reported in well
+        # under a second
+        (EIGHT_CUBE, 0, None),
+        (TEN_SIMPLEX, 0, None),
         # coordinates whose squares overflow: refused before any LP, or
         # after the box LPs
         ({"dim": 2, "halfspaces": [{"a": a, "b": b} for a, b in zip(
@@ -334,7 +337,34 @@ class TestExitCodes:
         start = time.perf_counter()
         assert run(RunConfig(command="metrics", input_path=str(path))) == code
         assert time.perf_counter() - start < 5.0
-        assert json.loads(capsys.readouterr().err)["error"] == error
+        err = capsys.readouterr().err
+        if code:
+            assert json.loads(err)["error"] == error
+        else:
+            assert err == ""
+
+    @pytest.mark.parametrize("obj, vol, per", [
+        (EIGHT_CUBE, 2.0**8, 16 * 2.0**7),
+        (TEN_SIMPLEX, 1 / math.factorial(10), (10 + math.sqrt(10)) / math.factorial(9))],
+        ids=["8-cube", "10-simplex"])
+    def test_many_flags_report(self, tmp_path, obj, vol, per):
+        # the 8-cube took 0.12 s and peaked at 15.7 MB, the 10-simplex 0.07 s
+        # and 3.4 MB (numpy 2.4)
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            assert run(RunConfig(command="metrics", input_path=str(path),
+                                 output_path=str(out))) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
+        report = json.loads(out.read_text())
+        assert report["volume"] == pytest.approx(vol, rel=1e-14)
+        assert report["perimeter"] == pytest.approx(per, rel=1e-14)
+        assert report["satisfied"]
 
     def test_subset_cap_is_validation_error(self, wide_file, capsys):
         assert run(RunConfig(command="metrics", input_path=str(wide_file))) == 1

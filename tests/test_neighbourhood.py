@@ -334,8 +334,8 @@ class TestWindowedProfile:
     def test_twenty_row_profile_memory(self, small_suite):
         # the profile's peak on this body before the stacked pass was
         # 2,187,146 bytes (numpy 2.4, a warm run); the blocks of candidates
-        # bound the vertex tail and the flag walk, and the kernel's runs of
-        # facets its flags, so the stacked pass stays within 4 MB of that
+        # bound the vertex tail and the kernel's walk of the face lattices,
+        # so the stacked pass stays within 4 MB of that
         H = twenty_row_body(small_suite)
         body = unmemoized(H)
         tracemalloc.start()
@@ -347,34 +347,26 @@ class TestWindowedProfile:
         assert peak <= 2_187_146 + 4e6
         assert np.array_equal(prof.l_vol, per_eps_l_vol(H, 33))
 
-    def test_profile_across_blocks_and_flag_runs(self, monkeypatch, small_suite):
-        # at grid 129 the erosions make several blocks of candidates, and
-        # the kernel cuts each block's stack into several runs of facets
+    def test_profile_across_blocks(self, monkeypatch, small_suite):
+        # at grid 129 the erosions make several blocks of candidates
         H = twenty_row_body(small_suite)
-        stacks, runs = [], []
-        kernel, facet_runs = neighbourhood._flag_volumes, metrics._facet_runs
+        stacks = []
+        kernel = neighbourhood._pyramid_volumes
 
         def stacked(*args):
             stacks.append(len(args[3]) - 1)
             return kernel(*args)
 
-        def cut(counts):
-            runs.append(facet_runs(counts))
-            return runs[-1]
-
-        monkeypatch.setattr(neighbourhood, "_flag_volumes", stacked)
-        monkeypatch.setattr(metrics, "_facet_runs", cut)
+        monkeypatch.setattr(neighbourhood, "_pyramid_volumes", stacked)
         prof = ib.neighbourhood_profile(H, 129)
         monkeypatch.undo()
-        assert len(stacks) > 1 and len(runs) == len(stacks)
-        assert min(len(cuts) for cuts in runs) > 2
+        assert len(stacks) > 1
         assert np.array_equal(prof.l_vol, per_eps_l_vol(H, 129))
 
     def test_profile_memory_bounded_by_blocks(self, small_suite):
         # eight times the grid of test_twenty_row_profile_memory: the peak
-        # was 1,828,484 bytes (numpy 2.4, a warm run; 1,901,569 cold),
-        # against 1,712,545 at grid 33.  Without the kernel's runs it was
-        # 4.95 MB, and with the erosions in one block 18.9 MB
+        # was 2,217,706 bytes (numpy 2.4, a warm run), against 2,096,671 at
+        # grid 33; with the erosions in one block it was 23.2 MB
         body = unmemoized(twenty_row_body(small_suite))
         tracemalloc.start()
         try:
@@ -399,7 +391,7 @@ class TestStackedHelpers:
         keep = polytope._facet_rows(start, active, An.shape[1])
         vbody = np.repeat(np.arange(len(eps)), np.diff(start))
         centres = np.tile(centre, (len(eps), 1))
-        vols, fvols = metrics._flag_volumes(An, bn, points, start,
+        vols, fvols = metrics._pyramid_volumes(An, bn, points, start,
                                             active & keep[vbody].T, centres)
         return points, start, active, keep, vols, fvols
 

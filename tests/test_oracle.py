@@ -117,6 +117,36 @@ class TestBlocks:
                     assert ib.mc_inner_volume(H, eps, samples, 3).mean == \
                         full_matrix_estimate(H, samples, 3, eps)
 
+    @pytest.mark.parametrize("samples", [oracle._BLOCK + 1, 5 * oracle._BLOCK + 1])
+    def test_no_block_of_one_sample(self, monkeypatch, samples):
+        # 2,049 samples go to the draws as one size, and 10,241 through
+        # mc_volume's sizes.  A last block of one sample took its slacks by
+        # a matrix-vector product, whose last bit differed from a matrix
+        # product's on 41 of these 150 bodies; folded into the block before
+        # it, the last 2,049 slacks are those of one (m, 2049) product
+        lows = []
+        draws = oracle._box_draws
+
+        def recording(H, rng, sizes):
+            for pts, low in draws(H, rng, sizes):
+                lows.append(low)
+                yield pts, low
+
+        monkeypatch.setattr(oracle, "_box_draws", recording)
+        for n in (2, 3, 4):
+            for seed, H in enumerate(ib.random_suite(n, 50, 2000 + n)):
+                lows.clear()
+                if samples < 10_000:
+                    list(oracle._box_draws(H, np.random.default_rng(seed), [samples]))
+                else:
+                    ib.mc_volume(H, samples, seed)
+                lo, hi = ib.bounding_box(H)
+                An, bn, _ = H.unit_form()
+                pts = np.random.default_rng(seed).uniform(lo, hi, size=(samples, n))
+                tail = pts[-(oracle._BLOCK + 1):]
+                full = np.min(bn[:, None] - An @ tail.T, axis=0)
+                assert np.array_equal(np.concatenate(lows)[-len(tail):], full)
+
     def test_million_samples_memory(self):
         # a hull of 36 facets, as the CLI's oracle gets from a V-form cloud:
         # at 10^6 samples the full slack matrix alone is 288 MB, and chunks
