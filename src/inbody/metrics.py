@@ -21,7 +21,6 @@ inradius sandwich
 from __future__ import annotations
 
 import itertools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np

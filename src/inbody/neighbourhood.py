@@ -143,7 +143,7 @@ def bounds_report(H: HalfspaceSystem, eps: float) -> BoundsReport:
     g = g_formula(vol, inc.inradius, eps, H.dim)
     chord = eps * vol / inc.inradius
     tol = TAU_REP * max(1.0, vol)
-    ok = (g / H.dim - tol <= chord - tol) and (chord - tol <= l) and (l <= g + tol)
+    ok = (g / H.dim <= chord + tol) and (chord - tol <= l) and (l <= g + tol)
     return BoundsReport(l=l, g=g, g_over_n=g / H.dim, chord=chord, ok=bool(ok))
 
 

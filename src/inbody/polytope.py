@@ -22,15 +22,15 @@ subsets are solved in batches, one routine for a right-hand side of one
 column (the vertices of one body) or two (the vertex paths of all the
 inner parallel bodies of one minimal form, see :func:`_vertex_paths`).  Up
 to n = 4 a batch is array operations over all its subsets: each
-determinant is split into 2 x 2 minors as :func:`_det` splits it, and each
-solution is read by Cramer's rule from cofactors built of the same minors
-(:func:`_subset_solves`); above n = 4 LU solves them.  The steps after
-them (naming each vertex by the rows it lies on, refining it, testing
-facets) take a stack of bodies that share their unit normals and
-differ in their offsets: the inner parallel bodies of a profile go through
-them in one pass, and a single body is a stack of one.  They are array
-operations over all vertices or faces of the stack at once, in blocks that
-bound memory, and a body's results do not depend on the stack it is in.
+determinant is the expansion along its first row by the cofactors that
+Cramer's rule reads each solution from (:func:`_subset_solves`); above
+n = 4 LU solves them.  The steps after them (naming each vertex by the
+rows it lies on, refining it, testing facets) take a stack of bodies that
+share their unit normals and differ in their offsets: the inner parallel
+bodies of a profile go through them in one pass, and a single body is a
+stack of one.  They are array operations over all vertices or faces of the
+stack at once, in blocks that bound memory, and a body's results do not
+depend on the stack it is in.
 Every face is decided from the incidence alone, by one rule: the facets of
 a face are its maximal proper meets with the rows (:func:`_facet_meets`).
 """
@@ -367,23 +367,24 @@ def _subset_solves(An, rhs):
 
     ``rhs`` holds k right-hand sides as rows, (k, m).  Yields one (k, C, n)
     array per chunk of subsets, in subset order.  A_S counts as invertible
-    when |det A_S| > 1e-10, its determinant split as :func:`_det` splits
-    it.  Up to n = 4 each solution is then read by Cramer's rule from the
-    cofactors of A_S, which come from the same 2 x 2 minors: one pass of
-    array operations over the chunk, where LU would make one LAPACK call
-    per subset.  Cramer's rule is not backward stable, but at these sizes
-    its error stays a small multiple of the condition number times the
-    unit roundoff (Higham 2002, 1.10.1), and each vertex is refined from
-    its active rows afterwards, so a candidate only has to land within the
-    facet tolerance.  Above n = 4 the subsets are solved by LU.  Rows are
-    gathered with ``take`` and selected with ``compress``.
+    when |det A_S| > 1e-10.  Up to n = 4 the determinant is the expansion
+    along the first row by its cofactors (:func:`_first_row_det`), and the
+    subsets it keeps get the cofactors of their other rows, from which
+    Cramer's rule reads each solution: one pass of array operations over
+    the chunk, where LU would make one LAPACK call per subset.  Cramer's
+    rule is not backward stable, but at these sizes its error stays a small
+    multiple of the condition number times the unit roundoff (Higham 2002,
+    1.10.1), and each vertex is refined from its active rows afterwards, so
+    a candidate only has to land within the facet tolerance.  Above n = 4
+    the subsets are solved by LU.  Rows are gathered with ``take`` and
+    selected with ``compress``.
     """
     m, n = An.shape
     AT = np.ascontiguousarray(An.T)
     for chunk in _combo_chunks(m, n):
         if n > 4:
             sub = An.take(chunk, axis=0)
-            good = np.abs(_det(sub)) > 1e-10
+            good = np.abs(np.linalg.det(sub)) > 1e-10
             if good.any():
                 yield np.linalg.solve(sub.compress(good, axis=0),
                                       rhs.T.take(chunk.compress(good, axis=0), axis=0)
@@ -391,96 +392,68 @@ def _subset_solves(An, rhs):
             continue
         # G[j, i]: entry (i, j) of every A_S of the chunk, contiguous over S
         G = AT.take(chunk.T, axis=1)
-        det, minors = _split_det([G[:, i].T for i in range(n)])
+        det, cof = _first_row_det(G)
         good = np.abs(det) > 1e-10
         if not good.all():
-            G, det = G.compress(good, axis=2), det.compress(good)
-            minors = [mi.compress(good, axis=1) for mi in minors]
-            chunk = chunk.compress(good, axis=0)
+            G, cof = G.compress(good, axis=2), cof.compress(good, axis=1)
+            det, chunk = det.compress(good), chunk.compress(good, axis=0)
         if not det.size:
             continue
         r = rhs.take(chunk.T, axis=1)                 # (k, n, C)
         x = np.zeros((rhs.shape[0], n, det.size))
-        for i, cof in enumerate(_cofactor_rows(G, minors)):
-            x += cof * r[:, i, None]
+        x += cof * r[:, 0, None]
+        for i in range(1, n):
+            x += _cofactor_row(G, i) * r[:, i, None]
         yield (x / det).transpose(0, 2, 1)
 
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# the Laplace split of an n x n determinant, n = 3 or 4, by its last two
-# rows: the column pairs of their 2 x 2 minors, and the sign of each term
-_SPLIT = {3: (((1, 2), (0, 2), (0, 1)), (1, -1, 1)),
-          4: (_PAIRS[::-1], (1, -1, 1, 1, -1, 1))}
 # the columns other than j, ascending, for each column j of a 4 x 4 matrix
 _REST = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 
-def _det(M):
-    """Determinants of a stack of n x n matrices (..., n, n).
+def _first_row_det(G):
+    """Determinants of stacked n x n matrices, n <= 4, with the cofactors
+    of their first row: det = sum_j a_0j C_0j, summed left to right.
 
-    Up to n = 4 by cofactor expansion over the whole stack (by 2 x 2 minors
-    at n = 4, see :func:`_split_det`): on random and nearly singular
-    matrices about as accurate as LU, and on thousands of matrices 7 to 33
-    times faster than a LAPACK call per matrix.  Above that by LU.
+    ``G[j, i]`` (n, n, C) holds entry (i, j) of every matrix; the cofactors
+    are :func:`_cofactor_row`'s, an (n, C) array over j.
     """
-    n = M.shape[-1]
-    if n > 4:
-        return np.linalg.det(M)
-    return _split_det([M[..., i, :] for i in range(n)])[0]
+    cof = _cofactor_row(G, 0)
+    det = G[0, 0] * cof[0]
+    for j in range(1, G.shape[0]):
+        det += G[j, 0] * cof[j]
+    return det, cof
 
 
-def _split_det(rows):
-    """Determinants of n x n matrices, n <= 4, given as their n rows, each
-    a stack (..., n), with the 2 x 2 minors they were split into.
+def _cofactor_row(G, i):
+    """The cofactors C_ij of row i of stacked n x n matrices, n <= 4, as an
+    (n, C) array over j.
 
-    The minors are those of the last two rows over :data:`_SPLIT` (n = 3),
-    of the only two rows (n = 2), or of the first two rows over
-    :data:`_PAIRS` and the last two over :data:`_SPLIT` (n = 4, see
-    :func:`_laplace`); n = 1 has none.
-    """
-    n = len(rows)
-    if n == 1:
-        return rows[0][..., 0], []
-    if n == 2:
-        low = _minors(rows[0], rows[1], _PAIRS[:1])
-        return low[0], [low]
-    low = _minors(rows[-2], rows[-1], _SPLIT[n][0])
-    if n == 3:
-        return _laplace(np.moveaxis(rows[0], -1, 0), low, 3), [low]
-    head = _minors(rows[0], rows[1], _PAIRS)
-    return _laplace(head, low, 4), [head, low]
-
-
-def _cofactor_rows(G, minors):
-    """The cofactors C_ij of stacked n x n matrices, n <= 4, one row i at a
-    time: each an (n, C) array over j.
-
-    ``G[j, i]`` (n, n, C) holds entry (i, j) of every matrix, and
-    ``minors`` are :func:`_split_det`'s.  At n = 3 row i is the cross
-    product of the other two rows.  At n = 4 the 3 x 3 minor of C_ij is
-    expanded along the other row of i's pair, (0, 1) or (2, 3), by the 2 x 2
-    minors of the opposite pair that the determinant was split into.
+    ``G[j, i]`` (n, n, C) holds entry (i, j) of every matrix.  At n = 3 the
+    row is the cross product of the other two rows.  At n = 4 the 3 x 3
+    minor of C_ij is expanded along the other row of i's pair, (0, 1) or
+    (2, 3), by the 2 x 2 minors of the opposite pair over :data:`_PAIRS`.
     """
     n = G.shape[0]
     if n == 1:
-        yield np.ones_like(G[0])
-    elif n == 2:
-        yield np.stack([G[1, 1], -G[0, 1]])
-        yield np.stack([-G[1, 0], G[0, 0]])
-    elif n == 3:
-        for i in range(3):
-            yield _minors(G[:, (i + 1) % 3].T, G[:, (i + 2) % 3].T, ((1, 2), (2, 0), (0, 1)))
-    else:
-        head, low = minors
-        for i in range(4):
-            a = G[:, i ^ 1]
-            # the minors of the opposite pair of rows, keyed by column pair
-            opp = dict(zip(_SPLIT[4][0], low) if i < 2 else zip(_PAIRS, head))
-            cof = np.empty((4,) + a.shape[1:])
-            for j, (p, q, r) in enumerate(_REST):
-                term = a[p] * opp[q, r] - a[q] * opp[p, r] + a[r] * opp[p, q]
-                cof[j] = term if (i + j) % 2 == 0 else -term
-            yield cof
+        return np.ones_like(G[0])
+    if n == 2:
+        return np.stack([G[1, 1], -G[0, 1]] if i == 0 else [-G[1, 0], G[0, 0]])
+    if n == 3:
+        return _minors(G[:, (i + 1) % 3].T, G[:, (i + 2) % 3].T, ((1, 2), (2, 0), (0, 1)))
+    k = 2 if i < 2 else 0
+    opp = dict(zip(_PAIRS, _minors(G[:, k].T, G[:, k + 1].T, _PAIRS)))
+    a = G[:, i ^ 1]
+    cof = np.empty_like(a)
+    for j, (p, q, r) in enumerate(_REST):
+        c = cof[j]
+        np.multiply(a[p], opp[q, r], out=c)
+        c -= a[q] * opp[p, r]
+        c += a[r] * opp[p, q]
+        if (i + j) % 2:
+            np.negative(c, out=c)
+    return cof
 
 
 def _minors(a, b, pairs):
@@ -488,22 +461,9 @@ def _minors(a, b, pairs):
     per pair (i, j), stacked along a new first axis."""
     out = np.empty((len(pairs),) + a.shape[:-1])
     for k, (i, j) in enumerate(pairs):
-        np.subtract(a[..., i] * b[..., j], a[..., j] * b[..., i], out=out[k, ...])
+        np.multiply(a[..., i], b[..., j], out=out[k])
+        out[k] -= a[..., j] * b[..., i]
     return out
-
-
-def _laplace(head, low, n):
-    """An n x n determinant, n = 3 or 4, from the minors ``low`` of its last
-    two rows (:data:`_SPLIT`) and ``head``: the entries of its first row at
-    n = 3, the minors of its first two rows over :data:`_PAIRS` at n = 4,
-    both along the first axis.  The terms are summed left to right, so a
-    determinant does not depend on where its minors were taken.
-    """
-    terms = head * low
-    det = terms[0]
-    for k, sign in enumerate(_SPLIT[n][1][1:], 1):
-        det = det + terms[k] if sign > 0 else det - terms[k]
-    return det
 
 
 def _incidence_from_candidates(An, bn, scale, pts, body):

@@ -47,9 +47,11 @@ def cut_cube_rows():
 
 def written_out_det(M):
     """Determinants of a stack of n x n matrices (..., n, n) by the cofactor
-    expressions written out: along the first row, by the 2 x 2 minors of
-    the first two rows at n = 4, and by LU above n = 4.  The terms are those
-    of polytope._det, in its order, so the two agree bit for bit."""
+    expressions written out: along the first row up to n = 3, by the 2 x 2
+    minors of the first two rows at n = 4 (the Laplace split), and by LU
+    above n = 4.  Up to n = 3 these are the terms of the vertex kernel's
+    first-row expansion (polytope._first_row_det), in its order, so the two
+    agree bit for bit; at n = 4 they agree within a few ulps."""
     n = M.shape[-1]
     a = [[M[..., i, j] for j in range(n)] for i in range(n)]
     if n == 1:

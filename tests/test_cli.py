@@ -85,6 +85,19 @@ class TestCommands:
             config_from_args(["bounds", "--input", str(cube_file), "--eps", "0.1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("eps", [1e-10, 3e-9])
+    def test_inner_ok_at_small_eps(self, tmp_path, eps):
+        # README's unit square: g/n rounds above the chord by 1.7e-17 at
+        # eps = 1e-10, inside the report tolerance
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({"dim": 2, "halfspaces": [
+            {"a": a, "b": b} for a, b in zip([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0])]}))
+        code, out = run_to_file("inner", path, tmp_path / "i.json", eps=eps)
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert rep["g_over_n"] > rep["chord"]
+        assert rep["ok"] is True
+
     def test_inner_requires_eps(self, cube_file, tmp_path):
         code, _ = run_to_file("inner", cube_file, tmp_path / "x.json")
         assert code == 2

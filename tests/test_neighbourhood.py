@@ -186,6 +186,16 @@ class TestBoundsReport:
                     assert rep.l <= rep.g + tol
                     assert rep.ok
 
+    @pytest.mark.parametrize("frac", [1e-10, 3e-9])
+    def test_small_offset_within_tolerance(self, frac):
+        # at small eps, g = vol (1 - (1 - eps/r)^n) carries cancellation
+        # error, so g/n can round above the chord that it equals or stays
+        # under: on the unit square by 1.7e-17, far inside the tolerance
+        for n in (2, 3, 4):
+            for H in [box(n)] + ib.random_suite(n, 10, 40 + n):
+                rep = ib.bounds_report(H, frac * ib.incentre(H).inradius)
+                assert rep.ok
+
 
 class TestScaleCopyContainment:
     def test_zero_offset(self, unit_square):

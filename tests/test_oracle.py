@@ -91,15 +91,18 @@ class TestDeterminism:
 
 
 def full_matrix_estimate(H, samples, seed, eps):
-    """The estimate from one draw of all the samples and their full (samples,
-    m) slack matrix."""
+    """The estimate from one draw of all the samples and their full (m,
+    samples) slack matrix, whose columns are taken block by block over
+    oracle._blocks, each block by its own matrix product: the last bits of
+    one product of all the samples depend on the BLAS thread count."""
     lo, hi = ib.bounding_box(H)
     An, bn, _ = H.unit_form()
     pts = np.random.default_rng(seed).uniform(lo, hi, size=(samples, lo.size))
-    resid = bn - pts @ An.T
-    inside = np.all(resid >= 0.0, axis=1)
+    resid = np.hstack([bn[:, None] - An @ pts[start:stop].T
+                       for start, stop in oracle._blocks(samples)])
+    inside = np.all(resid >= 0.0, axis=0)
     if eps is not None:
-        inside &= resid.min(axis=1) <= eps
+        inside &= resid.min(axis=0) <= eps
     return np.count_nonzero(inside) / samples * float(np.prod(hi - lo))
 
 

@@ -255,12 +255,13 @@ class TestNonSimpleRefine:
 
 
 def lapack_subset_solves(An, rhs):
-    """Reference: every n-subset with |_det| > 1e-10 solved by LU, one
-    LAPACK call per subset, yielded as _subset_solves yields (k, C, n)."""
+    """Reference: every n-subset whose LU determinant exceeds 1e-10 in
+    absolute value, solved by LU, one LAPACK call per subset, yielded as
+    _subset_solves yields (k, C, n)."""
     m, n = An.shape
     for chunk in polytope._combo_chunks(m, n):
         sub = An[chunk]
-        good = np.abs(polytope._det(sub)) > 1e-10
+        good = np.abs(np.linalg.det(sub)) > 1e-10
         if good.any():
             yield np.linalg.solve(sub[good], rhs.T[chunk[good]]).transpose(2, 0, 1)
 
@@ -279,6 +280,42 @@ def cofactor_families(small_suite):
 
 
 FAMILIES = ["small-suite", "cubes", "cross-polytopes", "24-cell", "cut-cube", "polar-clouds"]
+
+
+def first_row_expansion(M):
+    """det M of 4 x 4 matrices (..., 4, 4) along the first row, sum_j a_0j C_0j
+    left to right, each cofactor's 3 x 3 minor expanded along row 1 by the
+    2 x 2 minors of rows 2 and 3."""
+    a = [[M[..., i, j] for j in range(4)] for i in range(4)]
+
+    def low(i, j):
+        return a[2][i] * a[3][j] - a[2][j] * a[3][i]
+
+    cof = [a[1][1] * low(2, 3) - a[1][2] * low(1, 3) + a[1][3] * low(1, 2),
+           -(a[1][0] * low(2, 3) - a[1][2] * low(0, 3) + a[1][3] * low(0, 2)),
+           a[1][0] * low(1, 3) - a[1][1] * low(0, 3) + a[1][3] * low(0, 1),
+           -(a[1][0] * low(1, 2) - a[1][1] * low(0, 2) + a[1][2] * low(0, 1))]
+    return a[0][0] * cof[0] + a[0][1] * cof[1] + a[0][2] * cof[2] + a[0][3] * cof[3]
+
+
+def assert_first_row_det(An):
+    """The kernel's determinant of every n-subset of the rows An, taken from
+    the chunk's gathered rows, against the written-out ones: bit for bit
+    against written_out_det up to n = 3, and at n = 4 bit for bit against
+    first_row_expansion, within 4e-16 of written_out_det's Laplace split and
+    with its mask.  Returns the determinants."""
+    m, n = An.shape
+    combos = polytope._combo_array(m, n)
+    G = np.ascontiguousarray(An.T).take(combos.T, axis=1)
+    det, _ = polytope._first_row_det(G)
+    ref = written_out_det(An[combos])
+    if n < 4:
+        assert np.array_equal(det, ref)
+    else:
+        assert np.array_equal(det, first_row_expansion(An[combos]))
+        assert np.abs(det - ref).max() <= 4e-16
+        assert np.array_equal(np.abs(det) > 1e-10, np.abs(ref) > 1e-10)
+    return det
 
 
 class TestCofactorKernel:
@@ -311,33 +348,26 @@ class TestCofactorKernel:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_invertibility_mask_is_det_mask(self, small_suite, family):
-        # the determinants behind the mask, split from the chunk's gathered
-        # rows, are _det's written out, bit for bit, and the kernel yields
-        # one solution per subset the mask keeps
+        # the determinants behind the mask, expanded along the first row of
+        # the chunk's gathered rows, are the written-out ones (see
+        # assert_first_row_det), and the kernel yields one solution per
+        # subset the mask keeps
         for H in cofactor_families(small_suite)[family]():
             An, bn, _ = H.unit_form()
-            m, n = An.shape
-            combos = polytope._combo_array(m, n)
-            G = np.ascontiguousarray(An.T).take(combos.T, axis=1)
-            det, _ = polytope._split_det([G[:, i].T for i in range(n)])
-            ref = written_out_det(An[combos])
-            assert np.array_equal(det, ref)
+            det = assert_first_row_det(An)
             kept = sum(x.shape[1] for x in polytope._subset_solves(An, bn[None]))
-            assert kept == np.count_nonzero(np.abs(ref) > 1e-10)
+            assert kept == np.count_nonzero(np.abs(det) > 1e-10)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_near_singular_mask(self, n):
         # a row tilted 1e-11 off another gives |det| below the cutoff, one
-        # tilted 1e-9 above it; the split agrees with _det written out
+        # tilted 1e-9 above it
         for tilt in (1e-11, 1e-9):
             A = np.vstack([np.eye(n), -np.eye(n), np.eye(n)[0] + tilt * np.eye(n)[-1]])
             An = A / np.linalg.norm(A, axis=1)[:, None]
+            det = assert_first_row_det(An)
             combos = polytope._combo_array(len(An), n)
-            G = np.ascontiguousarray(An.T).take(combos.T, axis=1)
-            det, _ = polytope._split_det([G[:, i].T for i in range(n)])
-            ref = written_out_det(An[combos])
-            assert np.array_equal(det, ref)
-            near = np.abs(ref[(combos == 0).any(axis=1) & (combos == 2 * n).any(axis=1)])
+            near = np.abs(det[(combos == 0).any(axis=1) & (combos == 2 * n).any(axis=1)])
             assert (near.max() <= 1e-10) == (tilt < 1e-10)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -348,7 +378,7 @@ class TestCofactorKernel:
             An, bn, _ = H.unit_form()
             m, n = An.shape
             combos = polytope._combo_array(m, n)
-            combos = combos[np.abs(polytope._det(An[combos])) > 1e-10]
+            combos = combos[np.abs(np.linalg.det(An[combos])) > 1e-10]
             sols = np.vstack([x for (x,) in polytope._subset_solves(An, bn[None])])
             tol = polytope.TAU_FACET * H.scale
             feasible = np.flatnonzero(np.all(sols @ An.T - bn <= tol, axis=1))
