@@ -4,12 +4,14 @@ One kernel gives the volume and every facet volume, by the pyramid
 recursion over the face lattice: a face is the union of the pyramids over
 its facets with apex its centroid, so its volume is the sum of their
 heights times the facets' volumes, over its dimension, and the body itself
-is coned from the incentre.  The lattice is its Hasse diagram, read off the
-vertex-facet incidence alone (the facets of a face are its maximal proper
-meets with the facet rows).  The kernel walks the diagram once per face and
-takes one height per edge of it, so memory is bounded by the diagram.  It
-takes a stack of bodies with shared normals (the eroded bodies of a
-profile) and a single body is a stack of one.
+is coned from the incentre.  The recursion ends at the 1-faces, whose
+volume is the distance between their extreme vertices.  The lattice is its
+Hasse diagram, read off the vertex-facet incidence alone (the facets of a
+face are its maximal proper meets with the facet rows).  The kernel walks
+the diagram once per face down to the 1-faces and takes one height per
+edge of it, so memory is bounded by the diagram.  It takes a stack of
+bodies with shared normals (the eroded bodies of a profile, and the body
+itself) and a single body is a stack of one.
 The inradius is the optimum of the Chebyshev-centre linear program.  The
 "pancake" boxes [0,1] x [0,K]^{n-1} realise the extreme ratios between
 the inradius and volume/perimeter, which pins both constants of the
@@ -157,33 +159,39 @@ def _pyramid_volumes(An, bn, points, start, active, centres):
     A k-face G is the union of the pyramids over its facets F with apex its
     vertex centroid g_G, so vol(G) = (1/k) sum_F h(G, F) vol(F), where
     h(G, F) is the distance from g_G to the affine hull of F within that of
-    G (Lasserre 1983; Bueler, Enge & Fukuda 2000).  A vertex has volume 1,
-    and the body itself is coned from its centre: vol = (1/n) sum_i
-    dist(c, F_i) vol(F_i).  Unrolled, this is the sum over the flags of the
-    boundary of the barycentric simplices' volumes, one product of heights
-    over n! each, but it needs one height per edge of the Hasse diagram of
-    the face lattice instead of one determinant per flag.
+    G (Lasserre 1983; Bueler, Enge & Fukuda 2000).  The recursion ends at
+    the 1-faces: a 1-face is the segment between its extreme vertices, the
+    first and the last of its vertices in the body's lexicographic order
+    (it can hold more than two within the facet tolerance, as on a plane
+    cut a little off a cube's face), and its volume is their distance.  At
+    n = 1 the facets are vertices, of volume 1.  The body itself is coned
+    from its centre: vol = (1/n) sum_i dist(c, F_i) vol(F_i).  Unrolled,
+    this is the sum over the flags of the boundary of the barycentric
+    simplices' volumes, one product of heights over n! each, but it needs
+    one height per edge of the Hasse diagram of the face lattice instead of
+    one determinant per flag.
 
     The diagram is read off the vertex-facet incidence alone (Ziegler 1995,
     2.2): the facets of a k-face G are the distinct meets of G with facet
     rows that are proper, keep at least k vertices and lie inside no other
     such meet (:func:`polytope._facet_meets`, the rule that also finds the
-    facet rows).  The walk takes each level once per distinct face: the
-    facets of the level's faces are the diagram's edges (face, sub-face) in
-    (face, row) order, and one sort by (body, sub-face) numbers the distinct
-    sub-faces.  Each face carries an orthonormal basis of the normals of its
-    affine hull: a facet its row's unit normal, and a sub-face its first
-    parent's basis and one modified Gram-Schmidt step with the row of that
-    edge (:func:`_normals`).  An edge G -> F through row j has the unit
-    normal u = P_G a_j / |P_G a_j| of F within G, P_G the projection that
-    drops G's normals, and the height h = u . (g_F - g_G).  In exact
-    arithmetic that is (b_j - a_j . g_G) / |P_G a_j|, but the difference of
-    centroids does not cancel against the offset b_j: on the random bodies
-    and profile stacks of the tests, the volumes by that formula were up to
-    7.6e-15 off a long-double evaluation, and by this one 2.4e-15.  After
-    the walk the centroids of all faces are taken at once, and the volumes
-    go up the diagram level by level, each a bincount of h vol(F) over the
-    face's edges.
+    facet rows).  The walk takes each level once per distinct face, from the
+    facets down to the 1-faces: the facets of the level's faces are the
+    diagram's edges (face, sub-face) in (face, row) order, and one sort by
+    (body, sub-face) numbers the distinct sub-faces.  Each face carries an
+    orthonormal basis of the normals of its affine hull: a facet its row's
+    unit normal, and a sub-face its first parent's basis and one modified
+    Gram-Schmidt step with the row of that edge (:func:`_normals`).  An edge
+    G -> F through row j has the unit normal u = P_G a_j / |P_G a_j| of F
+    within G, P_G the projection that drops G's normals, and the height
+    h = u . (g_F - g_G).  In exact arithmetic that is
+    (b_j - a_j . g_G) / |P_G a_j|, but the difference of centroids does not
+    cancel against the offset b_j: on the random bodies and profile stacks
+    of the tests, the volumes by that formula were up to 7.6e-15 off a
+    long-double evaluation, and by this one 2.4e-15.  After the walk the
+    centroids of all faces are taken at once, and the volumes go up the
+    diagram level by level from the 1-faces' lengths, each a bincount of
+    h vol(F) over the face's edges.
 
     All bodies are walked at once: a face is a row of bits over its own
     body's vertices (:func:`polytope._local_bits`), so the faces of every
@@ -219,7 +227,7 @@ def _pyramid_volumes(An, bn, points, start, active, centres):
     unit = np.ascontiguousarray(An.T)
     normals = [unit.take(row, axis=1)]
     levels, edges = [(faces, fbody)], []
-    for k in range(n - 1, 0, -1):
+    for k in range(n - 1, 1, -1):
         # a face meets each of its facets by one row (of equal meets only
         # the first row's is a facet), so the edges come in (face, row)
         # order, and one sort by (body, sub-face) finds the distinct sub-faces
@@ -251,9 +259,17 @@ def _pyramid_volumes(An, bn, points, start, active, centres):
     f, v = _face_vertices(_unpack(faces), fbody, start)
     centroids = np.ascontiguousarray(_centroids(f, v, len(faces), points).T)
     at = [0, *itertools.accumulate(len(level[0]) for level in levels)]
-    # up the diagram from the vertices, a k-face's volume the sum of its
-    # pyramids over k
-    vols = np.ones(len(levels[-1][0]))
+    # up the diagram from the 1-faces, each as long as the distance between
+    # its first and last vertex, a k-face's volume the sum of its pyramids
+    # over k; at n = 1 the facets are vertices, of volume 1
+    if n == 1:
+        vols = np.ones(len(faces))
+    else:
+        segment = np.arange(at[-2], at[-1])
+        v0 = v.take(np.searchsorted(f, segment))
+        v1 = v.take(np.searchsorted(f, segment, side="right") - 1)
+        d = points.take(v1, axis=0).T - points.take(v0, axis=0).T
+        vols = np.sqrt((d * d).sum(axis=0))
     for t in range(len(edges) - 1, -1, -1):
         parent, child, u = edges[t]
         d = centroids.take(at[t + 1] + child, axis=1) - centroids.take(at[t] + parent, axis=1)

@@ -8,12 +8,13 @@ Only the offsets move with eps (Matheron 1978), so a whole profile shares
 one solve of the minimal form's n-subsets: each gives a vertex path linear
 in eps and the window of offsets on which it is a vertex candidate.  The
 eroded bodies of a profile then form one stack, an (E, m) array of offsets
-over the shared unit normals.  The vertex tail, the facet test and the
-volume kernel take the stack in blocks of several hundred candidate
-vertices, so memory is bounded by the block and by the face lattices of
-its bodies, not by the grid.  Every body keeps its own vertices and facet
-rows, and its volume is bit-identical to the one it gets alone, which is
-how :func:`inner_parallel_body` and :func:`volume` compute it.
+over the shared unit normals, which the body itself leads with its own
+vertices.  The vertex tail, the facet test and the volume kernel take the
+stack in blocks of several hundred candidate vertices, so memory is
+bounded by the block and by the face lattices of its bodies, not by the
+grid.  Every body keeps its own vertices and facet rows, and its volume is
+bit-identical to the one it gets alone, which is how
+:func:`inner_parallel_body` and :func:`volume` compute it.
 
 The envelope
 
@@ -109,12 +110,12 @@ def _erosion(H: HalfspaceSystem, eps: np.ndarray):
     """The minimal form Hm of H, the incentre of H, the offsets
     ``Hm.b - eps[e] * ||a_i||`` eroded by each offset of eps (E, m), and the
     mask (E,) of the erosions with no interior, ``inradius - eps <=
-    TAU_FACET * scale``.
+    TAU_FACET * scale`` at eps > 0 (eroding by 0 leaves the body).
     """
     inc = incentre(H)
     Hm = remove_redundant_halfspaces(H)
     b = Hm.b - eps[:, None] * Hm.unit_form()[2]
-    return Hm, inc, b, inc.inradius - eps <= TAU_FACET * H.scale
+    return Hm, inc, b, (inc.inradius - eps <= TAU_FACET * H.scale) & (eps > 0)
 
 
 def _clamped_eps(H: HalfspaceSystem, eps: float):
@@ -167,32 +168,33 @@ def neighbourhood_profile(H: HalfspaceSystem,
                           grid_size: int = 33) -> NeighbourhoodProfile:
     """Sample eps -> vol(L_eps) on a uniform grid over [0, inradius].
 
-    The grid points after eps = 0 are eroded as in inner_parallel_body
-    (:func:`_erosion`), and the erosions that are not empty go through one
-    stacked pass.  Every eroded body has the minimal form's unit normals
-    and only its offsets bn - eps move (Matheron 1978), so each n-subset of
-    the rows is solved once for a vertex path and the window of offsets on
-    which that vertex is feasible (see :func:`polytope._vertex_paths`).  The
-    subsets whose window holds a grid point are that eroded body's
-    candidates.  The candidates of all the bodies, each tagged with its
-    body, then go together through the vertex tail
-    (:func:`polytope._incidence_from_candidates`), the facet test
+    The grid points are eroded as in inner_parallel_body (:func:`_erosion`),
+    and the body itself (eps = 0) and the erosions that are not empty go
+    through one stacked pass.  Every eroded body has the minimal form's unit
+    normals and only its offsets bn - eps move (Matheron 1978), so each
+    n-subset of the rows is solved once for a vertex path and the window of
+    offsets on which that vertex is feasible (see
+    :func:`polytope._vertex_paths`).  The subsets whose window holds a grid
+    point are that eroded body's candidates.  The candidates of all the
+    bodies, each tagged with its body, then go together through the vertex
+    tail (:func:`polytope._incidence_from_candidates`), the facet test
     (:func:`polytope._facet_rows`) and the volume kernel
     (:func:`metrics._pyramid_volumes`), in blocks of about
     ``_PROFILE_BLOCK`` candidates (see :func:`_eroded_volumes`).  Each body
     keeps its own vertices and facet rows, and its volume is bit-identical
     to that of :func:`inner_parallel_body`, the per-offset reference, which
-    runs the same code on a stack of one.  Discrete concavity (second
-    differences <= report tolerance) is asserted before returning.
+    runs the same code on a stack of one; the body itself enters the first
+    block with its minimal form's incidence, so vol is :func:`volume`'s.
+    Discrete concavity (second differences <= report tolerance) is asserted
+    before returning.
     """
     if grid_size < 3:
         raise BadParameter("grid_size must be >= 3")
     inc = incentre(H)
-    vol = volume(H)
     n = H.dim
     grid = np.linspace(0.0, inc.inradius, grid_size)
-    # eroding by 0 leaves the body
-    inner = np.concatenate([[vol], _eroded_volumes(H, grid[1:])])
+    inner = _eroded_volumes(H, grid)
+    vol = float(inner[0])
     l_vol = vol - inner
 
     g_vals = np.array([g_formula(vol, inc.inradius, float(e), n) for e in grid])
@@ -214,13 +216,18 @@ _PROFILE_BLOCK = 768   # candidate vertices per stacked block of offsets
 def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
     """Volumes of the inner parallel bodies of H at the offsets eps (E,).
 
-    The offsets must be positive.  An erosion that :func:`_erosion` finds
-    empty has volume 0.  The erosions go through the vertex tail, the facet
-    test and the volume kernel in blocks of consecutive offsets with about
-    _PROFILE_BLOCK candidate vertices each.  The block bounds the memory of
-    the tail and of the kernel, whose arrays grow with the face lattices of
-    the block's bodies; it is large enough that the fixed cost of each step
-    is paid rarely.
+    The offsets must ascend from 0 or above.  An erosion that
+    :func:`_erosion` finds empty has volume 0.  Eroding by 0 leaves the
+    body, which enters the first block with its minimal form's own vertices
+    and incidence (:func:`polytope.vertex_incidence`), so its volume is
+    :func:`volume`'s bit for bit; the vertices of its paths at eps = 0 are
+    refined against the minimal form's rows alone, and differ in their last
+    bits where H repeats a facet row.  The erosions go through the vertex
+    tail, the facet test and the volume kernel in blocks of consecutive
+    offsets with about _PROFILE_BLOCK candidate vertices each.  The block
+    bounds the memory of the tail and of the kernel, whose arrays grow with
+    the face lattices of the block's bodies; it is large enough that the
+    fixed cost of each step is paid rarely.
     """
     Hm, inc, b, empty = _erosion(H, eps)
     vols = np.zeros(len(eps))
@@ -234,17 +241,30 @@ def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
     bn = b[inside] / norms
     scale = np.full(len(eps), H.scale)
     centres = np.tile(inc.incentre, (len(eps), 1))
-    # blocks of offsets with about _PROFILE_BLOCK candidates each
     counts = on.sum(axis=1)
+    own = len(eps) > 0 and eps[0] == 0.0
+    if own:
+        V, own_active = vertex_incidence(Hm)
+        on[0], counts[0] = False, V.count
+    # blocks of offsets with about _PROFILE_BLOCK candidates each
     block = (np.cumsum(counts) - counts) // _PROFILE_BLOCK
     for k in np.flatnonzero(np.bincount(block)):
         sel = np.flatnonzero(block == k)
-        body, s = np.divmod(np.flatnonzero(on.take(sel, axis=0)), on.shape[1])
-        pts = x.take(s, axis=0) - eps.take(sel).take(body)[:, None] * d.take(s, axis=0)
-        points, start, active = _incidence_from_candidates(
-            An, bn[sel], scale[sel], pts, body)
-        keep = _facet_rows(start, active, H.dim)
-        facet_active = active & keep[np.repeat(np.arange(len(sel)), np.diff(start))].T
-        vols[inside[sel]] = _pyramid_volumes(An, bn[sel], points, start, facet_active,
+        # (vertices, vertex counts, facet incidence) of the block's bodies
+        parts = [(V.points, [V.count], own_active)] if own and sel[0] == 0 else []
+        rest = sel[len(parts):]
+        if len(rest):
+            body, s = np.divmod(np.flatnonzero(on.take(rest, axis=0)), on.shape[1])
+            pts = x.take(s, axis=0) - eps.take(rest).take(body)[:, None] * d.take(s, axis=0)
+            points, start, active = _incidence_from_candidates(
+                An, bn[rest], scale[rest], pts, body)
+            keep = _facet_rows(start, active, H.dim)
+            sizes = np.diff(start)
+            parts.append((points, sizes,
+                          active & keep[np.repeat(np.arange(len(rest)), sizes)].T))
+        points, sizes, active = (np.concatenate(p, axis=a)
+                                 for p, a in zip(zip(*parts), (0, 0, 1)))
+        start = np.concatenate([[0], np.cumsum(sizes)])
+        vols[inside[sel]] = _pyramid_volumes(An, bn[sel], points, start, active,
                                              centres[sel])[0]
     return vols

@@ -392,18 +392,22 @@ def _subset_solves(An, rhs):
             continue
         # G[j, i]: entry (i, j) of every A_S of the chunk, contiguous over S
         G = AT.take(chunk.T, axis=1)
-        det, cof = _first_row_det(G)
+        opp = _opposite_minors(G, 0)
+        det, cof = _first_row_det(G, opp)
         good = np.abs(det) > 1e-10
         if not good.all():
             G, cof = G.compress(good, axis=2), cof.compress(good, axis=1)
             det, chunk = det.compress(good), chunk.compress(good, axis=0)
+            opp = opp.compress(good, axis=1)
         if not det.size:
             continue
         r = rhs.take(chunk.T, axis=1)                 # (k, n, C)
         x = np.zeros((rhs.shape[0], n, det.size))
         x += cof * r[:, 0, None]
         for i in range(1, n):
-            x += _cofactor_row(G, i) * r[:, i, None]
+            if i == 2:
+                opp = _opposite_minors(G, 2)
+            x += _cofactor_row(G, i, opp) * r[:, i, None]
         yield (x / det).transpose(0, 2, 1)
 
 
@@ -412,28 +416,31 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _REST = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 
-def _first_row_det(G):
+def _first_row_det(G, opp):
     """Determinants of stacked n x n matrices, n <= 4, with the cofactors
     of their first row: det = sum_j a_0j C_0j, summed left to right.
 
     ``G[j, i]`` (n, n, C) holds entry (i, j) of every matrix; the cofactors
-    are :func:`_cofactor_row`'s, an (n, C) array over j.
+    are :func:`_cofactor_row`'s, an (n, C) array over j, and ``opp`` its
+    table of minors for row 0.
     """
-    cof = _cofactor_row(G, 0)
+    cof = _cofactor_row(G, 0, opp)
     det = G[0, 0] * cof[0]
     for j in range(1, G.shape[0]):
         det += G[j, 0] * cof[j]
     return det, cof
 
 
-def _cofactor_row(G, i):
+def _cofactor_row(G, i, opp):
     """The cofactors C_ij of row i of stacked n x n matrices, n <= 4, as an
     (n, C) array over j.
 
     ``G[j, i]`` (n, n, C) holds entry (i, j) of every matrix.  At n = 3 the
     row is the cross product of the other two rows.  At n = 4 the 3 x 3
     minor of C_ij is expanded along the other row of i's pair, (0, 1) or
-    (2, 3), by the 2 x 2 minors of the opposite pair over :data:`_PAIRS`.
+    (2, 3), by the 2 x 2 minors of the opposite pair, ``opp``
+    (:func:`_opposite_minors`): rows 0 and 1 share one table, and rows 2 and
+    3 another.
     """
     n = G.shape[0]
     if n == 1:
@@ -442,8 +449,7 @@ def _cofactor_row(G, i):
         return np.stack([G[1, 1], -G[0, 1]] if i == 0 else [-G[1, 0], G[0, 0]])
     if n == 3:
         return _minors(G[:, (i + 1) % 3].T, G[:, (i + 2) % 3].T, ((1, 2), (2, 0), (0, 1)))
-    k = 2 if i < 2 else 0
-    opp = dict(zip(_PAIRS, _minors(G[:, k].T, G[:, k + 1].T, _PAIRS)))
+    opp = dict(zip(_PAIRS, opp))
     a = G[:, i ^ 1]
     cof = np.empty_like(a)
     for j, (p, q, r) in enumerate(_REST):
@@ -454,6 +460,16 @@ def _cofactor_row(G, i):
         if (i + j) % 2:
             np.negative(c, out=c)
     return cof
+
+
+def _opposite_minors(G, i):
+    """At n = 4 the 2 x 2 minors over :data:`_PAIRS` of the rows paired
+    opposite row i's pair, (2, 3) for rows 0 and 1 and (0, 1) for rows 2 and
+    3, as a (6, C) array; below n = 4 the table is empty, (0, C)."""
+    if G.shape[0] < 4:
+        return np.empty((0, G.shape[2]))
+    k = 2 if i < 2 else 0
+    return _minors(G[:, k].T, G[:, k + 1].T, _PAIRS)
 
 
 def _minors(a, b, pairs):
@@ -771,12 +787,11 @@ def _centroids(f, v, count, points):
     """Centroid of each of ``count`` faces with the vertices ``points[v[f == i]]``.
 
     The sums are sequential in the order of the pairs, so a face's centroid
-    does not depend on the other faces.
+    does not depend on the other faces.  They are taken one coordinate at a
+    time, so their temporaries hold one number per pair, not n.
     """
-    n = points.shape[1]
-    sums = np.bincount((f[:, None] * n + np.arange(n)).ravel(),
-                       weights=points.take(v, axis=0).ravel(), minlength=count * n)
-    return sums.reshape(count, n) / np.bincount(f, minlength=count)[:, None]
+    sums = np.stack([np.bincount(f, weights=x.take(v), minlength=count) for x in points.T])
+    return (sums / np.bincount(f, minlength=count)).T
 
 
 def _affine_basis(pts, scale):

@@ -45,6 +45,17 @@ def cut_cube_rows():
     return A, np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0 + 4.5e-7])
 
 
+def corner_within_tolerance(length):
+    """The rectangle [0, L] x [0, 1] with the redundant row x + y <= L + 1 + d,
+    d = 0.99 of the facet tolerance along the row's normal: the row is active
+    at the corner (L, 1) within the tolerance, so refinement moves that
+    vertex off both facet planes."""
+    A = np.vstack([np.eye(2), -np.eye(2), [[1.0, 1.0]]])
+    b = np.array([length, 1.0, 0.0, 0.0, length + 1.0])
+    b[-1] += 0.99 * ib.TAU_FACET * hrep(A, b).scale * np.sqrt(2.0)
+    return hrep(A, b)
+
+
 def written_out_det(M):
     """Determinants of a stack of n x n matrices (..., n, n) by the cofactor
     expressions written out: along the first row up to n = 3, by the 2 x 2

@@ -8,8 +8,8 @@ from scipy.spatial import ConvexHull
 import inbody as ib
 from inbody import lp, metrics, neighbourhood, polytope
 from inbody.errors import BadParameter, DegenerateNumerics, OutsideBody
-from tests.conftest import (box, cross_polytope, cut_cube_rows, hrep, noisy_cone,
-                            twenty_four_cell, written_out_det)
+from tests.conftest import (box, corner_within_tolerance, cross_polytope, cut_cube_rows,
+                            hrep, noisy_cone, twenty_four_cell, written_out_det)
 
 
 def triangle_incircle_radius(p0, p1, p2):
@@ -255,16 +255,24 @@ class TestMinkowskiCertificate:
         assert ib.volume(H) == pytest.approx(hull.volume, rel=ib.TAU_REP)
         assert ib.surface_area(H) == pytest.approx(hull.area, rel=ib.TAU_REP)
 
+    def test_one_face_with_three_vertices(self):
+        # the cut leaves (0.9, 0, 1) on the top face's edge from (0, 0, 1) to
+        # (1, 0, 1 - 5e-8), and (0.9, 1, 1) on the one opposite, so those
+        # 1-faces have three vertices; each one's length is the distance
+        # between its first and last, which gives the volume and surface of
+        # the recursion carried down to the vertices
+        H = hrep(*cut_cube_rows())
+        _, active = polytope.vertex_incidence(polytope.remove_redundant_halfspaces(H))
+        shared = active.astype(int) @ active.T.astype(int)
+        assert np.count_nonzero(np.triu(shared, 1) == 3) == 2
+        assert ib.volume(H) == pytest.approx(0.9999999926944407, rel=ULPS)
+        assert ib.surface_area(H) == pytest.approx(5.999999956166644, rel=ULPS)
+
     @pytest.mark.parametrize("length", [1.0, 10.0])
     def test_vertex_off_its_planes_within_tolerance_passes(self, length):
-        # x + y <= L + 1 + d is redundant but active at (L, 1) within the
-        # facet tolerance, so refinement moves that vertex off both facet
-        # planes, and Minkowski's relation fails by about 2e-8 of the surface
-        A = np.vstack([np.eye(2), -np.eye(2), [[1.0, 1.0]]])
-        b = np.array([length, 1.0, 0.0, 0.0, length + 1.0])
-        tol = polytope.TAU_FACET * hrep(A, b).scale
-        b[-1] += 0.99 * tol * math.sqrt(2.0)
-        H = hrep(A, b)
+        # Minkowski's relation fails by about 2e-8 of the surface
+        H = corner_within_tolerance(length)
+        tol = polytope.TAU_FACET * H.scale
         offsets = ib.vertex_enumeration(H).points - [length, 1.0]
         corner = offsets[np.argmin(np.linalg.norm(offsets, axis=1))]
         assert corner.min() > 0.3 * tol
@@ -505,8 +513,8 @@ class TestFlagKernel:
         ids=["cube8", "simplex9"])
     def test_many_flags_in_bounded_memory(self, build, vol):
         # 2^8 8! and 10! flags, but the recursion takes one height per edge
-        # of the Hasse diagram.  The 8-cube peaked at 13.6 MB, the 9-simplex
-        # at 1.4 MB (numpy 2.4)
+        # of the Hasse diagram.  The 8-cube peaked at 11.8 MB, the 9-simplex
+        # at 1.1 MB (numpy 2.4)
         args = kernel_inputs(build())
         tracemalloc.start()
         try:
@@ -518,10 +526,10 @@ class TestFlagKernel:
         assert vols[0] == pytest.approx(vol, rel=ULPS)
 
     def test_edge_cap_refuses_before_the_level_is_made(self, monkeypatch):
-        # the 4-cube's Hasse diagram has 48, 96 and 64 edges from its facets
-        # down; with the cap one entry short of 96 x 4 the walk stops at the
-        # second level, before it sorts that level's edges, walks the third
-        # or takes a centroid
+        # the 4-cube's Hasse diagram has 48 and 96 edges from its facets
+        # down to its 1-faces, where the walk ends; with the cap one entry
+        # short of 96 x 4 the walk stops at the second level, before it
+        # sorts that level's edges or takes a centroid
         args = kernel_inputs(box(4))
         meets = []
         facet_meets = metrics._facet_meets
@@ -536,7 +544,7 @@ class TestFlagKernel:
 
         monkeypatch.setattr(metrics, "_facet_meets", counting)
         metrics._pyramid_volumes(*args)
-        assert meets == [48, 96, 64]
+        assert meets == [48, 96]
         meets.clear()
         monkeypatch.setattr(metrics, "_COMBO_CAP", 96 * 4 - 1)
         monkeypatch.setattr(metrics, "_centroids", refuse)

@@ -6,7 +6,7 @@ import pytest
 import inbody as ib
 from inbody import metrics, neighbourhood, polytope
 from inbody.errors import BadParameter, EpsOutOfRange
-from tests.conftest import box, cross_polytope, hrep, twenty_four_cell
+from tests.conftest import box, corner_within_tolerance, cross_polytope, hrep, twenty_four_cell
 
 
 class TestInnerParallelBody:
@@ -292,7 +292,8 @@ class TestWindowedProfile:
 
     @pytest.mark.parametrize("which", [
         "suite2", "suite3", "suite4", "cube", "simplex", "cross4", "24-cell",
-        "cut-square", "random4-20-rows", "pancake-1000", "duplicated-redundant"])
+        "cut-square", "random4-20-rows", "pancake-1000", "duplicated-redundant",
+        "redundant-active"])
     def test_equals_per_eps_profile(self, small_suite, unit_cube,
                                     regular_tetrahedron, which):
         named = {"cube": lambda: unit_cube, "simplex": lambda: regular_tetrahedron,
@@ -300,10 +301,13 @@ class TestWindowedProfile:
                  "cut-square": cut_square,
                  "random4-20-rows": lambda: twenty_row_body(small_suite),
                  "pancake-1000": lambda: ib.pancake_family(3, 1000.0),
-                 "duplicated-redundant": lambda: duplicated_and_redundant(small_suite)}
+                 "duplicated-redundant": lambda: duplicated_and_redundant(small_suite),
+                 "redundant-active": lambda: corner_within_tolerance(10.0)}
         bodies = [named[which]()] if which in named else small_suite[int(which[-1])]
         for H in bodies:
-            prof = ib.neighbourhood_profile(H, 17)
+            # the profile takes vol from its own pass of the kernel
+            prof = ib.neighbourhood_profile(unmemoized(H), 17)
+            assert prof.l_vol[-1] == ib.volume(H)
             assert np.array_equal(prof.l_vol, per_eps_l_vol(H, 17))
 
     def test_vertex_born_inside_the_grid(self):
@@ -375,7 +379,7 @@ class TestWindowedProfile:
 
     def test_profile_memory_bounded_by_blocks(self, small_suite):
         # eight times the grid of test_twenty_row_profile_memory: the peak
-        # was 2,217,706 bytes (numpy 2.4, a warm run), against 2,096,671 at
+        # was 1,996,626 bytes (numpy 2.4, a warm run), against 1,896,116 at
         # grid 33; with the erosions in one block it was 23.2 MB
         body = unmemoized(twenty_row_body(small_suite))
         tracemalloc.start()

@@ -266,6 +266,25 @@ def lapack_subset_solves(An, rhs):
             yield np.linalg.solve(sub[good], rhs.T[chunk[good]]).transpose(2, 0, 1)
 
 
+def per_row_subset_solves(An, rhs):
+    """Reference for _subset_solves: the same Cramer's rule, with every
+    cofactor row making its own table of 2 x 2 minors at n = 4."""
+    m, n = An.shape
+    for chunk in polytope._combo_chunks(m, n):
+        G = np.ascontiguousarray(An.T).take(chunk.T, axis=1)
+        det, cof = polytope._first_row_det(G, polytope._opposite_minors(G, 0))
+        good = np.abs(det) > 1e-10
+        G, cof, det, chunk = G[..., good], cof[:, good], det[good], chunk[good]
+        if det.size:
+            r = rhs[:, chunk.T]
+            x = np.zeros((rhs.shape[0], n, det.size))
+            x += cof * r[:, 0, None]
+            for i in range(1, n):
+                opp = polytope._opposite_minors(G, i)
+                x += polytope._cofactor_row(G, i, opp) * r[:, i, None]
+            yield (x / det).transpose(0, 2, 1)
+
+
 def cofactor_families(small_suite):
     """The bodies the cofactor kernel is checked on, by family."""
     return {
@@ -307,7 +326,7 @@ def assert_first_row_det(An):
     m, n = An.shape
     combos = polytope._combo_array(m, n)
     G = np.ascontiguousarray(An.T).take(combos.T, axis=1)
-    det, _ = polytope._first_row_det(G)
+    det, _ = polytope._first_row_det(G, polytope._opposite_minors(G, 0))
     ref = written_out_det(An[combos])
     if n < 4:
         assert np.array_equal(det, ref)
@@ -345,6 +364,24 @@ class TestCofactorKernel:
                 _, _, lo_ref, hi_ref = polytope._vertex_paths(fresh(Hm))
             assert np.array_equal((lo <= eps) & (eps <= hi),
                                   (lo_ref <= eps) & (eps <= hi_ref))
+
+    @pytest.mark.parametrize("family", ["small-suite", "24-cell"])
+    def test_shared_minors_tables(self, monkeypatch, small_suite, family):
+        # at n = 4 rows 0 and 1 share one table of minors, and rows 2 and 3
+        # another, with the same numbers as a table per row
+        for H in cofactor_families(small_suite)[family]():
+            if H.dim != 4:
+                continue
+            paths = polytope._vertex_paths(fresh(H))
+            V, active = polytope.vertex_incidence(fresh(H))
+            with monkeypatch.context() as patch:
+                patch.setattr(polytope, "_subset_solves", per_row_subset_solves)
+                paths_ref = polytope._vertex_paths(fresh(H))
+                V_ref, active_ref = polytope.vertex_incidence(fresh(H))
+            for x, x_ref in zip(paths, paths_ref):
+                assert np.array_equal(x, x_ref)
+            assert np.array_equal(V.points, V_ref.points)
+            assert np.array_equal(active, active_ref)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_invertibility_mask_is_det_mask(self, small_suite, family):
