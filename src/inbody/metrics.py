@@ -2,16 +2,18 @@
 
 One kernel gives the volume and every facet volume, by the pyramid
 recursion over the face lattice: a face is the union of the pyramids over
-its facets with apex its centroid, so its volume is the sum of their
-heights times the facets' volumes, over its dimension, and the body itself
-is coned from the incentre.  The recursion ends at the 1-faces, whose
-volume is the distance between their extreme vertices.  The lattice is its
-Hasse diagram, read off the vertex-facet incidence alone (the facets of a
-face are its maximal proper meets with the facet rows).  The kernel walks
-the diagram once per face down to the 1-faces and takes one height per
-edge of it, so memory is bounded by the diagram.  It takes a stack of
-bodies with shared normals (the eroded bodies of a profile, and the body
-itself) and a single body is a stack of one.
+its facets with apex its first vertex (a pulling triangulation), so its
+volume is the sum of their heights times the facets' volumes, over its
+dimension, and the body itself is coned from the incentre.  The facets
+through the apex have height 0, so the walk leaves them out, and with them
+the faces that lie below them only.  The recursion ends at the 1-faces,
+whose volume is the distance between their extreme vertices.  The lattice
+is its Hasse diagram, read off the vertex-facet incidence alone (the
+facets of a face are its maximal proper meets with the facet rows).  The
+kernel walks the diagram once per face down to the 2-faces and takes one
+height per edge it keeps, so memory is bounded by the diagram.  It takes a
+stack of bodies with shared normals (the eroded bodies of a profile, and
+the body itself) and a single body is a stack of one.
 The inradius is the optimum of the Chebyshev-centre linear program.  The
 "pancake" boxes [0,1] x [0,K]^{n-1} realise the extreme ratios between
 the inradius and volume/perimeter, which pins both constants of the
@@ -22,7 +24,6 @@ inradius sandwich
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +38,9 @@ from .polytope import (
     HalfspaceSystem,
     VertexSet,
     _affine_basis,
-    _centroids,
-    _face_vertices,
     _facet_meets,
     _local_bits,
     _scale_from_box,
-    _unpack,
     as_vector,
     convex_hull,
     remove_redundant_halfspaces,
@@ -157,41 +155,51 @@ def _pyramid_volumes(An, bn, points, start, active, centres):
     (E,) and the facet volumes (E, m), 0 off the facets.
 
     A k-face G is the union of the pyramids over its facets F with apex its
-    vertex centroid g_G, so vol(G) = (1/k) sum_F h(G, F) vol(F), where
-    h(G, F) is the distance from g_G to the affine hull of F within that of
-    G (Lasserre 1983; Bueler, Enge & Fukuda 2000).  The recursion ends at
-    the 1-faces: a 1-face is the segment between its extreme vertices, the
-    first and the last of its vertices in the body's lexicographic order
-    (it can hold more than two within the facet tolerance, as on a plane
-    cut a little off a cube's face), and its volume is their distance.  At
-    n = 1 the facets are vertices, of volume 1.  The body itself is coned
-    from its centre: vol = (1/n) sum_i dist(c, F_i) vol(F_i).  Unrolled,
-    this is the sum over the flags of the boundary of the barycentric
-    simplices' volumes, one product of heights over n! each, but it needs
-    one height per edge of the Hasse diagram of the face lattice instead of
-    one determinant per flag.
+    first vertex p_G, so vol(G) = (1/k) sum_F h(G, F) vol(F), where h(G, F)
+    is the distance from p_G to the affine hull of F within that of G: a
+    pulling triangulation in the body's vertex order (Cohen & Hickey 1979;
+    compared with Lasserre's recursion in Bueler, Enge & Fukuda 2000).  A
+    facet F that holds p_G has p_F = p_G and height exactly 0, so it adds
+    nothing to the sum, and the walk drops its edge, and below it the faces
+    that no other edge reaches.  The recursion ends at the 1-faces: a
+    1-face is the segment between its extreme vertices, the first and the
+    last of its vertices in the body's lexicographic order (it can hold
+    more than two within the facet tolerance, as on a plane cut a little
+    off a cube's face), and its volume is their distance.  At n = 1 the
+    facets are vertices, of volume 1.  The body itself is coned from its
+    centre: vol = (1/n) sum_i dist(c, F_i) vol(F_i).  Unrolled, this is
+    the sum of the volumes of the triangulation's simplices coned from c,
+    one product of heights over n! each, but it needs one height per kept
+    edge of the Hasse diagram of the face lattice instead of one
+    determinant per simplex.
 
     The diagram is read off the vertex-facet incidence alone (Ziegler 1995,
     2.2): the facets of a k-face G are the distinct meets of G with facet
     rows that are proper, keep at least k vertices and lie inside no other
     such meet (:func:`polytope._facet_meets`, the rule that also finds the
     facet rows).  The walk takes each level once per distinct face, from the
-    facets down to the 1-faces: the facets of the level's faces are the
-    diagram's edges (face, sub-face) in (face, row) order, and one sort by
-    (body, sub-face) numbers the distinct sub-faces.  Each face carries an
-    orthonormal basis of the normals of its affine hull: a facet its row's
-    unit normal, and a sub-face its first parent's basis and one modified
-    Gram-Schmidt step with the row of that edge (:func:`_normals`).  An edge
-    G -> F through row j has the unit normal u = P_G a_j / |P_G a_j| of F
-    within G, P_G the projection that drops G's normals, and the height
-    h = u . (g_F - g_G).  In exact arithmetic that is
-    (b_j - a_j . g_G) / |P_G a_j|, but the difference of centroids does not
-    cancel against the offset b_j: on the random bodies and profile stacks
-    of the tests, the volumes by that formula were up to 7.6e-15 off a
-    long-double evaluation, and by this one 2.4e-15.  After the walk the
-    centroids of all faces are taken at once, and the volumes go up the
-    diagram level by level from the 1-faces' lengths, each a bincount of
-    h vol(F) over the face's edges.
+    facets down to the 2-faces: the facets of the level's faces are the
+    diagram's edges (face, sub-face) in (face, row) order.  A face's apex is
+    the lowest set bit of its row (:func:`_lowest_bit`), and the edges
+    whose sub-face holds it are dropped; the cap below counts them all.
+    One sort by (body, sub-face) numbers the distinct sub-faces of the
+    edges left.  Each face carries an orthonormal basis of the normals of
+    its affine hull: a facet its row's unit normal, and a sub-face its first
+    parent's basis and one modified Gram-Schmidt step with the row of that
+    edge (:func:`_normals`).  An edge G -> F through row j has the unit
+    normal u = P_G a_j / |P_G a_j| of F within G, P_G the projection that
+    drops G's normals, and the height h = u . (p_F - p_G), taken as the
+    level is walked, so only h is kept.  In exact arithmetic that is
+    (b_j - a_j . p_G) / |P_G a_j|, but a difference of points cancels
+    better than the offset b_j: on the random bodies and profile stacks of
+    the tests, coned from centroids, the volumes by that formula were up
+    to 7.6e-15 off a long-double evaluation, and by this one 2.4e-15.  The
+    edges from the 2-faces are not sorted: each measures its 1-face where
+    it stands, the length between its first and last set bits
+    (:func:`_highest_bit`) and the height from its first, and a 1-face
+    reached twice gives the same numbers twice.  The volumes then go up
+    the diagram level by level, each a bincount of h vol(F) over the
+    face's edges.
 
     All bodies are walked at once: a face is a row of bits over its own
     body's vertices (:func:`polytope._local_bits`), so the faces of every
@@ -218,63 +226,76 @@ def _pyramid_volumes(An, bn, points, start, active, centres):
     # several times faster than fancy indexing (see _facet_meets)
     rows = bits.reshape(-1, bits.shape[-1])                 # row j of body e at e m + j
     body, row = np.nonzero(bits.any(axis=-1))
-    # the distinct faces of each level, the orthonormal normals of the
-    # current level's faces, and the Hasse edges (parent, child, u) from
-    # each level to the next.  Vectors are columns of (n, count) arrays,
-    # whose sums over the n coordinates numpy takes several times faster
-    # than over rows of n
-    faces, fbody = bits[body, row], body
+    # the current level's faces, their apexes (local vertex indices and
+    # points) and the orthonormal normals of their affine hulls.  Vectors
+    # are columns of (n, count) arrays, whose sums over the n coordinates
+    # numpy takes several times faster than over rows of n
+    faces, fbody, at = bits[body, row], body, start.take(body)
+    apex = _lowest_bit(faces)
+    apexes = points.take(at + apex, axis=0).T
     unit = np.ascontiguousarray(An.T)
     normals = [unit.take(row, axis=1)]
-    levels, edges = [(faces, fbody)], []
+    # at n = 1 the facets are vertices, of volume 1; at n = 2 they are
+    # 1-faces, as long as the distance between their first and last vertex
+    if n == 1:
+        vols = np.ones(len(faces))
+    elif n == 2:
+        d = points.take(at + _highest_bit(faces), axis=0).T - apexes
+        vols = np.sqrt((d * d).sum(axis=0))
+    edges = []
     for k in range(n - 1, 1, -1):
-        # a face meets each of its facets by one row (of equal meets only
-        # the first row's is a facet), so the edges come in (face, row)
-        # order, and one sort by (body, sub-face) finds the distinct sub-faces
         parent, j = _facet_meets(faces, fbody, bits, k)
         if len(parent) * n > _COMBO_CAP:
             raise BadParameter(
                 f"{len(parent)} edges of the face lattice in dimension {n} exceed "
                 f"the cap of {_COMBO_CAP} entries")
+        # a facet that holds its face's apex holds it as its own first
+        # vertex, so its pyramid has height 0 and its edge is dropped
         pbody = fbody.take(parent)
+        sub = faces.take(parent, axis=0) & rows.take(pbody * m + j, axis=0)
+        first = _lowest_bit(sub)
+        keep = first != apex.take(parent)
+        parent, j, first = parent.compress(keep), j.compress(keep), first.compress(keep)
+        pbody, sub = pbody.compress(keep), sub.compress(keep, axis=0)
+        at = start.take(pbody)
+        p = points.take(at + first, axis=0).T
+        u = _normals(unit, j, parent, normals)
+        h = (u * (p - apexes.take(parent, axis=1))).sum(axis=0)
+        if k == 2:
+            # the 1-faces, measured where they stand: a duplicate gives
+            # the same numbers, so they need no sort
+            d = points.take(at + _highest_bit(sub), axis=0).T - p
+            vols = np.bincount(parent, weights=h * np.sqrt((d * d).sum(axis=0)),
+                               minlength=len(faces)) / 2
+            break
+        # a face meets each of its facets by one row (of equal meets only
+        # the first row's is a facet), so the edges come in (face, row)
+        # order, and one sort by (body, sub-face) finds the distinct sub-faces
         key = np.empty((len(parent), faces.shape[1] + 1), dtype=np.uint64)
         key[:, 0] = pbody
-        key[:, 1:] = faces.take(parent, axis=0) & rows.take(pbody * m + j, axis=0)
+        key[:, 1:] = sub
         order = np.lexsort(key.T[::-1])
         ordered = key.take(order, axis=0)
         new_face = np.ones(len(key), dtype=bool)
         new_face[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
         child = np.empty(len(key), dtype=int)
         child[order] = new_face.cumsum() - 1
-        # the sort is stable, so a sub-face's first edge is its first parent's
-        first = order.compress(new_face)
-        faces, fbody = ordered.compress(new_face, axis=0)[:, 1:], pbody.take(first)
-        u, normals = _normals(unit, j, parent, first, normals)
-        levels.append((faces, fbody))
-        edges.append((parent, child, u))
+        edges.append((parent, child, h, len(faces), k))
+        # the sort is stable, so a sub-face's first edge is its first
+        # parent's, which gives it its parent's normals and one more
+        lead = order.compress(new_face)
+        faces, fbody = ordered.compress(new_face, axis=0)[:, 1:], pbody.take(lead)
+        apex, apexes = first.take(lead), p.take(lead, axis=1)
+        up = parent.take(lead)
+        normals = [q.take(up, axis=1) for q in normals] + [u.take(lead, axis=1)]
+        # the level's (n, edges) and (edges, W + 1) temporaries go before
+        # the next level's meets, which set the kernel's peak
+        del p, u, key, ordered
 
-    # every face's centroid, by sequential sums in vertex order, so that
-    # they do not depend on the stack, split by level
-    faces, fbody = (np.concatenate(x) for x in zip(*levels))
-    f, v = _face_vertices(_unpack(faces), fbody, start)
-    centroids = np.ascontiguousarray(_centroids(f, v, len(faces), points).T)
-    at = [0, *itertools.accumulate(len(level[0]) for level in levels)]
-    # up the diagram from the 1-faces, each as long as the distance between
-    # its first and last vertex, a k-face's volume the sum of its pyramids
-    # over k; at n = 1 the facets are vertices, of volume 1
-    if n == 1:
-        vols = np.ones(len(faces))
-    else:
-        segment = np.arange(at[-2], at[-1])
-        v0 = v.take(np.searchsorted(f, segment))
-        v1 = v.take(np.searchsorted(f, segment, side="right") - 1)
-        d = points.take(v1, axis=0).T - points.take(v0, axis=0).T
-        vols = np.sqrt((d * d).sum(axis=0))
-    for t in range(len(edges) - 1, -1, -1):
-        parent, child, u = edges[t]
-        d = centroids.take(at[t + 1] + child, axis=1) - centroids.take(at[t] + parent, axis=1)
-        vols = np.bincount(parent, weights=(u * d).sum(axis=0) * vols.take(child),
-                           minlength=at[t + 1] - at[t]) / (n - 1 - t)
+    # up the diagram from the 2-faces, a k-face's volume the sum of its
+    # pyramids over k
+    for parent, child, h, count, k in reversed(edges):
+        vols = np.bincount(parent, weights=h * vols.take(child), minlength=count) / k
     fvols = np.zeros((E, m))
     fvols[body, row] = vols
     dists = bn[body, row] - (An.take(row, axis=0) * centres.take(body, axis=0)).sum(axis=1)
@@ -287,24 +308,52 @@ def _pyramid_volumes(An, bn, points, start, active, centres):
     return vols, fvols
 
 
-def _normals(unit, j, parent, first, normals):
+def _normals(unit, j, parent, normals):
     """One level's Gram-Schmidt step (see :func:`_pyramid_volumes`).
 
     For the Hasse edges from the faces ``parent`` through the rows j,
     returns the unit normals u (n, edges) of the sub-faces within their
-    faces, and the orthonormal normals of the sub-faces: the normals of
-    their first parents, ``normals`` (k arrays (n, faces)), and their first
-    edge's u.  ``unit`` (n, m) holds the rows' unit normals and ``first``
-    the first edge into each sub-face.  Its temporaries are freed before
-    the walk's next level.
+    faces.  ``unit`` (n, m) holds the rows' unit normals and ``normals``
+    (k arrays (n, faces)) the orthonormal normals of the faces.
     """
     u = unit.take(j, axis=1)
     for q in normals:
         q = q.take(parent, axis=1)
         u -= (q * u).sum(axis=0) * q
     u /= np.sqrt((u * u).sum(axis=0))
-    up = parent.take(first)
-    return u, [q.take(up, axis=1) for q in normals] + [u.take(first, axis=1)]
+    return u
+
+
+def _lowest_bit(x):
+    """Index of the lowest set bit of each row of W uint64 words; no row is 0.
+
+    ``x & (~x + 1)`` keeps a word's lowest set bit, and the bits below it
+    are its index.  The words go from the last to the first, so a row's
+    first nonzero word has the last say.
+    """
+    low = None
+    for w in range(x.shape[-1] - 1, -1, -1):
+        word = x[:, w]
+        at = np.bitwise_count((word & (~word + 1)) - 1).astype(int) + 64 * w
+        low = at if low is None else np.where(word != 0, at, low)
+    return low
+
+
+def _highest_bit(x):
+    """Index of the highest set bit of each row of W uint64 words; no row is 0.
+
+    Or-shifts set every bit below a word's highest, and their count less
+    one is its index.  The words go from the first to the last, so a row's
+    last nonzero word has the last say.
+    """
+    high = None
+    for w in range(x.shape[-1]):
+        word = x[:, w].copy()
+        for s in (1, 2, 4, 8, 16, 32):
+            word |= word >> s
+        at = np.bitwise_count(word).astype(int) + (64 * w - 1)
+        high = at if high is None else np.where(word != 0, at, high)
+    return high
 
 
 def volume(H: HalfspaceSystem) -> float:

@@ -769,31 +769,6 @@ def _local_bits(active, start):
     return np.packbits(rows, axis=-1, bitorder="little").view(np.uint64)
 
 
-def _unpack(words):
-    """Bit rows (..., W) uint64 back to (..., 64 W) rows of 0/1."""
-    return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
-
-
-def _face_vertices(rows, fbody, start):
-    """(face, vertex) index pairs of local incidence rows, face by face, in
-    vertex order.  The vertex indices are global: body e's vertices start
-    at ``start[e]``.
-    """
-    f, local = np.divmod(np.flatnonzero(rows), rows.shape[1])
-    return f, start[fbody[f]] + local
-
-
-def _centroids(f, v, count, points):
-    """Centroid of each of ``count`` faces with the vertices ``points[v[f == i]]``.
-
-    The sums are sequential in the order of the pairs, so a face's centroid
-    does not depend on the other faces.  They are taken one coordinate at a
-    time, so their temporaries hold one number per pair, not n.
-    """
-    sums = np.stack([np.bincount(f, weights=x.take(v), minlength=count) for x in points.T])
-    return (sums / np.bincount(f, minlength=count)).T
-
-
 def _affine_basis(pts, scale):
     """Orthonormal rows spanning the directions of the affine hull of pts."""
     if pts.shape[0] < 2:

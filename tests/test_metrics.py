@@ -260,13 +260,16 @@ class TestMinkowskiCertificate:
         # (1, 0, 1 - 5e-8), and (0.9, 1, 1) on the one opposite, so those
         # 1-faces have three vertices; each one's length is the distance
         # between its first and last, which gives the volume and surface of
-        # the recursion carried down to the vertices
+        # the recursion carried down to the vertices.  The input's exact
+        # volume is 1 - 2.5e-9; the body's vertices sit up to 5e-8 off its
+        # top plane, inside the facet tolerance, so its volume depends on
+        # the apexes the faces are coned from
         H = hrep(*cut_cube_rows())
         _, active = polytope.vertex_incidence(polytope.remove_redundant_halfspaces(H))
         shared = active.astype(int) @ active.T.astype(int)
         assert np.count_nonzero(np.triu(shared, 1) == 3) == 2
-        assert ib.volume(H) == pytest.approx(0.9999999926944407, rel=ULPS)
-        assert ib.surface_area(H) == pytest.approx(5.999999956166644, rel=ULPS)
+        assert ib.volume(H) == pytest.approx(0.9999999916666608, rel=ULPS)
+        assert ib.surface_area(H) == pytest.approx(5.999999949999965, rel=ULPS)
 
     @pytest.mark.parametrize("length", [1.0, 10.0])
     def test_vertex_off_its_planes_within_tolerance_passes(self, length):
@@ -384,11 +387,34 @@ class TestPancakeFamily:
             ib.pancake_family(2, 0.5)
 
 
+def unpack(words):
+    """Bit rows (..., W) uint64 back to (..., 64 W) rows of 0/1."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
+
+
+def face_vertices(rows, fbody, start):
+    """(face, vertex) index pairs of local incidence rows, face by face, in
+    vertex order.  The vertex indices are global: body e's vertices start
+    at ``start[e]``.
+    """
+    f, local = np.divmod(np.flatnonzero(rows), rows.shape[1])
+    return f, start[fbody[f]] + local
+
+
+def centroids(f, v, count, points):
+    """Centroid of each of ``count`` faces with the vertices ``points[v[f == i]]``,
+    by sequential sums in the order of the pairs, one coordinate at a time."""
+    sums = np.stack([np.bincount(f, weights=x.take(v), minlength=count) for x in points.T])
+    return (sums / np.bincount(f, minlength=count)).T
+
+
 def chain_flag_volumes(An, bn, points, start, active, centres):
     """Reference for metrics._pyramid_volumes: the walk once per chain.
 
-    It extends every chain by each facet of its face, with one lexsorted key
-    per chain at every level, keeps the chains as an n-column matrix of face
+    It cones every face from its vertex centroid, where the kernel cones it
+    from its first vertex, so the two sum different decompositions.  It
+    extends every chain by each facet of its face, with one lexsorted key per
+    chain at every level, keeps the chains as an n-column matrix of face
     indices, and expands each flag's determinant from its own (n, n) rows
     along the first row (by the 2 x 2 minors of the first two rows at n = 4).
     """
@@ -418,8 +444,8 @@ def chain_flag_volumes(An, bn, points, start, active, centres):
         flags = np.concatenate([flags[chain], (seen + face)[:, None]], axis=1)
         levels.append((faces, fbody))
     faces, fbody = (np.concatenate(x) for x in zip(*levels))
-    f, v = polytope._face_vertices(polytope._unpack(faces), fbody, start)
-    offsets = polytope._centroids(f, v, len(faces), points) - centres[fbody]
+    f, v = face_vertices(unpack(faces), fbody, start)
+    offsets = centroids(f, v, len(faces), points) - centres[fbody]
     dets = written_out_det(offsets[flags])
     cones = np.bincount(flags[:, 0], weights=np.abs(dets), minlength=len(body))
     nfact = math.factorial(n)
@@ -457,21 +483,47 @@ def profile_stacks(monkeypatch, H):
 
 
 # the largest relative gap to chain_flag_volumes measured on the bodies of
-# TestFlagKernel was 1.2e-15, for a volume and for a facet volume relative
-# to the body's surface (both on the profile stacks); a small facet's
+# TestFlagKernel was 1.2e-15 for a volume and 1.3e-15 for a facet volume
+# relative to the body's surface (1.2e-15 for both with the kernel's faces
+# coned from their centroids, as the reference cones them), and 6.9e-16
+# between the kernel's numbers in two vertex orders; a small facet's
 # relative error is larger, in the reference as well
 CHAIN_REL = 4e-15
 
 
 def assert_same_as_chain_walk(args):
-    """The kernel's volumes within CHAIN_REL of the chain walk's, and its
-    facet volumes within CHAIN_REL of the surface."""
-    vols, fvols = metrics._pyramid_volumes(*args)
-    ref_vols, ref_fvols = chain_flag_volumes(*args)
+    """The kernel's numbers close to the chain walk's (assert_close_volumes)."""
+    assert_close_volumes(metrics._pyramid_volumes(*args), chain_flag_volumes(*args))
+
+
+def assert_close_volumes(result, reference):
+    """Volumes within CHAIN_REL of the reference's, facet volumes within
+    CHAIN_REL of its surface, and the same facets."""
+    vols, fvols = result
+    ref_vols, ref_fvols = reference
     np.testing.assert_allclose(vols, ref_vols, rtol=CHAIN_REL, atol=0.0)
     surface = ref_fvols.sum(axis=1)[:, None]
     assert np.all(np.abs(fvols - ref_fvols) <= CHAIN_REL * surface)
     assert np.array_equal(fvols != 0.0, ref_fvols != 0.0)
+
+
+def reversed_vertices(args):
+    """The kernel's arguments with each body's vertices in reverse order:
+    its points and its columns of the incidence together."""
+    An, bn, points, start, active, centres = args
+    order = np.concatenate([np.arange(hi - 1, lo - 1, -1)
+                            for lo, hi in zip(start[:-1], start[1:])])
+    return An, bn, points[order], start, active[:, order], centres
+
+
+# (name, body) of the named bodies the kernel is checked on
+NAMED_BODIES = [
+    ("cube3", lambda: box(3)),
+    ("tetrahedron", lambda: ib.convex_hull(ib.VertexSet(
+        [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]))),
+    ("cube4", lambda: box(4)), ("cross3", lambda: cross_polytope(3)),
+    ("cross4", lambda: cross_polytope(4)), ("24-cell", twenty_four_cell),
+    ("interval", lambda: hrep([[1.0], [-1.0]], [2.0, 1.0]))]
 
 
 class TestFlagKernel:
@@ -483,14 +535,26 @@ class TestFlagKernel:
         for H in small_suite[n]:
             assert_same_as_chain_walk(kernel_inputs(H))
 
-    @pytest.mark.parametrize("build", [
-        lambda: box(3), lambda: ib.convex_hull(ib.VertexSet(
-            [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])),
-        lambda: box(4), lambda: cross_polytope(3), lambda: cross_polytope(4),
-        lambda: twenty_four_cell(), lambda: hrep([[1.0], [-1.0]], [2.0, 1.0])],
-        ids=["cube3", "tetrahedron", "cube4", "cross3", "cross4", "24-cell", "interval"])
+    @pytest.mark.parametrize("build", [b for _, b in NAMED_BODIES],
+                             ids=[name for name, _ in NAMED_BODIES])
     def test_named_bodies_alone(self, build):
         assert_same_as_chain_walk(kernel_inputs(build()))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_small_suite_in_reverse_vertex_order(self, small_suite, n):
+        # every face's apex is its first vertex, so reversing the vertices
+        # changes every apex, and the volumes only by rounding
+        for H in small_suite[n]:
+            args = kernel_inputs(H)
+            assert_close_volumes(metrics._pyramid_volumes(*reversed_vertices(args)),
+                                 metrics._pyramid_volumes(*args))
+
+    @pytest.mark.parametrize("build", [b for _, b in NAMED_BODIES],
+                             ids=[name for name, _ in NAMED_BODIES])
+    def test_named_bodies_in_reverse_vertex_order(self, build):
+        args = kernel_inputs(build())
+        assert_close_volumes(metrics._pyramid_volumes(*reversed_vertices(args)),
+                             metrics._pyramid_volumes(*args))
 
     @pytest.mark.parametrize("n, seed", [(3, 7), (4, 8)])
     def test_profile_stacks(self, monkeypatch, n, seed):
@@ -513,8 +577,9 @@ class TestFlagKernel:
         ids=["cube8", "simplex9"])
     def test_many_flags_in_bounded_memory(self, build, vol):
         # 2^8 8! and 10! flags, but the recursion takes one height per edge
-        # of the Hasse diagram.  The 8-cube peaked at 11.8 MB, the 9-simplex
-        # at 1.1 MB (numpy 2.4)
+        # of the Hasse diagram it keeps.  The 8-cube peaked at 3.2 MB, the
+        # 9-simplex at 49 kB (numpy 2.4); with every face coned from its
+        # centroid, which keeps every edge, they peaked at 11.8 and 1.1 MB
         args = kernel_inputs(build())
         tracemalloc.start()
         try:
@@ -526,28 +591,37 @@ class TestFlagKernel:
         assert vols[0] == pytest.approx(vol, rel=ULPS)
 
     def test_edge_cap_refuses_before_the_level_is_made(self, monkeypatch):
-        # the 4-cube's Hasse diagram has 48 and 96 edges from its facets
-        # down to its 1-faces, where the walk ends; with the cap one entry
-        # short of 96 x 4 the walk stops at the second level, before it
-        # sorts that level's edges or takes a centroid
+        # the walk of the 4-cube meets 48 Hasse edges from its facets and 72
+        # from the 18 squares those reach, and keeps the half of each whose
+        # sub-faces miss the face's apex (its first vertex); with the cap
+        # one entry short of 72 x 4 it stops at the second level, on the
+        # count before the pruning, and before it measures a 1-face
         args = kernel_inputs(box(4))
-        meets = []
-        facet_meets = metrics._facet_meets
+        meets, kept = [], []
+        facet_meets, normals = metrics._facet_meets, metrics._normals
 
         def counting(*a):
             pairs = facet_meets(*a)
             meets.append(len(pairs[0]))
             return pairs
 
+        def keeping(unit, j, *a):
+            kept.append(len(j))
+            return normals(unit, j, *a)
+
         def refuse(*a):
-            raise AssertionError("centroids taken")
+            raise AssertionError("1-face measured")
 
         monkeypatch.setattr(metrics, "_facet_meets", counting)
+        monkeypatch.setattr(metrics, "_normals", keeping)
         metrics._pyramid_volumes(*args)
-        assert meets == [48, 96]
+        assert meets == [48, 72]
+        assert kept == [24, 36]
         meets.clear()
-        monkeypatch.setattr(metrics, "_COMBO_CAP", 96 * 4 - 1)
-        monkeypatch.setattr(metrics, "_centroids", refuse)
+        kept.clear()
+        monkeypatch.setattr(metrics, "_COMBO_CAP", 72 * 4 - 1)
+        monkeypatch.setattr(metrics, "_highest_bit", refuse)
         with pytest.raises(BadParameter):
             metrics._pyramid_volumes(*args)
-        assert meets == [48, 96]
+        assert meets == [48, 72]
+        assert kept == [24]

@@ -349,7 +349,8 @@ class TestWindowedProfile:
         # the profile's peak on this body before the stacked pass was
         # 2,187,146 bytes (numpy 2.4, a warm run); the blocks of candidates
         # bound the vertex tail and the kernel's walk of the face lattices,
-        # so the stacked pass stays within 4 MB of that
+        # so the stacked pass stays within 4 MB of that.  It is now
+        # 1,605,543 bytes, set by the kernel's second level of meets
         H = twenty_row_body(small_suite)
         body = unmemoized(H)
         tracemalloc.start()
@@ -379,7 +380,7 @@ class TestWindowedProfile:
 
     def test_profile_memory_bounded_by_blocks(self, small_suite):
         # eight times the grid of test_twenty_row_profile_memory: the peak
-        # was 1,996,626 bytes (numpy 2.4, a warm run), against 1,896,116 at
+        # was 1,724,396 bytes (numpy 2.4, a warm run), against 1,605,543 at
         # grid 33; with the erosions in one block it was 23.2 MB
         body = unmemoized(twenty_row_body(small_suite))
         tracemalloc.start()
