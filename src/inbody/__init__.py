@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     BadParameter,
-    DegenerateFacet,
     DegenerateImage,
     DegenerateInput,
     DegenerateNumerics,
@@ -36,7 +35,6 @@ from .metrics import (
     HeronReport,
     IncentreResult,
     distance_to_boundary,
-    facet_volume,
     heron_bounds,
     incentre,
     is_circumscribed,
@@ -59,13 +57,10 @@ from .polytope import (
     TAU_FACET,
     TAU_PT,
     TAU_REP,
-    Facet,
-    Halfspace,
     HalfspaceSystem,
     VertexSet,
     contains_point,
     convex_hull,
-    facets,
     remove_redundant_halfspaces,
     scale_about,
     validate_body,
@@ -78,7 +73,6 @@ from .projective import (
     IfsValidationReport,
     ProjectiveIFS,
     SeriesTable,
-    apply_projective,
     auto_seed_holes,
     box_counting_dimension,
     critical_exponent,

@@ -33,10 +33,6 @@ class DegenerateNumerics(GeometryError):
     """A computed result failed a numerical consistency check."""
 
 
-class DegenerateFacet(GeometryError):
-    """A facet has lower affine dimension than expected."""
-
-
 class OutsideBody(GeometryError):
     """A query point lies outside the body beyond tolerance."""
 

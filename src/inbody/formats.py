@@ -78,14 +78,6 @@ def _floats(data, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be numeric") from exc
 
 
-def polytope_to_dict(H: HalfspaceSystem) -> dict:
-    return {
-        "dim": H.dim,
-        "halfspaces": [{"a": a.tolist(), "b": float(b)}
-                       for a, b in zip(H.A, H.b)],
-    }
-
-
 def load_ifs(obj: dict):
     """(system, seed holes, assume_measure_zero) from IFS JSON."""
     if not isinstance(obj, dict):

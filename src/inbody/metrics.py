@@ -28,21 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadParameter, DegenerateFacet, DegenerateNumerics, GeometryError,
-                     OutsideBody)
+from .errors import BadParameter, DegenerateNumerics, GeometryError, OutsideBody
 from .polytope import (
     _COMBO_CAP,
     TAU_FACET,
     TAU_REP,
-    Facet,
     HalfspaceSystem,
-    VertexSet,
-    _affine_basis,
     _facet_meets,
     _local_bits,
-    _scale_from_box,
     as_vector,
-    convex_hull,
     remove_redundant_halfspaces,
     validate_body,
     vertex_incidence,
@@ -103,24 +97,6 @@ def incentre(H: HalfspaceSystem) -> IncentreResult:
                               <= TAU_FACET * H.scale)
     return IncentreResult(incentre=H.cheb_center.copy(), inradius=H.cheb_radius,
                           touching_facets=[int(i) for i in touching])
-
-
-def facet_volume(F: Facet) -> float:
-    """(n-1)-volume of a facet via isometric embedding one dimension down.
-
-    The chart is the SVD basis of the centred facet points, the same
-    decomposition that measures their affine rank, relative to the scale of
-    their bounding box.
-    """
-    pts = F.vertices.points
-    n = pts.shape[1]
-    centred = pts - pts.mean(axis=0)
-    basis = _affine_basis(pts, _scale_from_box(pts.min(axis=0), pts.max(axis=0)))
-    if basis.shape[0] != n - 1:
-        raise DegenerateFacet("facet does not have affine dimension n-1")
-    if n == 1:
-        return 1.0
-    return volume(convex_hull(VertexSet(centred @ basis.T)))
 
 
 def _cone_decomposition(H: HalfspaceSystem):

@@ -87,6 +87,8 @@ def _box_draws(H: HalfspaceSystem, rng: np.random.Generator, sizes):
 def _estimate(H, samples, seed, eps):
     if samples < 10_000:
         raise BadParameter("at least 10^4 samples required")
+    if int(seed) < 0:
+        raise BadParameter("seed must be non-negative")
     lo, hi = bounding_box(H)
     box_vol = float(np.prod(hi - lo))
     rng = np.random.default_rng(int(seed))

@@ -86,19 +86,6 @@ def _check_normals(A):
     return norms
 
 
-@dataclass(frozen=True)
-class Halfspace:
-    """One constraint {x : a . x <= b} with a nonzero normal a."""
-
-    a: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_vector(self.a))
-        _check_normals(self.a[None])
-        object.__setattr__(self, "b", float(self.b))
-
-
 @dataclass(frozen=True, eq=False)
 class HalfspaceSystem:
     """Convex region {x : A x <= b}, frozen.
@@ -166,14 +153,6 @@ class VertexSet:
     @property
     def count(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass
-class Facet:
-    """An (n-1)-face: its supporting halfspace plus its vertex set."""
-
-    support: Halfspace
-    vertices: VertexSet
 
 
 def _scale_from_box(lo, hi) -> float:
@@ -783,16 +762,6 @@ def _first_rows(M):
     keys = M.view(np.dtype((np.void, M.itemsize * M.shape[1]))).ravel()
     _, first = np.unique(keys, return_index=True)
     return np.sort(first)
-
-
-def facets(H: HalfspaceSystem) -> list[Facet]:
-    """Facet list of the minimal form: supporting halfspace + vertex set."""
-    Hm = remove_redundant_halfspaces(H)
-    V, active = vertex_incidence(Hm)
-    out = []
-    for i in range(Hm.m):
-        out.append(Facet(Halfspace(Hm.A[i], Hm.b[i]), VertexSet(V.points[active[i]])))
-    return out
 
 
 def convex_hull(V: VertexSet) -> HalfspaceSystem:

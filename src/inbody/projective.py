@@ -174,14 +174,6 @@ class IfsValidationReport:
         return [c for c in self.checks if not c.ok]
 
 
-def apply_projective(N, p) -> np.ndarray:
-    """Projective action on a chart point of the simplex: :func:`_chart_images`."""
-    p = np.asarray(p, dtype=float).ravel()
-    if 1.0 - p.sum() < -TAU_PT or np.any(p < -TAU_PT):
-        raise BadParameter("chart point lies outside the simplex")
-    return _chart_images(np.asarray(N, dtype=float), p[None])[0]
-
-
 def image_polytope(N, body: VertexSet) -> VertexSet:
     """Vertex-wise projective image of a chart polytope.
 
@@ -202,11 +194,6 @@ def _chart_images(N, pts):
     if np.any(sums <= TAU_PT):
         raise DegenerateImage("a vertex image has non-positive coordinate sum")
     return imgs[..., 1:] / sums[..., None]
-
-
-def chart_simplex_vertices(n: int) -> VertexSet:
-    """Vertices of the simplex in chart coordinates: 0 and the e_i."""
-    return VertexSet(np.vstack([np.zeros(n), np.eye(n)]))
 
 
 def validate_ifs(ifs: ProjectiveIFS,
@@ -655,7 +642,7 @@ def auto_seed_holes(ifs: ProjectiveIFS) -> list[VertexSet]:
     """
     if ifs.n != 1:
         raise BadParameter("automatic seed holes are defined for n = 1 only")
-    base = chart_simplex_vertices(1)
+    base = VertexSet([[0.0], [1.0]])
     spans = sorted((float(img.min()), float(img.max()))
                    for img in (image_polytope(M, base).points for M in ifs.matrices))
     holes = []

@@ -253,12 +253,13 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "Unbounded"
 
-    @pytest.mark.parametrize("command, flag", [
-        ("profile", "--grid"), ("oracle", "--samples")])
-    def test_zero_count_is_validation_error(self, cube_file, tmp_path, capsys,
-                                            command, flag):
-        out = tmp_path / "zero.out"
-        argv = [command, "--input", str(cube_file), "--output", str(out), flag, "0"]
+    @pytest.mark.parametrize("command, flag, value", [
+        ("profile", "--grid", "0"), ("oracle", "--samples", "0"), ("oracle", "--seed", "-1")],
+        ids=["profile---grid", "oracle---samples", "oracle---seed"])
+    def test_out_of_range_option_is_validation_error(self, cube_file, tmp_path, capsys,
+                                                     command, flag, value):
+        out = tmp_path / "range.out"
+        argv = [command, "--input", str(cube_file), "--output", str(out), flag, value]
         assert run(config_from_args(argv)) == 1
         assert not out.exists()
         assert json.loads(capsys.readouterr().err)["error"] == "BadParameter"

@@ -6,9 +6,12 @@ from inbody import formats
 
 
 class TestPolytopeJson:
-    def test_halfspace_round_trip(self, unit_square):
-        d = formats.polytope_to_dict(unit_square)
-        H = formats.load_polytope(d)
+    def test_halfspace_round_trip(self):
+        rows = [([1.0, 0.0], 1.0), ([-1.0, 0.0], 0.0), ([0.0, 1.0], 1.0), ([0.0, -1.0], 0.0)]
+        H = formats.load_polytope(
+            {"dim": 2, "halfspaces": [{"a": a, "b": b} for a, b in rows]})
+        assert np.array_equal(H.A, [a for a, _ in rows])
+        assert np.array_equal(H.b, [b for _, b in rows])
         assert ib.volume(H) == pytest.approx(1.0)
 
     def test_vertex_form_loads_as_hull(self):

@@ -7,7 +7,7 @@ from scipy.spatial import ConvexHull
 
 import inbody as ib
 from inbody import lp, metrics, neighbourhood, polytope
-from inbody.errors import BadParameter, DegenerateNumerics, OutsideBody
+from inbody.errors import BadParameter, DegenerateInput, DegenerateNumerics, OutsideBody
 from tests.conftest import (box, corner_within_tolerance, cross_polytope, cut_cube_rows,
                             hrep, noisy_cone, twenty_four_cell, written_out_det)
 
@@ -160,26 +160,51 @@ class TestVolume:
                 assert abs(ib.volume(H) - est.mean) <= 4 * est.stddev
 
 
+def kernel_facet_volumes(H):
+    """The facet volumes of the minimal form, as the volume kernel gives them."""
+    return metrics._cone_decomposition(H)[1]
+
+
+def facet_volumes_by_qhull(H):
+    """Independent reference for the facet volumes of the minimal form: each
+    facet's vertices charted by numpy's SVD one dimension down and measured
+    by Qhull (a length at n = 2, 1 at n = 1)."""
+    Hm = polytope.remove_redundant_halfspaces(H)
+    V, active = polytope.vertex_incidence(Hm)
+    n = Hm.dim
+    out = np.empty(Hm.m)
+    for i in range(Hm.m):
+        pts = V.points[active[i]]
+        centred = pts - pts.mean(axis=0)
+        chart = centred @ np.linalg.svd(centred)[2][:n - 1].T
+        if n == 1:
+            out[i] = 1.0
+        elif n == 2:
+            out[i] = np.ptp(chart)
+        else:
+            out[i] = ConvexHull(chart).volume
+    return out
+
+
 class TestFacetsAndSurface:
     def test_cube_face_area(self, unit_cube):
-        for f in ib.facets(unit_cube):
-            assert ib.facet_volume(f) == pytest.approx(1.0, abs=1e-12)
+        for vols in (kernel_facet_volumes(unit_cube), facet_volumes_by_qhull(unit_cube)):
+            assert vols == pytest.approx([1.0] * 6, abs=1e-12)
 
     def test_triangle_hypotenuse_length(self, triangle):
-        lengths = sorted(ib.facet_volume(f) for f in ib.facets(triangle))
-        assert lengths == pytest.approx([1.0, 1.0, math.sqrt(2)], abs=1e-10)
+        for vols in (kernel_facet_volumes(triangle), facet_volumes_by_qhull(triangle)):
+            assert sorted(vols) == pytest.approx([1.0, 1.0, math.sqrt(2)], abs=1e-10)
 
     def test_pancake_long_face(self):
         H = ib.pancake_family(2, 4)
-        assert max(ib.facet_volume(f) for f in ib.facets(H)) == pytest.approx(4.0)
+        for vols in (kernel_facet_volumes(H), facet_volumes_by_qhull(H)):
+            assert max(vols) == pytest.approx(4.0)
 
     def test_degenerate_facet_rejected(self):
-        from inbody.errors import DegenerateFacet
-        flat = ib.Facet(ib.Halfspace(np.array([0.0, 0.0, 1.0]), 0.0),
-                        ib.VertexSet([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                                      [2.0, 0.0, 0.0]]))
-        with pytest.raises(DegenerateFacet):
-            ib.facet_volume(flat)
+        # three collinear points span no plane, so no hull in R^3
+        with pytest.raises(DegenerateInput):
+            ib.convex_hull(ib.VertexSet([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                         [2.0, 0.0, 0.0]]))
 
     def test_cube_surface(self, unit_cube):
         assert ib.surface_area(unit_cube) == pytest.approx(6.0, abs=1e-12)
@@ -205,13 +230,13 @@ class TestFacetsAndSurface:
             expected, abs=1e-9)
 
     def test_both_facet_volume_paths_agree(self, small_suite):
-        # surface_area sums the pyramid recursion's facet volumes, read off
-        # the body's vertex-facet incidence; facet_volume hulls each
-        # embedded facet
-        for n in (2, 3, 4):
-            for H in small_suite[n][:4]:
-                via_facets = sum(ib.facet_volume(f) for f in ib.facets(H))
-                assert ib.surface_area(H) == pytest.approx(via_facets, rel=1e-9)
+        # the pyramid recursion's facet volumes, read off the body's
+        # vertex-facet incidence, against each facet charted and hulled
+        interval = hrep([[1.0], [-1.0]], [2.0, 1.0])
+        for H in [interval] + [H for n in (2, 3, 4) for H in small_suite[n][:4]]:
+            ref = facet_volumes_by_qhull(H)
+            assert kernel_facet_volumes(H) == pytest.approx(ref, rel=1e-9)
+            assert ib.surface_area(H) == pytest.approx(ref.sum(), rel=1e-9)
 
     def test_random_bodies_agree_with_qhull(self, small_suite):
         for n in (2, 3, 4):
@@ -229,12 +254,12 @@ class TestFacetsAndSurface:
 
 def assert_matches_qhull(H):
     """Qhull of the enumerated vertices is an independent reference for
-    volume, surface_area and the sum of facet_volume."""
+    volume and surface_area, and Qhull of each charted facet for every
+    facet volume of the kernel."""
     ref = ConvexHull(ib.vertex_enumeration(H).points)
-    via_facets = sum(ib.facet_volume(f) for f in ib.facets(H))
     assert ib.volume(H) == pytest.approx(ref.volume, rel=1e-9)
     assert ib.surface_area(H) == pytest.approx(ref.area, rel=1e-9)
-    assert via_facets == pytest.approx(ref.area, rel=1e-9)
+    assert kernel_facet_volumes(H) == pytest.approx(facet_volumes_by_qhull(H), rel=1e-9)
 
 
 class TestMinkowskiCertificate:

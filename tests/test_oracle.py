@@ -47,6 +47,12 @@ class TestMcVolume:
         with pytest.raises(BadParameter):
             ib.mc_volume(unit_square, 100, seed=0)
 
+    def test_negative_seed_rejected(self, unit_square):
+        # numpy's generator would refuse it with a ValueError, which the
+        # command line reads as a parse failure
+        with pytest.raises(BadParameter, match="seed"):
+            ib.mc_volume(unit_square, 50_000, seed=-1)
+
 
 class TestMcInnerVolume:
     def test_square_closed_form(self, unit_square):
@@ -64,6 +70,10 @@ class TestMcInnerVolume:
     def test_nan_offset_rejected(self, unit_square):
         with pytest.raises(BadParameter):
             ib.mc_inner_volume(unit_square, float("nan"), 50_000, seed=6)
+
+    def test_negative_seed_rejected(self, unit_square):
+        with pytest.raises(BadParameter, match="seed"):
+            ib.mc_inner_volume(unit_square, 0.1, 50_000, seed=-1)
 
 
 class TestDeterminism:

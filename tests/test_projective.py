@@ -40,32 +40,31 @@ class TestProjectiveIFS:
 
 
 class TestApplyProjective:
+    """The projective action on one chart point, as an image_polytope of one
+    vertex."""
+
     def test_identity(self):
-        p = np.array([0.2, 0.3])
-        out = ib.apply_projective(np.eye(3), p)
-        assert out == pytest.approx(p)
+        p = np.array([[0.2, 0.3]])
+        out = ib.image_polytope(np.eye(3), ib.VertexSet(p))
+        assert out.points == pytest.approx(p)
 
     @pytest.mark.parametrize("t", [0.0, 0.25, 1 / 3, 0.5, 1.0])
     def test_left_map_is_divide_by_three(self, t):
         ifs, _ = ib.middle_thirds_ifs()
-        out = ib.apply_projective(ifs.matrices[0], [t])
-        assert out[0] == pytest.approx(mobius_left(t), abs=1e-14)
+        out = ib.image_polytope(ifs.matrices[0], ib.VertexSet([[t]]))
+        assert out.points[0, 0] == pytest.approx(mobius_left(t), abs=1e-14)
 
-    @pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("t", [0.0, 0.25, 1 / 3, 0.5, 1.0])
     def test_right_map_shifts_then_divides(self, t):
         ifs, _ = ib.middle_thirds_ifs()
-        out = ib.apply_projective(ifs.matrices[1], [t])
-        assert out[0] == pytest.approx(mobius_right(t), abs=1e-14)
-
-    def test_point_outside_simplex_rejected(self):
-        with pytest.raises(BadParameter):
-            ib.apply_projective(np.eye(2), [1.5])
+        out = ib.image_polytope(ifs.matrices[1], ib.VertexSet([[t]]))
+        assert out.points[0, 0] == pytest.approx(mobius_right(t), abs=1e-14)
 
     def test_collapsed_image_rejected(self):
         # kills the complementary coordinate; at t = 0 the image sum vanishes
         N = np.array([[0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DegenerateImage):
-            ib.apply_projective(N, [0.0])
+            ib.image_polytope(N, ib.VertexSet([[0.0]]))
         with pytest.raises(DegenerateImage):
             ib.image_polytope(N, ib.VertexSet([[0.0], [0.5]]))
 
@@ -178,9 +177,9 @@ class TestValidateIfs:
         ib.middle_thirds_ifs, lambda: _two_seed_ifs(), lambda: _quarter_grid_ifs()],
         ids=["thirds", "two-seed", "quarter-grid"])
     def test_image_hform_has_the_hull_vertices(self, factory):
-        from inbody.projective import _simplex_image, chart_simplex_vertices
+        from inbody.projective import _simplex_image
         ifs, _ = factory()
-        simplex = chart_simplex_vertices(ifs.n)
+        simplex = ib.VertexSet(np.vstack([np.zeros(ifs.n), np.eye(ifs.n)]))
         for M in ifs.matrices:
             got = ib.vertex_enumeration(ib.validate_body(_simplex_image(M))).points
             want = ib.vertex_enumeration(ib.convex_hull(ib.image_polytope(M, simplex))).points
@@ -600,8 +599,8 @@ class TestNormalizeUnimodular:
         uni = ib.normalize_unimodular(ifs)
         rng = np.random.default_rng(17)
         for t in rng.uniform(0, 1, size=100):
-            before = ib.apply_projective(ifs.matrices[0], [t])
-            after = ib.apply_projective(uni.matrices[0], [t])
+            before = ib.image_polytope(ifs.matrices[0], ib.VertexSet([[t]])).points
+            after = ib.image_polytope(uni.matrices[0], ib.VertexSet([[t]])).points
             assert after == pytest.approx(before, abs=ib.TAU_PT)
 
     def test_singular_matrix_rejected(self):
@@ -821,6 +820,19 @@ class TestAutoSeedHoles:
         seeds = ib.auto_seed_holes(ifs)
         assert len(seeds) == 1
         assert sorted(seeds[0].points.ravel()) == pytest.approx([1 / 3, 2 / 3])
+
+    def test_three_affine_maps_out_of_order(self):
+        # x -> a + (b - a) x onto [a, b] has unit column sums; the holes lie
+        # at both ends and between the images, and each end is the column
+        # ratio N[1, j] / (N[0, j] + N[1, j]) of its map, bit for bit
+        mats = [np.array([[1.0 - a, 1.0 - b], [a, b]])
+                for a, b in [(0.5, 0.6), (0.1, 0.3), (0.8, 0.9)]]
+        lo, hi = ([M[1, j] / (M[0, j] + M[1, j]) for M in mats] for j in (0, 1))
+        seeds = ib.auto_seed_holes(ib.ProjectiveIFS(1, mats))
+        want = [[0.0, lo[1]], [hi[1], lo[0]], [hi[0], lo[2]], [hi[2], 1.0]]
+        assert len(seeds) == len(want)
+        for seed, ends in zip(seeds, want):
+            assert np.array_equal(seed.points, np.array(ends)[:, None])
 
     def test_rejected_above_one_dimension(self):
         ifs = ib.ProjectiveIFS(2, [np.eye(3)])
