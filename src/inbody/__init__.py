@@ -13,6 +13,8 @@ series.  A seeded Monte Carlo oracle cross-checks every exact routine.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BadParameter,
     DegenerateImage,
@@ -88,4 +90,5 @@ from .projective import (
 )
 from .randgen import random_polytope, random_suite, sample_interior
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public functions, classes and constants, not the submodules they come from
+__all__ = [k for k in dir() if not (k.startswith("_") or isinstance(globals()[k], _ModuleType))]

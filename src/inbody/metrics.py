@@ -100,35 +100,34 @@ def incentre(H: HalfspaceSystem) -> IncentreResult:
 
 
 def _cone_decomposition(H: HalfspaceSystem):
-    """Volume, per-facet (n-1)-volumes and incentre of the minimal form.
+    """Volume and per-facet (n-1)-volumes of the minimal form.
 
     The minimal form goes through the kernel :func:`_pyramid_volumes` as a
-    stack of one body, coned from its incentre, and the result is
-    memoized on H and on the minimal form.
+    stack of one body, coned from the incentre of its certificate, and the
+    result is memoized on H and on the minimal form.
     """
     Hm = remove_redundant_halfspaces(H)
     if "cone" in Hm._cache:
         return Hm._cache["cone"]
     V, active = vertex_incidence(Hm)
     An, bn, _ = Hm.unit_form()
-    inc = incentre(Hm)
     vols, fvols = _pyramid_volumes(An, bn[None], V.points, np.array([0, V.count]),
-                                   active, inc.incentre[None])
-    result = (float(vols[0]), fvols[0], inc)
+                                   active, Hm.cheb_center)
+    result = (float(vols[0]), fvols[0])
     Hm._cache["cone"] = result
     H._cache["cone"] = result
     return result
 
 
-def _pyramid_volumes(An, bn, points, start, active, centres):
+def _pyramid_volumes(An, bn, points, start, active, centre):
     """Volumes and facet volumes of a stack of bodies, from their incidence.
 
     Body e is {x : An x <= bn[e]} with the vertices ``points[start[e]:
     start[e + 1]]`` (as :func:`polytope._incidence_from_candidates` returns
-    them) and a centre ``centres[e]`` inside it.  ``active`` (m, sum V) is
-    the incidence of each body's facet rows on its vertices, all False on
-    the other rows (see :func:`polytope._facet_rows`).  Returns the volumes
-    (E,) and the facet volumes (E, m), 0 off the facets.
+    them), and the one point ``centre`` (n,) lies inside every body.
+    ``active`` (m, sum V) is the incidence of each body's facet rows on its
+    vertices, all False on the other rows (see :func:`polytope._facet_rows`).
+    Returns the volumes (E,) and the facet volumes (E, m), 0 off the facets.
 
     A k-face G is the union of the pyramids over its facets F with apex its
     first vertex p_G, so vol(G) = (1/k) sum_F h(G, F) vol(F), where h(G, F)
@@ -142,7 +141,7 @@ def _pyramid_volumes(An, bn, points, start, active, centres):
     last of its vertices in the body's lexicographic order (it can hold
     more than two within the facet tolerance, as on a plane cut a little
     off a cube's face), and its volume is their distance.  At n = 1 the
-    facets are vertices, of volume 1.  The body itself is coned from its
+    facets are vertices, of volume 1.  Each body is coned from the
     centre: vol = (1/n) sum_i dist(c, F_i) vol(F_i).  Unrolled, this is
     the sum of the volumes of the triangulation's simplices coned from c,
     one product of heights over n! each, but it needs one height per kept
@@ -155,7 +154,8 @@ def _pyramid_volumes(An, bn, points, start, active, centres):
     such meet (:func:`polytope._facet_meets`, the rule that also finds the
     facet rows).  The walk takes each level once per distinct face, from the
     facets down to the 2-faces: the facets of the level's faces are the
-    diagram's edges (face, sub-face) in (face, row) order.  A face's apex is
+    diagram's edges (face, sub-face) in (face, row) order, each sub-face
+    the meet that found it.  A face's apex is
     the lowest set bit of its row (:func:`_lowest_bit`), and the edges
     whose sub-face holds it are dropped; the cap below counts them all.
     One sort by (body, sub-face) numbers the distinct sub-faces of the
@@ -200,7 +200,6 @@ def _pyramid_volumes(An, bn, points, start, active, centres):
     bits = _local_bits(active, start)                       # (E, m, W)
     # rows of arrays are gathered with take and compress, which numpy runs
     # several times faster than fancy indexing (see _facet_meets)
-    rows = bits.reshape(-1, bits.shape[-1])                 # row j of body e at e m + j
     body, row = np.nonzero(bits.any(axis=-1))
     # the current level's faces, their apexes (local vertex indices and
     # points) and the orthonormal normals of their affine hulls.  Vectors
@@ -220,7 +219,7 @@ def _pyramid_volumes(An, bn, points, start, active, centres):
         vols = np.sqrt((d * d).sum(axis=0))
     edges = []
     for k in range(n - 1, 1, -1):
-        parent, j = _facet_meets(faces, fbody, bits, k)
+        parent, j, sub = _facet_meets(faces, fbody, bits, k)
         if len(parent) * n > _COMBO_CAP:
             raise BadParameter(
                 f"{len(parent)} edges of the face lattice in dimension {n} exceed "
@@ -228,7 +227,6 @@ def _pyramid_volumes(An, bn, points, start, active, centres):
         # a facet that holds its face's apex holds it as its own first
         # vertex, so its pyramid has height 0 and its edge is dropped
         pbody = fbody.take(parent)
-        sub = faces.take(parent, axis=0) & rows.take(pbody * m + j, axis=0)
         first = _lowest_bit(sub)
         keep = first != apex.take(parent)
         parent, j, first = parent.compress(keep), j.compress(keep), first.compress(keep)
@@ -274,7 +272,7 @@ def _pyramid_volumes(An, bn, points, start, active, centres):
         vols = np.bincount(parent, weights=h * vols.take(child), minlength=count) / k
     fvols = np.zeros((E, m))
     fvols[body, row] = vols
-    dists = bn[body, row] - (An.take(row, axis=0) * centres.take(body, axis=0)).sum(axis=1)
+    dists = bn[body, row] - (An.take(row, axis=0) * centre).sum(axis=1)
     vols = np.bincount(body, weights=dists * vols, minlength=E) / n
     total = fvols @ An
     closure = np.sqrt((total * total).sum(axis=1)) / fvols.sum(axis=1)
@@ -344,13 +342,13 @@ def surface_area(H: HalfspaceSystem) -> float:
 
 def heron_bounds(H: HalfspaceSystem) -> HeronReport:
     """Evaluate vol/per <= inradius <= n vol/per and report both sides."""
-    vol, fvols, inc = _cone_decomposition(H)
+    vol, fvols = _cone_decomposition(H)
     per = float(fvols.sum())
     lower = vol / per
     upper = H.dim * vol / per
-    tol = TAU_REP * max(1.0, inc.inradius)
-    satisfied = (lower - tol <= inc.inradius <= upper + tol)
-    return HeronReport(volume=vol, perimeter=per, inradius=inc.inradius,
+    tol = TAU_REP * max(1.0, H.cheb_radius)
+    satisfied = (lower - tol <= H.cheb_radius <= upper + tol)
+    return HeronReport(volume=vol, perimeter=per, inradius=H.cheb_radius,
                        lower=lower, upper=upper, satisfied=bool(satisfied))
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadParameter, EpsOutOfRange, GeometryError
-from .metrics import _pyramid_volumes, incentre, volume
+from .metrics import _pyramid_volumes, volume
 from .polytope import (
     TAU_FACET,
     TAU_REP,
@@ -99,32 +99,31 @@ def inner_parallel_body(H: HalfspaceSystem, eps: float) -> HalfspaceSystem | Non
         raise BadParameter("inner_parallel_body requires a validated body")
     if eps == 0.0:
         return remove_redundant_halfspaces(H)
-    Hm, inc, b, empty = _erosion(H, np.array([eps]))
+    Hm, b, empty = _erosion(H, np.array([eps]))
     if empty[0]:
         return None
-    return remove_redundant_halfspaces(replace(
-        Hm, b=b[0], cheb_center=inc.incentre, cheb_radius=inc.inradius - eps))
+    return remove_redundant_halfspaces(replace(Hm, b=b[0], cheb_radius=H.cheb_radius - eps))
 
 
 def _erosion(H: HalfspaceSystem, eps: np.ndarray):
-    """The minimal form Hm of H, the incentre of H, the offsets
-    ``Hm.b - eps[e] * ||a_i||`` eroded by each offset of eps (E, m), and the
-    mask (E,) of the erosions with no interior, ``inradius - eps <=
-    TAU_FACET * scale`` at eps > 0 (eroding by 0 leaves the body).
+    """The minimal form Hm of H, the offsets ``Hm.b - eps[e] * ||a_i||``
+    eroded by each offset of eps (E, m), and the mask (E,) of the erosions
+    with no interior, ``inradius - eps <= TAU_FACET * scale`` at eps > 0
+    (eroding by 0 leaves the body).
     """
-    inc = incentre(H)
     Hm = remove_redundant_halfspaces(H)
     b = Hm.b - eps[:, None] * Hm.unit_form()[2]
-    return Hm, inc, b, (inc.inradius - eps <= TAU_FACET * H.scale) & (eps > 0)
+    return Hm, b, (H.cheb_radius - eps <= TAU_FACET * H.scale) & (eps > 0)
 
 
-def _clamped_eps(H: HalfspaceSystem, eps: float):
-    """The incentre of H and eps, clamped to [0, inradius] if within tolerance."""
-    inc = incentre(H)
+def _clamped_eps(H: HalfspaceSystem, eps: float) -> float:
+    """eps, clamped to [0, inradius] if within tolerance, on a validated body."""
+    if not H.validated:
+        raise BadParameter("offset checks require a validated body")
     slack = TAU_FACET * H.scale
-    if not -slack <= eps <= inc.inradius + slack:
+    if not -slack <= eps <= H.cheb_radius + slack:
         raise EpsOutOfRange("offset must lie in [0, inradius]")
-    return inc, min(max(eps, 0.0), inc.inradius)
+    return min(max(eps, 0.0), H.cheb_radius)
 
 
 def vol_inner_neighbourhood(H: HalfspaceSystem, eps: float) -> float:
@@ -138,11 +137,11 @@ def vol_inner_neighbourhood(H: HalfspaceSystem, eps: float) -> float:
 
 def bounds_report(H: HalfspaceSystem, eps: float) -> BoundsReport:
     """Evaluate g/n <= chord <= vol(L_eps) <= g at one offset in [0, inradius]."""
-    inc, eps = _clamped_eps(H, eps)
+    eps = _clamped_eps(H, eps)
     vol = volume(H)
     l = vol_inner_neighbourhood(H, eps)
-    g = g_formula(vol, inc.inradius, eps, H.dim)
-    chord = eps * vol / inc.inradius
+    g = g_formula(vol, H.cheb_radius, eps, H.dim)
+    chord = eps * vol / H.cheb_radius
     tol = TAU_REP * max(1.0, vol)
     ok = (g / H.dim <= chord + tol) and (chord - tol <= l) and (l <= g + tol)
     return BoundsReport(l=l, g=g, g_over_n=g / H.dim, chord=chord, ok=bool(ok))
@@ -155,10 +154,10 @@ def scale_copy_containment_check(H: HalfspaceSystem, eps: float) -> bool:
     land inside the inner parallel body at eps; for a closed polytope it
     suffices that every contracted vertex satisfies the offset system.
     """
-    inc, eps = _clamped_eps(H, eps)
-    lam = 1.0 - eps / inc.inradius
+    eps = _clamped_eps(H, eps)
+    lam = 1.0 - eps / H.cheb_radius
     V, _ = vertex_incidence(H)
-    shrunk = inc.incentre + lam * (V.points - inc.incentre)
+    shrunk = H.cheb_center + lam * (V.points - H.cheb_center)
     An, bn, _ = H.unit_form()
     resid = shrunk @ An.T - (bn - eps)
     return bool(np.all(resid <= TAU_FACET * H.scale))
@@ -190,15 +189,16 @@ def neighbourhood_profile(H: HalfspaceSystem,
     """
     if grid_size < 3:
         raise BadParameter("grid_size must be >= 3")
-    inc = incentre(H)
-    n = H.dim
-    grid = np.linspace(0.0, inc.inradius, grid_size)
+    if not H.validated:
+        raise BadParameter("neighbourhood_profile requires a validated body")
+    n, r = H.dim, H.cheb_radius
+    grid = np.linspace(0.0, r, grid_size)
     inner = _eroded_volumes(H, grid)
     vol = float(inner[0])
     l_vol = vol - inner
 
-    g_vals = np.array([g_formula(vol, inc.inradius, float(e), n) for e in grid])
-    chord = grid * vol / inc.inradius
+    g_vals = np.array([g_formula(vol, r, float(e), n) for e in grid])
+    chord = grid * vol / r
     h = grid[1] - grid[0]
     deriv = np.diff(l_vol) / h
 
@@ -229,7 +229,7 @@ def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
     the face lattices of the block's bodies; it is large enough that the
     fixed cost of each step is paid rarely.
     """
-    Hm, inc, b, empty = _erosion(H, eps)
+    Hm, b, empty = _erosion(H, eps)
     vols = np.zeros(len(eps))
     inside = np.flatnonzero(~empty)
     eps = eps[inside]
@@ -239,8 +239,6 @@ def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
     # the offsets as the eroded body's unit form has them, so that they are
     # bit-identical to those of inner_parallel_body
     bn = b[inside] / norms
-    scale = np.full(len(eps), H.scale)
-    centres = np.tile(inc.incentre, (len(eps), 1))
     counts = on.sum(axis=1)
     own = len(eps) > 0 and eps[0] == 0.0
     if own:
@@ -257,7 +255,7 @@ def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
             body, s = np.divmod(np.flatnonzero(on.take(rest, axis=0)), on.shape[1])
             pts = x.take(s, axis=0) - eps.take(rest).take(body)[:, None] * d.take(s, axis=0)
             points, start, active = _incidence_from_candidates(
-                An, bn[rest], scale[rest], pts, body)
+                An, bn[rest], H.scale, pts, body)
             keep = _facet_rows(start, active, H.dim)
             sizes = np.diff(start)
             parts.append((points, sizes,
@@ -266,5 +264,5 @@ def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
                                  for p, a in zip(zip(*parts), (0, 0, 1)))
         start = np.concatenate([[0], np.cumsum(sizes)])
         vols[inside[sel]] = _pyramid_volumes(An, bn[sel], points, start, active,
-                                             centres[sel])[0]
+                                             H.cheb_center)[0]
     return vols

@@ -34,9 +34,7 @@ class McEstimate:
 def bounding_box(H: HalfspaceSystem):
     """Per-coordinate (mins, maxs) certified by 2n linear programs: read from
     a validated body's certificate, or made by validating a raw one."""
-    if not H.validated:
-        H = validate_body(H)
-    lo, hi = H.bbox
+    lo, hi = (H if H.validated else validate_body(H)).bbox
     return lo.copy(), hi.copy()
 
 
@@ -89,6 +87,8 @@ def _estimate(H, samples, seed, eps):
         raise BadParameter("at least 10^4 samples required")
     if int(seed) < 0:
         raise BadParameter("seed must be non-negative")
+    # validated once, so that the box and the draws read one certificate
+    H = H if H.validated else validate_body(H)
     lo, hi = bounding_box(H)
     box_vol = float(np.prod(hi - lo))
     rng = np.random.default_rng(int(seed))

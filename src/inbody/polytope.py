@@ -26,11 +26,11 @@ determinant is the expansion along its first row by the cofactors that
 Cramer's rule reads each solution from (:func:`_subset_solves`); above
 n = 4 LU solves them.  The steps after them (naming each vertex by the
 rows it lies on, refining it, testing facets) take a stack of bodies that
-share their unit normals and differ in their offsets: the inner parallel
-bodies of a profile go through them in one pass, and a single body is a
-stack of one.  They are array operations over all vertices or faces of the
-stack at once, in blocks that bound memory, and a body's results do not
-depend on the stack it is in.
+share their unit normals and their scale and differ in their offsets: the
+inner parallel bodies of a profile go through them in one pass, and a
+single body is a stack of one.  They are array operations over all vertices
+or faces of the stack at once, in blocks that bound memory, and a body's
+results do not depend on the stack it is in.
 Every face is decided from the incidence alone, by one rule: the facets of
 a face are its maximal proper meets with the rows (:func:`_facet_meets`).
 """
@@ -282,7 +282,7 @@ def vertex_incidence(H: HalfspaceSystem):
         candidates.append(sols.compress(feas, axis=0))
     pts = np.vstack(candidates)
     points, _, active = _incidence_from_candidates(
-        An, bn[None], np.array([H.scale]), pts, np.zeros(len(pts), dtype=int))
+        An, bn[None], H.scale, pts, np.zeros(len(pts), dtype=int))
     result = (VertexSet(points), active)
     H._cache["incidence"] = result
     return result
@@ -465,35 +465,34 @@ def _incidence_from_candidates(An, bn, scale, pts, body):
     """Vertices and incidence of a stack of bodies from their candidate points.
 
     Body e of the stack is {x : An x <= bn[e]}: the bodies share the unit
-    normals An (m, n) and differ in their offsets bn (E, m), as the inner
-    parallel bodies of one minimal form do; ``scale`` (E,) holds their
-    scales.  Candidate ``pts[i]`` belongs to body ``body[i]``, and ``body``
-    is ascending.  A vertex is named by its active set, the rows it lies on
-    within the facet tolerance, as a face is by its incidence row: of the
-    candidates of one body with the same active set only the first is kept
-    (Avis & Fukuda 1992).  The kept candidates are refined against their
-    active sets and sorted, all in one pass over the stack; a body gets the
-    same vertices alone (E = 1) as in any stack.  Returns
-    ``(points, start, active)``: the vertices body by body, body e's in rows
-    ``start[e]:start[e + 1]``, and the (m, sum V) incidence of every row on
-    every vertex of its own body.
+    normals An (m, n) and the one ``scale`` their tolerances are relative
+    to, and differ in their offsets bn (E, m), as the inner parallel bodies
+    of one minimal form do.  Candidate ``pts[i]`` belongs to body
+    ``body[i]``, and ``body`` is ascending.  A vertex is named by its active
+    set, the rows it lies on within the facet tolerance, as a face is by its
+    incidence row: of the candidates of one body with the same active set
+    only the first is kept (Avis & Fukuda 1992).  The kept candidates are
+    refined against their active sets and sorted, all in one pass over the
+    stack; a body gets the same vertices alone (E = 1) as in any stack.
+    Returns ``(points, start, active)``: the vertices body by body, body e's
+    in rows ``start[e]:start[e + 1]``, and the (m, sum V) incidence of every
+    row on every vertex of its own body.
     """
     E = bn.shape[0]
     if np.any(np.bincount(body, minlength=E) == 0):
         raise GeometryError("no vertices found for a validated body")
     feas_tol = TAU_FACET * scale
-    act = np.abs(bn.take(body, axis=0) - pts @ An.T) <= feas_tol.take(body)[:, None]
+    act = np.abs(bn.take(body, axis=0) - pts @ An.T) <= feas_tol
     # the body's bytes, then the active row as bits: packed, the keys of the
     # 30,080 candidates of the 5-cross-polytope stay within a megabyte
     key = np.hstack([body.astype(np.int64)[:, None].view(np.uint8),
                      np.packbits(act, axis=1)])
     first = _first_rows(key)
     body = body.take(first)
-    pts = _refine_vertices(act.take(first, axis=0), An, bn.take(body, axis=0),
-                           feas_tol.take(body)[:, None])
+    pts = _refine_vertices(act.take(first, axis=0), An, bn.take(body, axis=0), feas_tol)
     order = np.lexsort([*pts.T[::-1], body])
     pts, body = pts.take(order, axis=0), body.take(order)
-    active = np.abs(bn.take(body, axis=0).T - An @ pts.T) <= feas_tol.take(body)
+    active = np.abs(bn.take(body, axis=0).T - An @ pts.T) <= feas_tol
     return pts, np.searchsorted(body, np.arange(E + 1)), active
 
 
@@ -618,14 +617,14 @@ def _distances(P, Q):
 def _refine_vertices(act, An, bn, feas_tol):
     """Solve each vertex from its full active set.
 
-    ``act`` (N, m) holds each vertex's active rows, ``bn`` its own offsets
-    (N, m) and ``feas_tol`` its tolerance (N, 1), so the vertices may come
-    from the bodies of a stack.  The simple vertices, with exactly n active
-    rows, solve their square systems in one batch.  The others are grouped
-    by their number c of active rows, and each group takes the
-    least-squares solution of its (c, n) systems from one stacked QR:
-    R x = Q^T b.  A vertex whose refined point leaves an active row by more
-    than feas_tol, or that has fewer than n active rows, is an error.
+    ``act`` (N, m) holds each vertex's active rows and ``bn`` its own
+    offsets (N, m), so the vertices may come from the bodies of a stack,
+    which share the one tolerance ``feas_tol``.  The simple vertices, with
+    exactly n active rows, solve their square systems in one batch.  The
+    others are grouped by their number c of active rows, and each group
+    takes the least-squares solution of its (c, n) systems from one stacked
+    QR: R x = Q^T b.  A vertex whose refined point leaves an active row by
+    more than feas_tol, or that has fewer than n active rows, is an error.
     """
     m, n = An.shape
     refined = np.empty((act.shape[0], n))
@@ -686,7 +685,7 @@ def _facet_rows(start, active, n):
     E = len(start) - 1
     whole = _local_bits(np.ones((1, active.shape[1]), dtype=bool), start)[:, 0]
     keep = np.zeros((E, active.shape[0]), dtype=bool)
-    keep[_facet_meets(whole, np.arange(E), _local_bits(active, start), n)] = True
+    keep[_facet_meets(whole, np.arange(E), _local_bits(active, start), n)[:2]] = True
     return keep
 
 
@@ -694,8 +693,8 @@ _FACE_BLOCK = 4096   # faces per block of the meets in _facet_meets
 
 
 def _facet_meets(faces, fbody, bits, k):
-    """(face, row) index pairs, in that order: the meet of a k-face with the
-    row is a facet of the face.
+    """(face, row, meet), in (face, row) order: the meet (W words) of a
+    k-face with the row is a facet of the face.
 
     A face is a row of bits over its own body's vertices, ``fbody`` holds
     each face's body and ``bits`` (E, m, W) the incidence rows of the bodies
@@ -709,7 +708,7 @@ def _facet_meets(faces, fbody, bits, k):
     faster than fancy indexing on arrays of more than one axis.
     """
     m, W = bits.shape[1:]
-    pairs = []
+    pairs = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty((0, W), np.uint64))]
     for lo in range(0, len(faces), _FACE_BLOCK):
         face = faces[lo:lo + _FACE_BLOCK, None, :]
         meets = face & bits.take(fbody[lo:lo + _FACE_BLOCK], axis=0)
@@ -725,9 +724,7 @@ def _facet_meets(faces, fbody, bits, k):
         inside = ~(ma & ~mb).any(axis=-1) & ((ma != mb).any(axis=-1) | (b < a))
         top = np.ones(len(f), dtype=bool)
         top[a[inside]] = False
-        pairs.append((lo + f[top], j[top]))
-    if not pairs:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
+        pairs.append((lo + f[top], j[top], meet.compress(top, axis=0)))
     return tuple(np.concatenate(x) for x in zip(*pairs))
 
 

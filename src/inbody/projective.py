@@ -373,7 +373,7 @@ def _measure_holes(level, dets, seed, images):
     if images.shape[2] > 1:
         hulls = [convex_hull(VertexSet(p)) for p in images]
         return (np.array([metrics.volume(h) for h in hulls]),
-                np.array([metrics.incentre(h).inradius for h in hulls]))
+                np.array([h.cheb_radius for h in hulls]))
     p, q = seed.points.min(), seed.points.max()
     sigma = level.sum(axis=1) @ np.array([[1.0 - p, 1.0 - q], [p, q]])
     vol = np.abs(dets) * (q - p) / (sigma[:, 0] * sigma[:, 1])

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import BadParameter, GeometryError
 from .oracle import _box_draws
 from .polytope import HalfspaceSystem, validate_body
 
@@ -55,6 +55,10 @@ def random_suite(n: int, count: int, seed: int) -> list[HalfspaceSystem]:
 def sample_interior(H: HalfspaceSystem, count: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Uniform interior points by rejection from the bounding box."""
+    if count < 0:
+        raise BadParameter("count must be non-negative")
+    if count == 0:
+        return np.empty((0, H.dim))
     out = []
     got = 0
     for pts, slack in _box_draws(H, rng, itertools.repeat(max(4 * count, 64), 1000)):

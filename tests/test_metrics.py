@@ -433,7 +433,7 @@ def centroids(f, v, count, points):
     return (sums / np.bincount(f, minlength=count)).T
 
 
-def chain_flag_volumes(An, bn, points, start, active, centres):
+def chain_flag_volumes(An, bn, points, start, active, centre):
     """Reference for metrics._pyramid_volumes: the walk once per chain.
 
     It cones every face from its vertex centroid, where the kernel cones it
@@ -452,7 +452,7 @@ def chain_flag_volumes(An, bn, points, start, active, centres):
     flags, levels, seen = face[:, None], [(faces, fbody)], 0
     for k in range(n - 1, 0, -1):
         hit = np.zeros((len(faces), m), dtype=bool)
-        hit[polytope._facet_meets(faces, fbody, bits, k)] = True
+        hit[polytope._facet_meets(faces, fbody, bits, k)[:2]] = True
         chain, j = np.nonzero(hit[face])
         parent = face[chain]
         key = np.empty((len(chain), faces.shape[1] + 1), dtype=np.uint64)
@@ -470,12 +470,12 @@ def chain_flag_volumes(An, bn, points, start, active, centres):
         levels.append((faces, fbody))
     faces, fbody = (np.concatenate(x) for x in zip(*levels))
     f, v = face_vertices(unpack(faces), fbody, start)
-    offsets = centroids(f, v, len(faces), points) - centres[fbody]
+    offsets = centroids(f, v, len(faces), points) - centre
     dets = written_out_det(offsets[flags])
     cones = np.bincount(flags[:, 0], weights=np.abs(dets), minlength=len(body))
     nfact = math.factorial(n)
     vols = np.bincount(body, weights=cones, minlength=E) / nfact
-    dists = bn[body, row] - (An[row] * centres[body]).sum(axis=1)
+    dists = bn[body, row] - (An[row] * centre).sum(axis=1)
     fvols = np.zeros((E, m))
     fvols[body, row] = n * cones / dists / nfact
     return vols, fvols
@@ -488,7 +488,7 @@ def kernel_inputs(H):
     V, active = polytope.vertex_incidence(Hm)
     An, bn, _ = Hm.unit_form()
     return (An, bn[None], V.points, np.array([0, V.count]), active,
-            ib.incentre(Hm).incentre[None])
+            ib.incentre(Hm).incentre)
 
 
 def profile_stacks(monkeypatch, H):
@@ -535,10 +535,10 @@ def assert_close_volumes(result, reference):
 def reversed_vertices(args):
     """The kernel's arguments with each body's vertices in reverse order:
     its points and its columns of the incidence together."""
-    An, bn, points, start, active, centres = args
+    An, bn, points, start, active, centre = args
     order = np.concatenate([np.arange(hi - 1, lo - 1, -1)
                             for lo, hi in zip(start[:-1], start[1:])])
-    return An, bn, points[order], start, active[:, order], centres
+    return An, bn, points[order], start, active[:, order], centre
 
 
 # (name, body) of the named bodies the kernel is checked on

@@ -405,9 +405,8 @@ class TestStackedHelpers:
             An, bn, scale, pts, body)
         keep = polytope._facet_rows(start, active, An.shape[1])
         vbody = np.repeat(np.arange(len(eps)), np.diff(start))
-        centres = np.tile(centre, (len(eps), 1))
         vols, fvols = metrics._pyramid_volumes(An, bn, points, start,
-                                            active & keep[vbody].T, centres)
+                                            active & keep[vbody].T, centre)
         return points, start, active, keep, vols, fvols
 
     def test_two_bodies_match_each_alone(self, small_suite):
@@ -419,13 +418,12 @@ class TestStackedHelpers:
         inc = ib.incentre(H)
         eps = np.array([0.05, 0.6]) * inc.inradius
         bn = bn0 - eps[:, None]
-        scale = np.full(2, H.scale)
-        both = self.run(An, bn, scale, x, d, lo, hi, eps, inc.incentre)
+        both = self.run(An, bn, H.scale, x, d, lo, hi, eps, inc.incentre)
         points, start, active, keep, vols, fvols = both
         assert not np.array_equal(keep[0], keep[1])
         assert not keep[:, 4].any() and not keep[:, 5].any()
         for e in range(2):
-            alone = self.run(An, bn[e:e + 1], scale[e:e + 1], x, d, lo, hi,
+            alone = self.run(An, bn[e:e + 1], H.scale, x, d, lo, hi,
                              eps[e:e + 1], inc.incentre)
             rows = slice(start[e], start[e + 1])
             assert np.array_equal(alone[0], points[rows])

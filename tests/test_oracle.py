@@ -76,6 +76,44 @@ class TestMcInnerVolume:
             ib.mc_inner_volume(unit_square, 0.1, 50_000, seed=-1)
 
 
+RAW_SQUARE = (np.vstack([np.eye(2), -np.eye(2)]), np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda H: ib.mc_volume(H, 20_000, seed=3),
+    lambda H: ib.mc_inner_volume(H, 0.1, 20_000, seed=3)],
+    ids=["mc_volume", "mc_inner_volume"])
+def test_raw_body_validated_once(monkeypatch, estimate):
+    # the box and the draws read one certificate; each validation of the
+    # square solves 1 + 2n LPs
+    validate, calls = oracle.validate_body, []
+
+    def counting(H):
+        calls.append(H)
+        return validate(H)
+
+    monkeypatch.setattr(oracle, "validate_body", counting)
+    est = estimate(ib.HalfspaceSystem(*RAW_SQUARE))
+    assert len(calls) == 1
+    assert est == estimate(ib.validate_body(ib.HalfspaceSystem(*RAW_SQUARE)))
+
+
+class TestSampleInterior:
+    def test_negative_count_rejected(self):
+        with pytest.raises(BadParameter, match="count"):
+            ib.sample_interior(ib.pancake_family(2, 4), -5, np.random.default_rng(0))
+
+    def test_zero_count_draws_nothing(self):
+        # a strip too thin for the first block of draws to hit it
+        strip = ib.validate_body(ib.HalfspaceSystem(
+            [[1.0, -1.0], [-1.0, 1.0], [1.0, 0.0], [-1.0, 0.0]], [1e-4, 1e-4, 1.0, 0.0]))
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        pts = ib.sample_interior(strip, 0, rng)
+        assert pts.shape == (0, 2)
+        assert rng.bit_generator.state == state
+
+
 class TestDeterminism:
     def test_identical_runs_bit_for_bit(self, triangle):
         a = ib.mc_volume(triangle, 50_000, seed=99)

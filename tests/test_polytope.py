@@ -465,7 +465,7 @@ def exhaustive_incidence(H):
         candidates.append(sols.compress(feas, axis=0))
     pts = np.vstack(candidates)
     points, _, active = polytope._incidence_from_candidates(
-        An, bn[None], np.array([H.scale]), pts, np.zeros(len(pts), dtype=int))
+        An, bn[None], H.scale, pts, np.zeros(len(pts), dtype=int))
     return points, active
 
 
