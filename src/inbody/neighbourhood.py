@@ -4,17 +4,21 @@ For a polytope the set of points at distance >= eps from the boundary is
 again a polytope: the same normals with every offset pulled in by
 ``eps * ||a||``.  The volume of the eps-inner neighbourhood (points within
 eps of the boundary) is therefore the difference of two exact volumes.
-Only the offsets move with eps (Matheron 1978), so a whole profile shares
-one solve of the minimal form's n-subsets: each gives a vertex path linear
-in eps and the window of offsets on which it is a vertex candidate.  The
-eroded bodies of a profile then form one stack, an (E, m) array of offsets
-over the shared unit normals, which the body itself leads with its own
-vertices.  The vertex tail, the facet test and the volume kernel take the
-stack in blocks of several hundred candidate vertices, so memory is
-bounded by the block and by the face lattices of its bodies, not by the
-grid.  Every body keeps its own vertices and facet rows, and its volume is
-bit-identical to the one it gets alone, which is how
-:func:`inner_parallel_body` and :func:`volume` compute it.
+Only the offsets move with eps, and eroding every row of an H-form erodes
+its body, redundant rows included (Matheron 1978).  So a whole profile
+shares one solve of the n-subsets of the rows that can reach the body:
+each gives a vertex path linear in eps and the window of offsets on which
+it is a vertex candidate, and at eps = 0 the body's own candidates.  The
+body and its eroded bodies then form one stack, an (E, m) array of offsets
+over the shared unit normals, which the body leads.  The vertex tail, the
+facet test and the volume kernel take the stack in blocks of several
+hundred candidate vertices, so memory is bounded by the block and by the
+face lattices of its bodies, not by the grid.  The first block gives the
+body's facet rows too, and where some reachable row is not one of them
+the erosions are redone on the facet rows alone.  Every body keeps its own
+vertices and facet rows, and its volume is bit-identical to the one it
+gets alone, which is how :func:`inner_parallel_body` and :func:`volume`
+compute it.
 
 The envelope
 
@@ -40,6 +44,7 @@ from .polytope import (
     HalfspaceSystem,
     _facet_rows,
     _incidence_from_candidates,
+    _reachable_rows,
     _vertex_paths,
     remove_redundant_halfspaces,
     vertex_incidence,
@@ -97,23 +102,24 @@ def inner_parallel_body(H: HalfspaceSystem, eps: float) -> HalfspaceSystem | Non
         raise BadParameter("offset must be non-negative")
     if not H.validated:
         raise BadParameter("inner_parallel_body requires a validated body")
+    Hm = remove_redundant_halfspaces(H)
     if eps == 0.0:
-        return remove_redundant_halfspaces(H)
-    Hm, b, empty = _erosion(H, np.array([eps]))
+        return Hm
+    b, empty = _erosion(Hm, np.array([eps]))
     if empty[0]:
         return None
     return remove_redundant_halfspaces(replace(Hm, b=b[0], cheb_radius=H.cheb_radius - eps))
 
 
 def _erosion(H: HalfspaceSystem, eps: np.ndarray):
-    """The minimal form Hm of H, the offsets ``Hm.b - eps[e] * ||a_i||``
-    eroded by each offset of eps (E, m), and the mask (E,) of the erosions
-    with no interior, ``inradius - eps <= TAU_FACET * scale`` at eps > 0
-    (eroding by 0 leaves the body).
+    """The offsets ``H.b - eps[e] * ||a_i||`` of H's own rows eroded by each
+    offset of eps (E, m), and the mask (E,) of the erosions with no
+    interior, ``inradius - eps <= TAU_FACET * scale`` at eps > 0 (eroding
+    by 0 leaves the body).  Any H-form of the body serves (Matheron 1978);
+    the callers pick it.
     """
-    Hm = remove_redundant_halfspaces(H)
-    b = Hm.b - eps[:, None] * Hm.unit_form()[2]
-    return Hm, b, (H.cheb_radius - eps <= TAU_FACET * H.scale) & (eps > 0)
+    b = H.b - eps[:, None] * H.unit_form()[2]
+    return b, (H.cheb_radius - eps <= TAU_FACET * H.scale) & (eps > 0)
 
 
 def _clamped_eps(H: HalfspaceSystem, eps: float) -> float:
@@ -167,28 +173,27 @@ def neighbourhood_profile(H: HalfspaceSystem,
                           grid_size: int = 33) -> NeighbourhoodProfile:
     """Sample eps -> vol(L_eps) on a uniform grid over [0, inradius].
 
-    The grid points are eroded as in inner_parallel_body (:func:`_erosion`),
-    and the body itself (eps = 0) and the erosions that are not empty go
-    through one stacked pass.  Every eroded body has the minimal form's unit
-    normals and only its offsets bn - eps move (Matheron 1978), so each
-    n-subset of the rows is solved once for a vertex path and the window of
-    offsets on which that vertex is feasible (see
-    :func:`polytope._vertex_paths`).  The subsets whose window holds a grid
-    point are that eroded body's candidates.  The candidates of all the
-    bodies, each tagged with its body, then go together through the vertex
-    tail (:func:`polytope._incidence_from_candidates`), the facet test
+    The body itself (eps = 0) and its erosions at the grid points go through
+    one stacked pass (see :func:`_eroded_volumes`).  Every eroded body has
+    the unit normals of the body's rows and only its offsets bn - eps move
+    (Matheron 1978), so each n-subset of the rows that can reach the body is
+    solved once for a vertex path and the window of offsets on which that
+    vertex is feasible (see :func:`polytope._vertex_paths`).  The subsets
+    whose window holds a grid point are that body's candidates.  The
+    candidates of all the bodies, each tagged with its body, then go
+    together through the vertex tail
+    (:func:`polytope._incidence_from_candidates`), the facet test
     (:func:`polytope._facet_rows`) and the volume kernel
     (:func:`metrics._pyramid_volumes`), in blocks of about
-    ``_PROFILE_BLOCK`` candidates (see :func:`_eroded_volumes`).  Each body
-    keeps its own vertices and facet rows, and its volume is bit-identical
-    to that of :func:`inner_parallel_body`, the per-offset reference, which
-    runs the same code on a stack of one; the body itself enters the first
-    block with its minimal form's incidence, so vol is :func:`volume`'s.
-    Discrete concavity (second differences <= report tolerance) is asserted
-    before returning.
+    ``_PROFILE_BLOCK`` candidates.  Each body keeps its own vertices and
+    facet rows: vol is bit-identical to :func:`volume`, and every other
+    volume to that of :func:`inner_parallel_body`, the per-offset
+    reference, which runs the same code on a stack of one.  ``grid_size``
+    must be an integer >= 3.  Discrete concavity (second differences <=
+    report tolerance) is asserted before returning.
     """
-    if grid_size < 3:
-        raise BadParameter("grid_size must be >= 3")
+    if not isinstance(grid_size, (int, np.integer)) or grid_size < 3:
+        raise BadParameter("grid_size must be an integer >= 3")
     if not H.validated:
         raise BadParameter("neighbourhood_profile requires a validated body")
     n, r = H.dim, H.cheb_radius
@@ -214,42 +219,71 @@ _PROFILE_BLOCK = 768   # candidate vertices per stacked block of offsets
 
 
 def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
-    """Volumes of the inner parallel bodies of H at the offsets eps (E,).
+    """Volumes of H and of its inner parallel bodies at the offsets eps (E,),
+    which ascend from eps[0] = 0, the body itself.
 
-    The offsets must ascend from 0 or above.  An erosion that
-    :func:`_erosion` finds empty has volume 0.  Eroding by 0 leaves the
-    body, which enters the first block with its minimal form's own vertices
-    and incidence (:func:`polytope.vertex_incidence`), so its volume is
-    :func:`volume`'s bit for bit; the vertices of its paths at eps = 0 are
-    refined against the minimal form's rows alone, and differ in their last
-    bits where H repeats a facet row.  The erosions go through the vertex
-    tail, the facet test and the volume kernel in blocks of consecutive
-    offsets with about _PROFILE_BLOCK candidate vertices each.  The block
-    bounds the memory of the tail and of the kernel, whose arrays grow with
-    the face lattices of the block's bodies; it is large enough that the
-    fixed cost of each step is paid rarely.
+    A body that carries its incidence (a hull, or a minimal form) enters
+    the stacked pass (:func:`_stacked_volumes`) with it, on its minimal
+    form's rows.  Any other body is eroded on its reachable rows
+    (:func:`polytope._reachable_rows`) and leads its erosions with its own
+    candidates at eps = 0, which give :func:`polytope.vertex_incidence`'s
+    vertices.  Either way the kernel reads only the body's facet rows, so
+    vol is :func:`volume`'s bit for bit.  Where the body's facet rows, which
+    the pass also gives, are not all the reachable rows (a row repeated, or
+    one within the tolerance of a vertex), the erosions are redone on the
+    facet rows alone: a row active within the tolerance takes part in
+    refining a vertex, and only so is every volume
+    :func:`inner_parallel_body`'s bit for bit.
     """
-    Hm, b, empty = _erosion(H, eps)
+    if "incidence" in H._cache:
+        Hm = remove_redundant_halfspaces(H)
+        return _stacked_volumes(Hm, eps, vertex_incidence(Hm))[0]
+    rows = _reachable_rows(H)
+    Hr = replace(H, A=H.A[rows], b=H.b[rows])
+    vols, facets = _stacked_volumes(Hr, eps)
+    if not facets.all():
+        Hm = replace(Hr, A=Hr.A[facets], b=Hr.b[facets])
+        vols[1:] = _stacked_volumes(Hm, eps[1:])[0]
+    return vols
+
+
+def _stacked_volumes(H: HalfspaceSystem, eps: np.ndarray, own=None):
+    """Volumes of the erosions of H's own rows by the offsets eps (E,),
+    which ascend from 0 or above, and the facet rows (m,) of the body at
+    eps[0], or None where it enters with ``own``.
+
+    An erosion that :func:`_erosion` finds empty has volume 0.  The
+    n-subsets of H's rows are solved once for their vertex paths
+    (:func:`polytope._vertex_paths`).  ``own``, the vertices and incidence
+    of H (:func:`polytope.vertex_incidence`), puts the body (eps[0] = 0)
+    into the first block in place of its candidates.  The bodies go
+    through the vertex tail, the facet test and the volume kernel in blocks
+    of consecutive offsets with about _PROFILE_BLOCK candidate vertices
+    each.  The block bounds the memory of the tail and of the kernel, whose
+    arrays grow with the face lattices of the block's bodies; it is large
+    enough that the fixed cost of each step is paid rarely.
+    """
+    b, empty = _erosion(H, eps)
     vols = np.zeros(len(eps))
     inside = np.flatnonzero(~empty)
     eps = eps[inside]
-    An, _, norms = Hm.unit_form()
-    x, d, lo, hi = _vertex_paths(Hm)
+    An, _, norms = H.unit_form()
+    x, d, lo, hi = _vertex_paths(H)
     on = (lo <= eps[:, None]) & (eps[:, None] <= hi)          # (E, paths)
     # the offsets as the eroded body's unit form has them, so that they are
     # bit-identical to those of inner_parallel_body
     bn = b[inside] / norms
     counts = on.sum(axis=1)
-    own = len(eps) > 0 and eps[0] == 0.0
-    if own:
-        V, own_active = vertex_incidence(Hm)
+    if own is not None:
+        V, own_active = own
         on[0], counts[0] = False, V.count
+    facets = None
     # blocks of offsets with about _PROFILE_BLOCK candidates each
     block = (np.cumsum(counts) - counts) // _PROFILE_BLOCK
     for k in np.flatnonzero(np.bincount(block)):
         sel = np.flatnonzero(block == k)
         # (vertices, vertex counts, facet incidence) of the block's bodies
-        parts = [(V.points, [V.count], own_active)] if own and sel[0] == 0 else []
+        parts = [(V.points, [V.count], own_active)] if own is not None and sel[0] == 0 else []
         rest = sel[len(parts):]
         if len(rest):
             body, s = np.divmod(np.flatnonzero(on.take(rest, axis=0)), on.shape[1])
@@ -257,6 +291,8 @@ def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
             points, start, active = _incidence_from_candidates(
                 An, bn[rest], H.scale, pts, body)
             keep = _facet_rows(start, active, H.dim)
+            if rest[0] == 0:
+                facets = keep[0]
             sizes = np.diff(start)
             parts.append((points, sizes,
                           active & keep[np.repeat(np.arange(len(rest)), sizes)].T))
@@ -265,4 +301,4 @@ def _eroded_volumes(H: HalfspaceSystem, eps: np.ndarray) -> np.ndarray:
         start = np.concatenate([[0], np.cumsum(sizes)])
         vols[inside[sel]] = _pyramid_volumes(An, bn[sel], points, start, active,
                                              H.cheb_center)[0]
-    return vols
+    return vols, facets

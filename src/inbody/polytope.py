@@ -20,7 +20,8 @@ polar body, where the row of a point deep inside the hull reaches nothing,
 so it tries C(k', n) subsets for the k' points that can be vertices.  The
 subsets are solved in batches, one routine for a right-hand side of one
 column (the vertices of one body) or two (the vertex paths of all the
-inner parallel bodies of one minimal form, see :func:`_vertex_paths`).  Up
+inner parallel bodies of one H-form, see :func:`_vertex_paths`; a profile
+solves a body's reachable rows once for the body and its erosions).  Up
 to n = 4 a batch is array operations over all its subsets: each
 determinant is the expansion along its first row by the cofactors that
 Cramer's rule reads each solution from (:func:`_subset_solves`); above
@@ -467,7 +468,7 @@ def _incidence_from_candidates(An, bn, scale, pts, body):
     Body e of the stack is {x : An x <= bn[e]}: the bodies share the unit
     normals An (m, n) and the one ``scale`` their tolerances are relative
     to, and differ in their offsets bn (E, m), as the inner parallel bodies
-    of one minimal form do.  Candidate ``pts[i]`` belongs to body
+    of one H-form do.  Candidate ``pts[i]`` belongs to body
     ``body[i]``, and ``body`` is ascending.  A vertex is named by its active
     set, the rows it lies on within the facet tolerance, as a face is by its
     incidence row: of the candidates of one body with the same active set

@@ -493,7 +493,7 @@ def kernel_inputs(H):
 
 def profile_stacks(monkeypatch, H):
     """The arguments of every stack _eroded_volumes hands the kernel in H's
-    profile at grid 33."""
+    profile at grid 33, whose first block the body itself leads."""
     stacks = []
     kernel = neighbourhood._pyramid_volumes
 
@@ -503,7 +503,7 @@ def profile_stacks(monkeypatch, H):
 
     with monkeypatch.context() as patch:
         patch.setattr(neighbourhood, "_pyramid_volumes", recording)
-        neighbourhood._eroded_volumes(H, np.linspace(0.0, ib.incentre(H).inradius, 33)[1:])
+        neighbourhood._eroded_volumes(H, np.linspace(0.0, ib.incentre(H).inradius, 33))
     return stacks
 
 

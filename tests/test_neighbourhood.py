@@ -78,6 +78,16 @@ class TestErodesMinimalForm:
         for name in ("eps_grid", "l_vol", "g_vals", "g_over_n", "chord", "deriv"):
             assert np.array_equal(getattr(prof, name), getattr(ref, name))
 
+    def test_erosions_redone_once(self, monkeypatch):
+        # x <= 1 and 2x <= 2 are one facet, so the first pass over the
+        # reachable rows finds a row that is not a facet, and the erosions
+        # are redone on the facet rows alone: one more solve of the paths
+        solves = count_calls(monkeypatch, neighbourhood, "_vertex_paths")
+        prof = ib.neighbourhood_profile(unmemoized(self.raw_body()), 9)
+        assert len(solves) == 2
+        assert solves[0].m == 6 and solves[1].m == 5
+        assert prof.l_vol[-1] == ib.volume(self.raw_body())
+
 
 class TestVolInnerNeighbourhood:
     def test_square_closed_form(self, unit_square):
@@ -241,8 +251,15 @@ class TestNeighbourhoodProfile:
             assert np.all(prof.chord <= prof.l_vol + tol)
 
     def test_small_grid_rejected(self, unit_square):
-        with pytest.raises(BadParameter):
-            ib.neighbourhood_profile(unit_square, 2)
+        # a grid that is not an integer >= 3 is refused, as pancake_family
+        # refuses a dimension that is not an integer
+        for grid_size in (2, 3.5, 4.0, np.float64(5.0), float("nan")):
+            with pytest.raises(BadParameter):
+                ib.neighbourhood_profile(unit_square, grid_size)
+
+    def test_numpy_integer_grid(self, unit_square):
+        prof = ib.neighbourhood_profile(unit_square, np.int64(5))
+        assert np.array_equal(prof.l_vol, ib.neighbourhood_profile(unit_square, 5).l_vol)
 
 
 def per_eps_l_vol(H, grid_size):
@@ -250,6 +267,23 @@ def per_eps_l_vol(H, grid_size):
     grid = np.linspace(0.0, ib.incentre(H).inradius, grid_size)
     inner = [ib.inner_parallel_body(H, float(e)) for e in grid]
     return ib.volume(H) - np.array([0.0 if K is None else ib.volume(K) for K in inner])
+
+
+def count_calls(monkeypatch, *where):
+    """The first argument of every call of the function named ``where[-1]``,
+    patched into each module of ``where[:-1]``: a list that grows with the
+    calls."""
+    *modules, name = where
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(H, *args):
+        calls.append(H)
+        return real(H, *args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def cut_square():
@@ -309,6 +343,16 @@ class TestWindowedProfile:
             prof = ib.neighbourhood_profile(unmemoized(H), 17)
             assert prof.l_vol[-1] == ib.volume(H)
             assert np.array_equal(prof.l_vol, per_eps_l_vol(H, 17))
+
+    def test_one_subset_solve(self, monkeypatch):
+        # an unmemoized body's profile solves its reachable rows' subsets
+        # once, and builds no minimal form and no vertex set of its own
+        H = unmemoized(ib.random_suite(4, 1, 29)[0])
+        solves = count_calls(monkeypatch, neighbourhood, "_vertex_paths")
+        others = [count_calls(monkeypatch, polytope, neighbourhood, metrics, name)
+                  for name in ("vertex_incidence", "remove_redundant_halfspaces")]
+        ib.neighbourhood_profile(H, 33)
+        assert len(solves) == 1 and others == [[], []]
 
     def test_vertex_born_inside_the_grid(self):
         H = cut_square()
