@@ -83,15 +83,18 @@ def _box_draws(H: HalfspaceSystem, rng: np.random.Generator, sizes):
 
 
 def _estimate(H, samples, seed, eps):
-    if samples < 10_000:
-        raise BadParameter("at least 10^4 samples required")
-    if int(seed) < 0:
-        raise BadParameter("seed must be non-negative")
+    # Python and numpy integers only: a float sample count or seed is
+    # refused, not truncated
+    if not isinstance(samples, (int, np.integer)) or samples < 10_000:
+        raise BadParameter("samples must be an integer, at least 10^4")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise BadParameter("seed must be a non-negative integer")
+    samples, seed = int(samples), int(seed)
     # validated once, so that the box and the draws read one certificate
     H = H if H.validated else validate_body(H)
     lo, hi = bounding_box(H)
     box_vol = float(np.prod(hi - lo))
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     # drawn in blocks, the points are those of one draw of all the samples
     sizes = (stop - start for start, stop in _blocks(samples))
     hits = 0
@@ -103,4 +106,4 @@ def _estimate(H, samples, seed, eps):
     p = hits / samples
     return McEstimate(mean=p * box_vol,
                       stddev=float(np.sqrt(p * (1.0 - p) / samples)) * box_vol,
-                      samples=samples, seed=int(seed))
+                      samples=samples, seed=seed)

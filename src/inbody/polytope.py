@@ -10,23 +10,24 @@ is the half-diagonal of the box, floored (:func:`_scale_from_box`).
 Tolerances are relative to that scale, so small eroded bodies keep
 meaningful comparisons.
 
-Vertex enumeration tries every n-subset of the rows that can reach the
-body (:func:`_reachable_rows`), which is the simplest correct algorithm at
-the intended desk scale (dimension <= ~4, a few dozen half-spaces, a couple
-hundred points).  A row that cannot reach the body's bounding box, widened
-by the tolerance, is left out: box rows cut away, redundant planes beyond
-the body.  The convex hull of k points is the vertex enumeration of their
+Vertex enumeration decides every n-subset of the rows that can reach the
+body (:func:`_reachable_rows`), which is simple and exact at the intended
+desk scale (dimension <= ~4, a few dozen half-spaces, a couple hundred
+points).  A row that cannot reach the body's bounding box, widened by the
+tolerance, is left out: box rows cut away, redundant planes beyond the
+body.  The convex hull of k points is the vertex enumeration of their
 polar body, where the row of a point deep inside the hull reaches nothing,
-so it tries C(k', n) subsets for the k' points that can be vertices.  The
-subsets are solved in batches, one routine for a right-hand side of one
-column (the vertices of one body) or two (the vertex paths of all the
-inner parallel bodies of one H-form, see :func:`_vertex_paths`; a profile
-solves a body's reachable rows once for the body and its erosions).  Up
-to n = 4 a batch is array operations over all its subsets: each
-determinant is the expansion along its first row by the cofactors that
-Cramer's rule reads each solution from (:func:`_subset_solves`); above
-n = 4 LU solves them.  The steps after them (naming each vertex by the
-rows it lies on, refining it, testing facets) take a stack of bodies that
+so it decides C(k', n) subsets for the k' points that can be vertices.  A
+body's vertices come from its (n - 1)-subsets, its heads: each head is
+solved once for its line, and the subsets it leads are decided by where
+the later rows cross that line, one entry of a table of products each
+(:func:`_edge_crossings`).  Up to n = 4 a batch of heads is array
+operations, its lines read from cofactors by Cramer's rule; above n = 4
+LU takes them.  A profile's vertex paths (:func:`_vertex_paths`) solve the
+n-subsets of a body's reachable rows once for the body and its erosions,
+with the same cofactors (:func:`_subset_solves`).  The steps after them
+(naming each vertex by the rows it lies on, refining it, testing facets)
+take a stack of bodies that
 share their unit normals and their scale and differ in their offsets: the
 inner parallel bodies of a profile go through them in one pass, and a
 single body is a stack of one.  They are array operations over all vertices
@@ -254,34 +255,34 @@ def vertex_enumeration(H: HalfspaceSystem) -> VertexSet:
     The subsets are those of the rows that can reach the body
     (:func:`_reachable_rows`): a subset through any other row meets at no
     point feasible within the facet tolerance.  Every such n-subset with an
-    invertible normal matrix is solved, by Cramer's rule from its cofactors
-    up to n = 4 and by LU above (:func:`_subset_solves`).  The solutions
-    are kept iff feasible within the facet tolerance on every row, merged
-    by active set (of the solutions on the same rows within the facet
-    tolerance the first is kept), then refined against that active set: a
-    simple vertex solves its n active rows, any other takes the least
-    squares solution of its active rows.  So a vertex does not depend on
-    how its candidate was solved.
+    invertible normal matrix meets at a point of the line of its first
+    n - 1 rows, where its last row crosses it (:func:`_edge_crossings`).
+    The points are kept iff feasible within the facet tolerance on every
+    row, merged by active set (of the points on the same rows within the
+    facet tolerance the first is kept), then refined against that active
+    set: a simple vertex solves its n active rows, any other takes the
+    least squares solution of its active rows.  So a vertex does not depend
+    on how its candidate was solved.
     """
     V, _ = vertex_incidence(H)
     return V
 
 
 def vertex_incidence(H: HalfspaceSystem):
-    """Vertices plus the facet-activity matrix (m x n_vertices, boolean)."""
+    """Vertices plus the facet-activity matrix (m x n_vertices, boolean).
+
+    The vertices are :func:`vertex_enumeration`'s: the candidates of the
+    reachable rows' heads and crossings (:func:`_edge_crossings`), named
+    and refined by their active sets (:func:`_incidence_from_candidates`).
+    """
     if not H.validated:
         raise BadParameter("vertex enumeration requires a validated body")
     if "incidence" in H._cache:
         return H._cache["incidence"]
 
     An, bn, _ = H.unit_form()
-    feas_tol = TAU_FACET * H.scale
     rows = _reachable_rows(H)
-    candidates = [np.empty((0, H.dim))]
-    for (sols,) in _subset_solves(An.take(rows, axis=0), bn.take(rows)[None]):
-        feas = np.all(sols @ An.T - bn <= feas_tol, axis=1)
-        candidates.append(sols.compress(feas, axis=0))
-    pts = np.vstack(candidates)
+    pts = _edge_crossings(An.take(rows, axis=0), bn.take(rows), TAU_FACET * H.scale)
     points, _, active = _incidence_from_candidates(
         An, bn[None], H.scale, pts, np.zeros(len(pts), dtype=int))
     result = (VertexSet(points), active)
@@ -342,8 +343,119 @@ def _vertex_paths(H: HalfspaceSystem):
     return paths[:, :n], paths[:, n:2 * n], paths[:, -2], paths[:, -1]
 
 
+def _edge_crossings(An, bn, feas_tol):
+    """The candidate vertices of {x : An x <= bn}, in subset order.
+
+    Each n-subset S of the rows is split into its head T, its first n - 1
+    rows, and its last row j.  The rows of T meet on a line p_T + t u_T
+    (:func:`_head_directions`, :func:`_head_points`), which row k crosses at
+    t_k = (b_k - a_k . p_T) / (a_k . u_T), and which is feasible within the
+    facet tolerance on the interval of t that the rows' crossings, each
+    moved out by tol / |a_k . u_T|, bound.  S is solved iff
+    |det A_S| = |a_j . u_T| > 1e-10, and its solution p_T + t_j u_T is a
+    candidate iff t_j lies in that interval, which is the test of the
+    solution against every row.  So each head is solved once for all the
+    subsets it leads, and a subset costs a few entries of (rows, heads)
+    tables of products, not a solve and a test against every row (Avis &
+    Fukuda 1992).  The heads go in lexicographic order, in blocks of at
+    most ``_COMBO_CHUNK`` (head, row) entries.
+    """
+    m, n = An.shape
+    if m < n:
+        return np.empty((0, n))
+    _subset_count(m, n)
+    per = max(1, _COMBO_CHUNK // m)
+    col, top = bn[:, None], (bn + feas_tol)[:, None]
+    index = np.arange(m)[:, None]
+    out = [np.empty((0, n))]
+    # a head's last row must have a later row to pair with
+    for chunk in _combo_chunks(m - 1, n - 1):
+        for start in range(0, len(chunk), per):
+            heads = chunk[start:start + per]
+            # G[j, i]: entry (i, j) of [u_T; A_T], row 0 still to be filled
+            G = np.empty((n, n, len(heads)))
+            G[:, 1:] = An.T.take(heads.T, axis=1)
+            U, opp = _head_directions(G)
+            D = An @ U                            # a_k . u_T, (rows, heads)
+            cand = np.abs(D) > 1e-10
+            if n > 1:
+                cand &= index > heads[:, -1]
+            good = np.logical_or.reduce(cand, axis=0)
+            if not good.all():
+                G, U, D, cand = (G.compress(good, axis=2), U.compress(good, axis=1),
+                                 D.compress(good, axis=1), cand.compress(good, axis=1))
+                heads = heads.compress(good, axis=0)
+                if opp is not None:
+                    opp = opp.compress(good, axis=1)
+            G[:, 0] = U
+            P = _head_points(G, bn.take(heads.T), opp)
+            Q = An @ P                            # a_k . p_T
+            D += 0.0                              # no -0.0, see hi below
+            down = D < 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                reach = (top - Q) / D
+                t = (col - Q) / D
+            # a row parallel to the line (D = 0) bounds it iff it cuts it
+            # off: then its reach is -inf; where its slack is exactly 0 it
+            # is nan, which fmin passes over
+            lo_t = np.maximum.reduce(reach, axis=0, where=down, initial=-np.inf)
+            hi_t = np.fmin.reduce(reach, axis=0, where=~down, initial=np.inf)
+            cand &= (lo_t <= t) & (t <= hi_t)
+            f, j = cand.T.nonzero()               # (head, row) order
+            out.append((P.take(f, axis=1) + t[j, f] * U.take(f, axis=1)).T)
+    return np.concatenate(out)
+
+
+def _head_directions(G):
+    """u_T for each head T: the cofactors of row 0 of the matrices [x; A_T]
+    that ``G`` (n, n, C) holds as :func:`_cofactor_row` reads them, as an
+    (n, C) array, with the table of minors that rows 0 and 1 share at
+    n = 4 (None elsewhere).  Above n = 4 the cofactors are determinants
+    of minors, by LU."""
+    n = G.shape[0]
+    if n <= 4:
+        opp = _opposite_minors(G, 0) if n == 4 else None
+        return _cofactor_row(G, 0, opp), opp
+    rows = G[:, 1:].transpose(2, 1, 0)                     # (C, n - 1, n)
+    minors = rows[:, :, [np.delete(np.arange(n), j) for j in range(n)]]
+    det = np.linalg.det(minors.transpose(0, 2, 1, 3))      # (C, n)
+    return (det * (-1.0) ** np.arange(n)).T, None
+
+
+def _head_points(G, r, opp):
+    """p_T for each head T: the solution of [u_T; A_T] p = [0; b_T], the
+    point of T's line nearest the origin, as an (n, C) array.
+
+    ``G`` (n, n, C) holds the matrices and ``r`` (n - 1, C) the offsets
+    b_T.  The determinant is |u_T|^2.  At n = 2 and 3 Cramer's rule reads
+    b_i a_i / |u|^2 and ((b_i a_k - b_k a_i) x u) / |u|^2; at n = 4 it takes
+    the cofactors of rows 1 to 3, ``opp`` being row 1's table of minors
+    (:func:`_opposite_minors`); above n = 4 LU solves.
+    """
+    n = G.shape[0]
+    if n == 1:
+        return np.zeros_like(G[0])
+    if n > 4:
+        rhs = np.vstack([np.zeros((1, r.shape[1])), r])
+        return np.linalg.solve(G.transpose(2, 1, 0), rhs.T[..., None])[..., 0].T
+    U = G[:, 0]
+    det = U[0] * U[0]
+    for j in range(1, n):
+        det += U[j] * U[j]
+    if n == 2:
+        return G[:, 1] * (r[0] / det)
+    if n == 3:
+        return _minors((r[0] * G[:, 2] - r[1] * G[:, 1]).T, U.T, _CYCLE) / det
+    x = _cofactor_row(G, 1, opp) * r[0]
+    opp = _opposite_minors(G, 2)
+    for i in (2, 3):
+        x += _cofactor_row(G, i, opp) * r[i - 1]
+    return x / det
+
+
 def _subset_solves(An, rhs):
-    """Solutions of A_S y = r_S for the n-subsets S with invertible A_S.
+    """Solutions of A_S y = r_S for the n-subsets S with invertible A_S: the
+    vertex paths of a profile (:func:`_vertex_paths`).
 
     ``rhs`` holds k right-hand sides as rows, (k, m).  Yields one (k, C, n)
     array per chunk of subsets, in subset order.  A_S counts as invertible
@@ -391,6 +503,9 @@ def _subset_solves(An, rhs):
         yield (x / det).transpose(0, 2, 1)
 
 
+_SIGNS = np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])
+# the pairs whose 2 x 2 minors make a cross product, in its order
+_CYCLE = ((1, 2), (2, 0), (0, 1))
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # the columns other than j, ascending, for each column j of a 4 x 4 matrix
 _REST = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -426,9 +541,10 @@ def _cofactor_row(G, i, opp):
     if n == 1:
         return np.ones_like(G[0])
     if n == 2:
-        return np.stack([G[1, 1], -G[0, 1]] if i == 0 else [-G[1, 0], G[0, 0]])
+        # (a_11, -a_10) for row 0, (-a_01, a_00) for row 1
+        return G[::-1, 1 - i] * _SIGNS[i]
     if n == 3:
-        return _minors(G[:, (i + 1) % 3].T, G[:, (i + 2) % 3].T, ((1, 2), (2, 0), (0, 1)))
+        return _minors(G[:, (i + 1) % 3].T, G[:, (i + 2) % 3].T, _CYCLE)
     opp = dict(zip(_PAIRS, opp))
     a = G[:, i ^ 1]
     cof = np.empty_like(a)
@@ -516,10 +632,7 @@ def _combo_chunks(m, n):
     the heads come from this function in chunks of their own, and each
     chunk of heads is cut into runs whose subsets fit in a chunk.
     """
-    total = math.comb(m, n)
-    if total > _COMBO_CAP:
-        raise BadParameter(
-            f"C({m}, {n}) = {total} subsets exceed the enumeration cap {_COMBO_CAP}")
+    total = _subset_count(m, n)
     # at n = 1 the subsets are the rows, and one array of them costs what b does
     if total <= _COMBO_CHUNK or n == 1:
         yield _combo_array(m, n)
@@ -536,6 +649,15 @@ def _combo_chunks(m, n):
             hi = int(np.searchsorted(ends, ends[lo] - sizes[lo] + _COMBO_CHUNK, side="right"))
             yield _prefixed(heads[lo:hi], count, tails)
             lo = hi
+
+
+def _subset_count(m, n):
+    """C(m, n), or ``BadParameter`` where it exceeds ``_COMBO_CAP``."""
+    total = math.comb(m, n)
+    if total > _COMBO_CAP:
+        raise BadParameter(
+            f"C({m}, {n}) = {total} subsets exceed the enumeration cap {_COMBO_CAP}")
+    return total
 
 
 def _tail_counts(m, t):
@@ -773,7 +895,8 @@ def convex_hull(V: VertexSet) -> HalfspaceSystem:
     vertices active on the same points are one facet, and the first of them
     is kept.  The polar body is validated for a scale of its own, because
     the hull's scale would make its tolerances too tight on facets far
-    from c.  The enumeration tries C(k, n) subsets for k points, so this is
+    from c.  The enumeration solves C(k', n - 1) heads and decides C(k', n)
+    subsets for the k' points that can reach the polar body, so this is
     meant for desk scale (<= ~200 points, n <= 4).  An interval is written
     directly.  The hull's certificate is made here: its box and scale
     (:func:`_scale_from_box`) from the points left after the merge, and its

@@ -56,6 +56,27 @@ def corner_within_tolerance(length):
     return hrep(A, b)
 
 
+def twin_row_pentagon():
+    """A pentagon with a strictly redundant row first and x <= 1 repeated
+    as 2x <= 2."""
+    A = [[1.0, 2.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [-1.0, 0.0],
+         [0.0, -1.0], [1.0, 1.0]]
+    return hrep(A, [4.0, 1.0, 1.0, 2.0, 0.0, 0.0, 1.5])
+
+
+def duplicated_and_redundant(small_suite):
+    """A random 3-polytope with its first facet row repeated (doubled) and a
+    copy of its third row moved out by 1, both put in as rows 4 and 5.
+
+    Nine of its ten facets are left at 0.6 times the inradius.
+    """
+    H = small_suite[3][0]
+    norm = np.linalg.norm(H.A[2])
+    A = np.vstack([H.A[:4], 2.0 * H.A[:1], H.A[2:3], H.A[4:]])
+    b = np.concatenate([H.b[:4], 2.0 * H.b[:1], H.b[2:3] + norm, H.b[4:]])
+    return hrep(A, b)
+
+
 def written_out_det(M):
     """Determinants of a stack of n x n matrices (..., n, n) by the cofactor
     expressions written out: along the first row up to n = 3, by the 2 x 2

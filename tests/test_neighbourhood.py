@@ -6,7 +6,9 @@ import pytest
 import inbody as ib
 from inbody import metrics, neighbourhood, polytope
 from inbody.errors import BadParameter, EpsOutOfRange
-from tests.conftest import box, corner_within_tolerance, cross_polytope, hrep, twenty_four_cell
+from tests.conftest import (box, corner_within_tolerance, cross_polytope,
+                            duplicated_and_redundant, hrep, twenty_four_cell,
+                            twin_row_pentagon)
 
 
 class TestInnerParallelBody:
@@ -45,11 +47,7 @@ class TestErodesMinimalForm:
 
     @staticmethod
     def raw_body():
-        # a pentagon with a strictly redundant row first and x <= 1 repeated
-        # as 2x <= 2
-        A = [[1.0, 2.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [-1.0, 0.0],
-             [0.0, -1.0], [1.0, 1.0]]
-        return hrep(A, [4.0, 1.0, 1.0, 2.0, 0.0, 0.0, 1.5])
+        return twin_row_pentagon()
 
     @staticmethod
     def eroded_rows(H, eps):
@@ -306,19 +304,6 @@ def unmemoized(H):
 def twenty_row_body(small_suite):
     """The first random 4-polytope of the small suite with 20 rows."""
     return next(H for H in small_suite[4] if H.m == 20)
-
-
-def duplicated_and_redundant(small_suite):
-    """A random 3-polytope with its first facet row repeated (doubled) and a
-    copy of its third row moved out by 1, both put in as rows 4 and 5.
-
-    Nine of its ten facets are left at 0.6 times the inradius.
-    """
-    H = small_suite[3][0]
-    norm = np.linalg.norm(H.A[2])
-    A = np.vstack([H.A[:4], 2.0 * H.A[:1], H.A[2:3], H.A[4:]])
-    b = np.concatenate([H.b[:4], 2.0 * H.b[:1], H.b[2:3] + norm, H.b[4:]])
-    return hrep(A, b)
 
 
 class TestWindowedProfile:

@@ -54,6 +54,30 @@ class TestMcVolume:
             ib.mc_volume(unit_square, 50_000, seed=-1)
 
 
+NON_INTEGERS = [20000.5, 2e4, float("nan"), np.float64(2e4)]
+ESTIMATES = [lambda H, samples, seed: ib.mc_volume(H, samples, seed),
+             lambda H, samples, seed: ib.mc_inner_volume(H, 0.1, samples, seed)]
+
+
+@pytest.mark.parametrize("estimate", ESTIMATES, ids=["mc_volume", "mc_inner_volume"])
+class TestIntegerArguments:
+    @pytest.mark.parametrize("samples", NON_INTEGERS)
+    def test_non_integer_samples_rejected(self, unit_square, estimate, samples):
+        with pytest.raises(BadParameter, match="samples"):
+            estimate(unit_square, samples, 0)
+
+    @pytest.mark.parametrize("seed", [-0.5, 1.5, np.float64(3.0), float("nan")])
+    def test_non_integer_seed_rejected(self, unit_square, estimate, seed):
+        # -0.5 and 1.5 were taken as seeds 0 and 1
+        with pytest.raises(BadParameter, match="seed"):
+            estimate(unit_square, 20_000, seed)
+
+    def test_numpy_integers_accepted(self, unit_square, estimate):
+        est = estimate(unit_square, np.int64(20_000), np.uint32(4))
+        assert est == estimate(unit_square, 20_000, 4)
+        assert type(est.samples) is int and type(est.seed) is int
+
+
 class TestMcInnerVolume:
     def test_square_closed_form(self, unit_square):
         est = ib.mc_inner_volume(unit_square, 0.1, 1_000_000, seed=5)

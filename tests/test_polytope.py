@@ -18,8 +18,9 @@ from inbody.errors import (
     Infeasible,
     Unbounded,
 )
-from tests.conftest import (box, cross_polytope, cut_cube_rows, hrep, polar_body, polar_of,
-                            sphere_cloud, twenty_four_cell, wide_rows, written_out_det)
+from tests.conftest import (box, corner_within_tolerance, cross_polytope, cut_cube_rows,
+                            duplicated_and_redundant, hrep, polar_body, polar_of, sphere_cloud,
+                            twenty_four_cell, twin_row_pentagon, wide_rows, written_out_det)
 
 
 class TestValidateBody:
@@ -299,6 +300,35 @@ def cofactor_families(small_suite):
 FAMILIES = ["small-suite", "cubes", "cross-polytopes", "24-cell", "cut-cube", "polar-clouds"]
 
 
+def edge_line_families(small_suite):
+    """The bodies the heads' lines are held against the exhaustive route
+    on, by family: the cofactor kernel's, then the 2-cross-polytope and the
+    5-cube and 5-cross-polytope, reachable rows that are no facets (a
+    repeated row, a redundant row within the tolerance of a vertex),
+    cli_vform's polar bodies and its hulls eroded by 0.15, and the 48-facet
+    hull of 20 standard-normal points at n = 4 with its erosion by 0.15.
+    Heads of dependent rows (e_i with -e_i, a repeated row) are among them."""
+    clouds = [sphere_cloud(n, on, inside, seed)
+              for n, on, inside in ((2, 16, 24), (3, 20, 20), (4, 10, 2))
+              for seed in (151, 48, 187, 5, 6)]
+    hull = ib.convex_hull(ib.VertexSet(np.random.default_rng(0).standard_normal((20, 4))))
+    return {
+        **cofactor_families(small_suite),
+        "n2-and-n5": lambda: [cross_polytope(2), box(5), cross_polytope(5)],
+        "twin-row-pentagon": lambda: [twin_row_pentagon()],
+        "corner": lambda: [corner_within_tolerance(10)],
+        "duplicated-and-redundant": lambda: [duplicated_and_redundant(small_suite)],
+        "cli-vform-polars": lambda: [polar_of(P) for P in clouds],
+        "cli-vform-eroded": lambda: [ib.inner_parallel_body(ib.convex_hull(ib.VertexSet(P)), 0.15)
+                                     for P in clouds],
+        "found-hull": lambda: [hull, ib.inner_parallel_body(hull, 0.15)],
+    }
+
+
+EDGE_FAMILIES = FAMILIES + ["n2-and-n5", "twin-row-pentagon", "corner", "duplicated-and-redundant",
+                            "cli-vform-polars", "cli-vform-eroded", "found-hull"]
+
+
 def first_row_expansion(M):
     """det M of 4 x 4 matrices (..., 4, 4) along the first row, sum_j a_0j C_0j
     left to right, each cofactor's 3 x 3 minor expanded along row 1 by the
@@ -338,14 +368,13 @@ def assert_first_row_det(An):
 class TestCofactorKernel:
     """Cramer's rule from the cofactors names the vertices LU names."""
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_incidence_matches_lapack(self, monkeypatch, small_suite, family):
-        for H in cofactor_families(small_suite)[family]():
+    @pytest.mark.parametrize("family", EDGE_FAMILIES)
+    def test_incidence_matches_lapack(self, small_suite, family):
+        # the heads' lines against LU on every subset of every row
+        for H in edge_line_families(small_suite)[family]():
             V, active = polytope.vertex_incidence(fresh(H))
-            with monkeypatch.context() as patch:
-                patch.setattr(polytope, "_subset_solves", lapack_subset_solves)
-                V_ref, active_ref = polytope.vertex_incidence(fresh(H))
-            assert np.array_equal(V.points, V_ref.points)
+            points, active_ref = exhaustive_incidence(H)
+            assert np.array_equal(V.points, points)
             assert np.array_equal(active, active_ref)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -371,15 +400,11 @@ class TestCofactorKernel:
             if H.dim != 4:
                 continue
             paths = polytope._vertex_paths(fresh(H))
-            V, active = polytope.vertex_incidence(fresh(H))
             with monkeypatch.context() as patch:
                 patch.setattr(polytope, "_subset_solves", per_row_subset_solves)
                 paths_ref = polytope._vertex_paths(fresh(H))
-                V_ref, active_ref = polytope.vertex_incidence(fresh(H))
             for x, x_ref in zip(paths, paths_ref):
                 assert np.array_equal(x, x_ref)
-            assert np.array_equal(V.points, V_ref.points)
-            assert np.array_equal(active, active_ref)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_invertibility_mask_is_det_mask(self, small_suite, family):
@@ -425,6 +450,50 @@ class TestCofactorKernel:
                 assert err <= 1e-13 * H.scale
 
 
+class TestEdgeLines:
+    """Each head's line, crossed by the later rows, gives the candidates of
+    the subsets it leads (the vertices against the exhaustive route:
+    TestCofactorKernel.test_incidence_matches_lapack)."""
+
+    @pytest.mark.parametrize("family", EDGE_FAMILIES)
+    def test_candidates_are_the_feasible_subsets(self, small_suite, family):
+        # one candidate per subset of the reachable rows that LU solves to
+        # a point feasible within the tolerance, in subset order.  The two
+        # solutions differ by at most 2.9e-16 * scale / |det| on these
+        # bodies (7.5e-11 * scale at |det| = 3.9e-7 on the 48-facet hull)
+        for H in edge_line_families(small_suite)[family]():
+            An, bn, _ = H.unit_form()
+            rows = polytope._reachable_rows(H)
+            tol = polytope.TAU_FACET * H.scale
+            combos = polytope._combo_array(len(rows), H.dim)
+            det = np.linalg.det(An[rows][combos])
+            combos, det = combos[np.abs(det) > 1e-10], det[np.abs(det) > 1e-10]
+            x = np.linalg.solve(An[rows][combos], bn[rows][combos][..., None])[..., 0]
+            feasible = np.all(x @ An.T - bn <= tol, axis=1)
+            cand = polytope._edge_crossings(An[rows], bn[rows], tol)
+            assert cand.shape == x[feasible].shape
+            err = np.abs(cand - x[feasible]).max(axis=1, initial=0.0)
+            assert (err * np.abs(det[feasible]) <= 1e-14 * H.scale).all()
+
+    @pytest.mark.parametrize("family", ["cubes", "n2-and-n5", "cross-polytopes",
+                                        "duplicated-and-redundant"])
+    def test_dependent_heads_are_skipped(self, small_suite, family):
+        # a head of dependent rows has no line (u = 0): no later row passes
+        # the determinant test, so its point is never solved, and no
+        # division by zero happens outside the crossings' table
+        for H in edge_line_families(small_suite)[family]():
+            if H.dim < 3:
+                continue
+            An, _, _ = H.unit_form()
+            heads = polytope._combo_array(H.m - 1, H.dim - 1)
+            G = np.empty((H.dim, H.dim, len(heads)))
+            G[:, 1:] = An.T.take(heads.T, axis=1)
+            assert (polytope._head_directions(G)[0] == 0.0).all(axis=0).any()
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                V, _ = polytope.vertex_incidence(fresh(H))
+            assert V.count == len(exhaustive_incidence(H)[0])
+
+
 class TestSubsetCap:
     def test_wide_h_form_rejected(self):
         H = hrep(*wide_rows())
@@ -456,11 +525,13 @@ class TestComboChunks:
 
 
 def exhaustive_incidence(H):
-    """Reference: the vertices and incidence from every n-subset of the rows."""
+    """Reference: the vertices and incidence from every n-subset of all the
+    rows, each solved by LU and kept iff it is feasible on every row within
+    the facet tolerance, then named and refined by the package's tail."""
     An, bn, _ = H.unit_form()
     feas_tol = polytope.TAU_FACET * H.scale
     candidates = [np.empty((0, H.dim))]
-    for (sols,) in polytope._subset_solves(An, bn[None]):
+    for (sols,) in lapack_subset_solves(An, bn[None]):
         feas = np.all(sols @ An.T - bn <= feas_tol, axis=1)
         candidates.append(sols.compress(feas, axis=0))
     pts = np.vstack(candidates)
