@@ -5,13 +5,14 @@ recursion over the face lattice: a face is the union of the pyramids over
 its facets with apex its first vertex (a pulling triangulation), so its
 volume is the sum of their heights times the facets' volumes, over its
 dimension, and the body itself is coned from the incentre.  The facets
-through the apex have height 0, so the walk leaves them out, and with them
-the faces that lie below them only.  The recursion ends at the 1-faces,
+through the apex have height 0, so the walk never meets them, nor the
+faces that lie below them only.  The recursion ends at the 1-faces,
 whose volume is the distance between their extreme vertices.  The lattice
 is its Hasse diagram, read off the vertex-facet incidence alone (the
 facets of a face are its maximal proper meets with the facet rows).  The
 kernel walks the diagram once per face down to the 2-faces and takes one
-height per edge it keeps, so memory is bounded by the diagram.  It takes a
+height per edge it keeps, so memory is bounded by the diagram, and its cap
+counts the kept edges.  It takes a
 stack of bodies with shared normals (the eroded bodies of a profile, and
 the body itself) and a single body is a stack of one.
 The inradius is the optimum of the Chebyshev-centre linear program.  The
@@ -111,22 +112,25 @@ def _cone_decomposition(H: HalfspaceSystem):
         return Hm._cache["cone"]
     V, active = vertex_incidence(Hm)
     An, bn, _ = Hm.unit_form()
-    vols, fvols = _pyramid_volumes(An, bn[None], V.points, np.array([0, V.count]),
-                                   active, Hm.cheb_center)
+    start = np.array([0, V.count])
+    vols, fvols = _pyramid_volumes(An, bn[None], V.points, start,
+                                   _local_bits(active, start), Hm.cheb_center)
     result = (float(vols[0]), fvols[0])
     Hm._cache["cone"] = result
     H._cache["cone"] = result
     return result
 
 
-def _pyramid_volumes(An, bn, points, start, active, centre):
+def _pyramid_volumes(An, bn, points, start, bits, centre):
     """Volumes and facet volumes of a stack of bodies, from their incidence.
 
     Body e is {x : An x <= bn[e]} with the vertices ``points[start[e]:
     start[e + 1]]`` (as :func:`polytope._incidence_from_candidates` returns
     them), and the one point ``centre`` (n,) lies inside every body.
-    ``active`` (m, sum V) is the incidence of each body's facet rows on its
-    vertices, all False on the other rows (see :func:`polytope._facet_rows`).
+    ``bits`` (E, m, W) holds each body's facet rows as bit masks over its
+    own vertices, 0 on the other rows: the words of
+    :func:`polytope._local_bits`, which :func:`polytope._facet_rows` also
+    returns with the facet rows.
     Returns the volumes (E,) and the facet volumes (E, m), 0 off the facets.
 
     A k-face G is the union of the pyramids over its facets F with apex its
@@ -135,8 +139,8 @@ def _pyramid_volumes(An, bn, points, start, active, centre):
     pulling triangulation in the body's vertex order (Cohen & Hickey 1979;
     compared with Lasserre's recursion in Bueler, Enge & Fukuda 2000).  A
     facet F that holds p_G has p_F = p_G and height exactly 0, so it adds
-    nothing to the sum, and the walk drops its edge, and below it the faces
-    that no other edge reaches.  The recursion ends at the 1-faces: a
+    nothing to the sum, and the walk never makes its edge, nor below it the
+    faces that no other edge reaches.  The recursion ends at the 1-faces: a
     1-face is the segment between its extreme vertices, the first and the
     last of its vertices in the body's lexicographic order (it can hold
     more than two within the facet tolerance, as on a plane cut a little
@@ -155,14 +159,15 @@ def _pyramid_volumes(An, bn, points, start, active, centre):
     facet rows).  The walk takes each level once per distinct face, from the
     facets down to the 2-faces: the facets of the level's faces are the
     diagram's edges (face, sub-face) in (face, row) order, each sub-face
-    the meet that found it.  A face's apex is
-    the lowest set bit of its row (:func:`_lowest_bit`), and the edges
-    whose sub-face holds it are dropped; the cap below counts them all.
-    One sort by (body, sub-face) numbers the distinct sub-faces of the
-    edges left.  Each face carries an orthonormal basis of the normals of
-    its affine hull: a facet its row's unit normal, and a sub-face its first
-    parent's basis and one modified Gram-Schmidt step with the row of that
-    edge (:func:`_normals`).  An edge G -> F through row j has the unit
+    the meet that found it.  A face's apex is the lowest set bit of its row
+    (:func:`_lowest_bit`), and the meets take it as a mask: a meet through
+    the apex is never tested as a facet nor returned, though it still
+    rules out the meets inside it, so only the kept edges are made.  One
+    sort by (body, sub-face) numbers the distinct sub-faces of the edges.
+    Each face carries an orthonormal basis of the normals of its affine
+    hull: a facet its row's unit normal, and a sub-face its first parent's
+    basis and one modified Gram-Schmidt step with the row of that edge
+    (:func:`_normals`).  An edge G -> F through row j has the unit
     normal u = P_G a_j / |P_G a_j| of F within G, P_G the projection that
     drops G's normals, and the height h = u . (p_F - p_G), taken as the
     level is walked, so only h is kept.  In exact arithmetic that is
@@ -183,7 +188,7 @@ def _pyramid_volumes(An, bn, points, start, active, centre):
     product, a sum over the n coordinates or a bincount in edge order, so a
     body's numbers do not depend on the stack it is in, nor on BLAS.
     Memory is bounded by the diagram: a level of more than _COMBO_CAP
-    entries, n per edge, is refused before its arrays are made.
+    entries, n per kept edge, is refused before its arrays are made.
 
     Minkowski's relation sum vol(F_i) u_i = 0 certifies the result: an
     incidence that is not the body's face lattice breaks it.  A sum above
@@ -197,16 +202,15 @@ def _pyramid_volumes(An, bn, points, start, active, centre):
     """
     m, n = An.shape
     E = len(start) - 1
-    bits = _local_bits(active, start)                       # (E, m, W)
     # rows of arrays are gathered with take and compress, which numpy runs
     # several times faster than fancy indexing (see _facet_meets)
     body, row = np.nonzero(bits.any(axis=-1))
-    # the current level's faces, their apexes (local vertex indices and
-    # points) and the orthonormal normals of their affine hulls.  Vectors
+    # the current level's faces, their apexes (one-bit masks and points)
+    # and the orthonormal normals of their affine hulls.  Vectors
     # are columns of (n, count) arrays, whose sums over the n coordinates
     # numpy takes several times faster than over rows of n
     faces, fbody, at = bits[body, row], body, start.take(body)
-    apex = _lowest_bit(faces)
+    apex, low = _lowest_bit(faces)
     apexes = points.take(at + apex, axis=0).T
     unit = np.ascontiguousarray(An.T)
     normals = [unit.take(row, axis=1)]
@@ -219,18 +223,15 @@ def _pyramid_volumes(An, bn, points, start, active, centre):
         vols = np.sqrt((d * d).sum(axis=0))
     edges = []
     for k in range(n - 1, 1, -1):
-        parent, j, sub = _facet_meets(faces, fbody, bits, k)
+        # a facet that holds its face's apex holds it as its own first
+        # vertex, so its pyramid has height 0: the meets leave it out
+        parent, j, sub = _facet_meets(faces, fbody, bits, k, low)
         if len(parent) * n > _COMBO_CAP:
             raise BadParameter(
                 f"{len(parent)} edges of the face lattice in dimension {n} exceed "
                 f"the cap of {_COMBO_CAP} entries")
-        # a facet that holds its face's apex holds it as its own first
-        # vertex, so its pyramid has height 0 and its edge is dropped
         pbody = fbody.take(parent)
-        first = _lowest_bit(sub)
-        keep = first != apex.take(parent)
-        parent, j, first = parent.compress(keep), j.compress(keep), first.compress(keep)
-        pbody, sub = pbody.compress(keep), sub.compress(keep, axis=0)
+        first, low = _lowest_bit(sub)
         at = start.take(pbody)
         p = points.take(at + first, axis=0).T
         u = _normals(unit, j, parent, normals)
@@ -259,7 +260,7 @@ def _pyramid_volumes(An, bn, points, start, active, centre):
         # parent's, which gives it its parent's normals and one more
         lead = order.compress(new_face)
         faces, fbody = ordered.compress(new_face, axis=0)[:, 1:], pbody.take(lead)
-        apex, apexes = first.take(lead), p.take(lead, axis=1)
+        low, apexes = low.take(lead, axis=0), p.take(lead, axis=1)
         up = parent.take(lead)
         normals = [q.take(up, axis=1) for q in normals] + [u.take(lead, axis=1)]
         # the level's (n, edges) and (edges, W + 1) temporaries go before
@@ -299,18 +300,21 @@ def _normals(unit, j, parent, normals):
 
 
 def _lowest_bit(x):
-    """Index of the lowest set bit of each row of W uint64 words; no row is 0.
+    """Index of the lowest set bit of each row of W uint64 words, and the
+    rows with that bit alone set; no row is 0.
 
-    ``x & (~x + 1)`` keeps a word's lowest set bit, and the bits below it
-    are its index.  The words go from the last to the first, so a row's
-    first nonzero word has the last say.
+    ``w & (~w + 1)`` keeps a word's lowest set bit, and the bits below it
+    are its index.  The words go from the first to the last, and only a
+    row's first nonzero word keeps its bit.
     """
-    low = None
-    for w in range(x.shape[-1] - 1, -1, -1):
-        word = x[:, w]
-        at = np.bitwise_count((word & (~word + 1)) - 1).astype(int) + 64 * w
-        low = at if low is None else np.where(word != 0, at, low)
-    return low
+    low = x & (~x + 1)
+    # a word of 0 counts 64 bits below its (missing) lowest set bit
+    index = np.bitwise_count(low[:, 0] - 1).astype(int)
+    for w in range(1, x.shape[-1]):
+        before = index == 64 * w          # no set bit in the words before w
+        low[:, w] *= before
+        index += np.bitwise_count(low[:, w] - 1) * before
+    return index, low
 
 
 def _highest_bit(x):

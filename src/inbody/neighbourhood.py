@@ -39,11 +39,13 @@ import numpy as np
 from .errors import BadParameter, EpsOutOfRange, GeometryError
 from .metrics import _pyramid_volumes, volume
 from .polytope import (
+    _COMBO_CAP,
     TAU_FACET,
     TAU_REP,
     HalfspaceSystem,
     _facet_rows,
     _incidence_from_candidates,
+    _local_bits,
     _reachable_rows,
     _vertex_paths,
     remove_redundant_halfspaces,
@@ -122,6 +124,14 @@ def _erosion(H: HalfspaceSystem, eps: np.ndarray):
     return b, (H.cheb_radius - eps <= TAU_FACET * H.scale) & (eps > 0)
 
 
+def _check_grid(count, width):
+    """Refuse ``count`` offsets whose (count, width) arrays would pass the
+    cap of _COMBO_CAP entries, with BadParameter."""
+    if int(count) * width > _COMBO_CAP:
+        raise BadParameter(f"a grid of {count} offsets, {width} entries each, passes "
+                           f"the cap of {_COMBO_CAP} entries")
+
+
 def _clamped_eps(H: HalfspaceSystem, eps: float) -> float:
     """eps, clamped to [0, inradius] if within tolerance, on a validated body."""
     if not H.validated:
@@ -189,14 +199,18 @@ def neighbourhood_profile(H: HalfspaceSystem,
     facet rows: vol is bit-identical to :func:`volume`, and every other
     volume to that of :func:`inner_parallel_body`, the per-offset
     reference, which runs the same code on a stack of one.  ``grid_size``
-    must be an integer >= 3.  Discrete concavity (second differences <=
-    report tolerance) is asserted before returning.
+    must be an integer >= 3, and a grid whose offsets would pass the cap of
+    _COMBO_CAP entries is refused before they are made (see
+    :func:`_check_grid`).  Discrete concavity (second differences <= report
+    tolerance) is asserted before returning.
     """
     if not isinstance(grid_size, (int, np.integer)) or grid_size < 3:
         raise BadParameter("grid_size must be an integer >= 3")
     if not H.validated:
         raise BadParameter("neighbourhood_profile requires a validated body")
     n, r = H.dim, H.cheb_radius
+    # every erosion has at least n + 1 rows
+    _check_grid(grid_size, n + 1)
     grid = np.linspace(0.0, r, grid_size)
     inner = _eroded_volumes(H, grid)
     vol = float(inner[0])
@@ -254,7 +268,9 @@ def _stacked_volumes(H: HalfspaceSystem, eps: np.ndarray, own=None):
 
     An erosion that :func:`_erosion` finds empty has volume 0.  The
     n-subsets of H's rows are solved once for their vertex paths
-    (:func:`polytope._vertex_paths`).  ``own``, the vertices and incidence
+    (:func:`polytope._vertex_paths`), and offsets whose (E, m) erosions or
+    (E, paths) windows would pass _COMBO_CAP entries are refused before
+    either is made.  ``own``, the vertices and incidence
     of H (:func:`polytope.vertex_incidence`), puts the body (eps[0] = 0)
     into the first block in place of its candidates.  The bodies go
     through the vertex tail, the facet test and the volume kernel in blocks
@@ -263,12 +279,13 @@ def _stacked_volumes(H: HalfspaceSystem, eps: np.ndarray, own=None):
     arrays grow with the face lattices of the block's bodies; it is large
     enough that the fixed cost of each step is paid rarely.
     """
+    x, d, lo, hi = _vertex_paths(H)
+    _check_grid(len(eps), max(H.m, len(lo)))
     b, empty = _erosion(H, eps)
     vols = np.zeros(len(eps))
     inside = np.flatnonzero(~empty)
     eps = eps[inside]
     An, _, norms = H.unit_form()
-    x, d, lo, hi = _vertex_paths(H)
     on = (lo <= eps[:, None]) & (eps[:, None] <= hi)          # (E, paths)
     # the offsets as the eroded body's unit form has them, so that they are
     # bit-identical to those of inner_parallel_body
@@ -276,29 +293,33 @@ def _stacked_volumes(H: HalfspaceSystem, eps: np.ndarray, own=None):
     counts = on.sum(axis=1)
     if own is not None:
         V, own_active = own
+        own_bits = _local_bits(own_active, np.array([0, V.count]))
         on[0], counts[0] = False, V.count
     facets = None
     # blocks of offsets with about _PROFILE_BLOCK candidates each
     block = (np.cumsum(counts) - counts) // _PROFILE_BLOCK
     for k in np.flatnonzero(np.bincount(block)):
         sel = np.flatnonzero(block == k)
-        # (vertices, vertex counts, facet incidence) of the block's bodies
-        parts = [(V.points, [V.count], own_active)] if own is not None and sel[0] == 0 else []
+        # (vertices, vertex counts, facet words) of the block's bodies
+        parts = [(V.points, [V.count], own_bits)] if own is not None and sel[0] == 0 else []
         rest = sel[len(parts):]
         if len(rest):
             body, s = np.divmod(np.flatnonzero(on.take(rest, axis=0)), on.shape[1])
             pts = x.take(s, axis=0) - eps.take(rest).take(body)[:, None] * d.take(s, axis=0)
             points, start, active = _incidence_from_candidates(
                 An, bn[rest], H.scale, pts, body)
-            keep = _facet_rows(start, active, H.dim)
+            keep, bits = _facet_rows(start, active, H.dim)
             if rest[0] == 0:
                 facets = keep[0]
-            sizes = np.diff(start)
-            parts.append((points, sizes,
-                          active & keep[np.repeat(np.arange(len(rest)), sizes)].T))
-        points, sizes, active = (np.concatenate(p, axis=a)
-                                 for p, a in zip(zip(*parts), (0, 0, 1)))
+            bits *= keep[..., None]
+            parts.append((points, np.diff(start), bits))
+        points, sizes, words = zip(*parts)
+        # the body's words and its erosions' can differ in width
+        width = max(w.shape[-1] for w in words)
+        words = [w if w.shape[-1] == width else
+                 np.pad(w, ((0, 0), (0, 0), (0, width - w.shape[-1]))) for w in words]
+        points, sizes, bits = np.concatenate(points), np.concatenate(sizes), np.concatenate(words)
         start = np.concatenate([[0], np.cumsum(sizes)])
-        vols[inside[sel]] = _pyramid_volumes(An, bn[sel], points, start, active,
+        vols[inside[sel]] = _pyramid_volumes(An, bn[sel], points, start, bits,
                                              H.cheb_center)[0]
     return vols, facets

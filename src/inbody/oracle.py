@@ -19,6 +19,7 @@ from .errors import BadParameter
 from .polytope import HalfspaceSystem, validate_body
 
 _BLOCK = 2048   # samples per block of slacks, in one reused (m, block) buffer
+_SAMPLE_CAP = 10**9   # most samples one estimate draws (see _estimate)
 
 
 @dataclass
@@ -84,9 +85,11 @@ def _box_draws(H: HalfspaceSystem, rng: np.random.Generator, sizes):
 
 def _estimate(H, samples, seed, eps):
     # Python and numpy integers only: a float sample count or seed is
-    # refused, not truncated
-    if not isinstance(samples, (int, np.integer)) or samples < 10_000:
-        raise BadParameter("samples must be an integer, at least 10^4")
+    # refused, not truncated.  The blocks bound the memory, not the time:
+    # the draws take about 8 million samples a second (36 facets, one
+    # BLAS thread), so a count above the cap is refused before any draw
+    if not isinstance(samples, (int, np.integer)) or not 10_000 <= samples <= _SAMPLE_CAP:
+        raise BadParameter(f"samples must be an integer from 10,000 to {_SAMPLE_CAP:,}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise BadParameter("seed must be a non-negative integer")
     samples, seed = int(samples), int(seed)

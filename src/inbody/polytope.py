@@ -788,7 +788,7 @@ def remove_redundant_halfspaces(H: HalfspaceSystem) -> HalfspaceSystem:
         return H._cache["minimal"]
 
     V, active = vertex_incidence(H)
-    keep = _facet_rows(np.array([0, V.count]), active, H.dim)[0]
+    keep = _facet_rows(np.array([0, V.count]), active, H.dim)[0][0]
 
     out = replace(H, A=H.A[keep], b=H.b[keep])
     out._cache["incidence"] = (V, active[keep])
@@ -798,26 +798,31 @@ def remove_redundant_halfspaces(H: HalfspaceSystem) -> HalfspaceSystem:
 
 
 def _facet_rows(start, active, n):
-    """The facet rows of each body of a stack, as an (E, m) mask.
+    """The facet rows of each body of a stack, as an (E, m) mask, and the
+    bodies' incidence words (E, m, W) of :func:`_local_bits`, which the
+    volume kernel takes with the other rows cleared.
 
     The stack is that of :func:`_incidence_from_candidates`, in dimension
     n.  The facet rows are those whose meets with the whole body are its
-    facets by :func:`_facet_meets`, so of the rows active on the same vertex
-    set only the first is kept.  The rows of all the bodies go at once.
+    facets by :func:`_facet_meets`, without an apex, so of the rows active
+    on the same vertex set only the first is kept.  The rows of all the
+    bodies go at once.
     """
     E = len(start) - 1
     whole = _local_bits(np.ones((1, active.shape[1]), dtype=bool), start)[:, 0]
+    bits = _local_bits(active, start)
     keep = np.zeros((E, active.shape[0]), dtype=bool)
-    keep[_facet_meets(whole, np.arange(E), _local_bits(active, start), n)[:2]] = True
-    return keep
+    keep[_facet_meets(whole, np.arange(E), bits, n)[:2]] = True
+    return keep, bits
 
 
 _FACE_BLOCK = 4096   # faces per block of the meets in _facet_meets
 
 
-def _facet_meets(faces, fbody, bits, k):
+def _facet_meets(faces, fbody, bits, k, low=None):
     """(face, row, meet), in (face, row) order: the meet (W words) of a
-    k-face with the row is a facet of the face.
+    k-face with the row is a facet of the face, and misses the face's apex
+    in ``low`` if that is given.
 
     A face is a row of bits over its own body's vertices, ``fbody`` holds
     each face's body and ``bits`` (E, m, W) the incidence rows of the bodies
@@ -825,10 +830,17 @@ def _facet_meets(faces, fbody, bits, k):
     faces, and each of them is the meet of G with some facet row (Ziegler
     1995, 2.2).  So a meet is a facet of G iff it is proper, keeps at least
     k vertices and lies inside no other such meet; of equal meets the first
-    row's is kept.  Containment is tested only between two such meets of
-    the same face, in blocks of faces, so the (faces, m, W) words stay
-    small.  Rows are gathered with ``take``, which numpy runs several times
-    faster than fancy indexing on arrays of more than one axis.
+    row's is kept.  ``low`` (faces, W), each face's apex as its one set bit
+    (:func:`metrics._lowest_bit`), leaves out the facets through the apex:
+    a candidate meet that holds it is never tested for maximality nor
+    returned, but every candidate still serves as the outer side of the
+    test, since a meet of more than k vertices through the apex can
+    strictly contain one that misses it.  Without ``low`` no face has an
+    apex and every facet is returned.  Containment is tested only between
+    two such meets of the same face, in blocks of faces, so the
+    (faces, m, W) words stay small.  Rows are gathered with ``take``, which
+    numpy runs several times faster than fancy indexing on arrays of more
+    than one axis.
     """
     m, W = bits.shape[1:]
     pairs = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty((0, W), np.uint64))]
@@ -839,13 +851,18 @@ def _facet_meets(faces, fbody, bits, k):
                               & (meets != face).any(axis=-1))
         f, j = np.divmod(cand, m)
         meet = meets.reshape(-1, W).take(cand, axis=0)
-        # every ordered pair (a, b) of candidates of one face; f ascends
+        # every ordered pair (a, b) of candidates of one face, a missing the
+        # face's apex (in top); f ascends
         size = np.bincount(f)[f]
+        if low is None:
+            top = np.ones(len(f), dtype=bool)
+        else:
+            top = ~(meet & low[lo:lo + _FACE_BLOCK].take(f, axis=0)).any(axis=-1)
+            size *= top
         a = np.repeat(np.arange(len(f)), size)
         b = np.arange(len(a)) - np.repeat(np.cumsum(size) - size - np.searchsorted(f, f), size)
         ma, mb = meet.take(a, axis=0), meet.take(b, axis=0)
         inside = ~(ma & ~mb).any(axis=-1) & ((ma != mb).any(axis=-1) | (b < a))
-        top = np.ones(len(f), dtype=bool)
         top[a[inside]] = False
         pairs.append((lo + f[top], j[top], meet.compress(top, axis=0)))
     return tuple(np.concatenate(x) for x in zip(*pairs))
@@ -926,7 +943,7 @@ def convex_hull(V: VertexSet) -> HalfspaceSystem:
         rows = cand - centroid
         Y, polar_active = vertex_incidence(
             validate_body(HalfspaceSystem(rows, np.ones(len(rows)))))
-        kept = _facet_rows(np.array([0, Y.count]), polar_active, n)[0]
+        kept = _facet_rows(np.array([0, Y.count]), polar_active, n)[0][0]
         polar_active = polar_active[kept]
         first = _first_rows(polar_active.T)
         y, active = Y.points[first], polar_active[:, first].T

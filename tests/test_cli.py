@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import inbody as ib
-from inbody import projective
+from inbody import neighbourhood, oracle, projective
 from inbody.cli import RunConfig, _default_resolutions, config_from_args, run
 from tests.conftest import noisy_cone, wide_rows
 
@@ -254,10 +254,15 @@ class TestExitCodes:
         assert err["error"] == "Unbounded"
 
     @pytest.mark.parametrize("command, flag, value", [
-        ("profile", "--grid", "0"), ("oracle", "--samples", "0"), ("oracle", "--seed", "-1")],
-        ids=["profile---grid", "oracle---samples", "oracle---seed"])
-    def test_out_of_range_option_is_validation_error(self, cube_file, tmp_path, capsys,
-                                                     command, flag, value):
+        ("profile", "--grid", "0"), ("oracle", "--samples", "0"), ("oracle", "--seed", "-1"),
+        ("profile", "--grid", "100000000"), ("oracle", "--samples", "100000000000")],
+        ids=["profile---grid", "oracle---samples", "oracle---seed", "profile---grid-cap",
+             "oracle---samples-cap"])
+    def test_out_of_range_option_is_validation_error(self, monkeypatch, cube_file, tmp_path,
+                                                     capsys, command, flag, value):
+        # refused before the grid is made or a sample is drawn
+        monkeypatch.setattr(neighbourhood, "_erosion", lambda *a: pytest.fail("grid made"))
+        monkeypatch.setattr(oracle, "_box_draws", lambda *a: pytest.fail("samples drawn"))
         out = tmp_path / "range.out"
         argv = [command, "--input", str(cube_file), "--output", str(out), flag, value]
         assert run(config_from_args(argv)) == 1

@@ -9,7 +9,8 @@ import inbody as ib
 from inbody import lp, metrics, neighbourhood, polytope
 from inbody.errors import BadParameter, DegenerateInput, DegenerateNumerics, OutsideBody
 from tests.conftest import (box, corner_within_tolerance, cross_polytope, cut_cube_rows,
-                            hrep, noisy_cone, twenty_four_cell, written_out_det)
+                            duplicated_and_redundant, hrep, noisy_cone, twenty_four_cell,
+                            twin_row_pentagon, written_out_det)
 
 
 def triangle_incircle_radius(p0, p1, p2):
@@ -433,7 +434,7 @@ def centroids(f, v, count, points):
     return (sums / np.bincount(f, minlength=count)).T
 
 
-def chain_flag_volumes(An, bn, points, start, active, centre):
+def chain_flag_volumes(An, bn, points, start, bits, centre):
     """Reference for metrics._pyramid_volumes: the walk once per chain.
 
     It cones every face from its vertex centroid, where the kernel cones it
@@ -445,7 +446,6 @@ def chain_flag_volumes(An, bn, points, start, active, centre):
     """
     m, n = An.shape
     E = len(start) - 1
-    bits = polytope._local_bits(active, start)
     body, row = np.nonzero(bits.any(axis=-1))
     faces, fbody = bits[body, row], body
     face = np.arange(len(faces))
@@ -483,11 +483,12 @@ def chain_flag_volumes(An, bn, points, start, active, centre):
 
 def kernel_inputs(H):
     """The arguments _cone_decomposition gives the kernel: H's minimal form
-    as a stack of one, coned from its incentre."""
+    as a stack of one, its incidence packed, coned from its incentre."""
     Hm = polytope.remove_redundant_halfspaces(H)
     V, active = polytope.vertex_incidence(Hm)
     An, bn, _ = Hm.unit_form()
-    return (An, bn[None], V.points, np.array([0, V.count]), active,
+    start = np.array([0, V.count])
+    return (An, bn[None], V.points, start, polytope._local_bits(active, start),
             ib.incentre(Hm).incentre)
 
 
@@ -532,13 +533,21 @@ def assert_close_volumes(result, reference):
     assert np.array_equal(fvols != 0.0, ref_fvols != 0.0)
 
 
+def incidence(bits, start):
+    """The (m, sum V) incidence that polytope._local_bits packed as bits."""
+    rows = unpack(bits).astype(bool)
+    return np.concatenate([rows[e, :, :hi - lo]
+                           for e, (lo, hi) in enumerate(zip(start[:-1], start[1:]))], axis=1)
+
+
 def reversed_vertices(args):
     """The kernel's arguments with each body's vertices in reverse order:
     its points and its columns of the incidence together."""
-    An, bn, points, start, active, centre = args
+    An, bn, points, start, bits, centre = args
     order = np.concatenate([np.arange(hi - 1, lo - 1, -1)
                             for lo, hi in zip(start[:-1], start[1:])])
-    return An, bn, points[order], start, active[:, order], centre
+    return (An, bn, points[order], start,
+            polytope._local_bits(incidence(bits, start)[:, order], start), centre)
 
 
 # (name, body) of the named bodies the kernel is checked on
@@ -602,9 +611,11 @@ class TestFlagKernel:
         ids=["cube8", "simplex9"])
     def test_many_flags_in_bounded_memory(self, build, vol):
         # 2^8 8! and 10! flags, but the recursion takes one height per edge
-        # of the Hasse diagram it keeps.  The 8-cube peaked at 3.2 MB, the
-        # 9-simplex at 49 kB (numpy 2.4); with every face coned from its
-        # centroid, which keeps every edge, they peaked at 11.8 and 1.1 MB
+        # of the Hasse diagram it keeps.  The 8-cube peaked at 1.9 MB, the
+        # 9-simplex at 21 kB (numpy 2.4); with the meets through each face's
+        # apex tested and dropped after, 3.2 MB and 49 kB, and with every
+        # face coned from its centroid, which keeps every edge, 11.8 and
+        # 1.1 MB
         args = kernel_inputs(build())
         tracemalloc.start()
         try:
@@ -616,11 +627,12 @@ class TestFlagKernel:
         assert vols[0] == pytest.approx(vol, rel=ULPS)
 
     def test_edge_cap_refuses_before_the_level_is_made(self, monkeypatch):
-        # the walk of the 4-cube meets 48 Hasse edges from its facets and 72
-        # from the 18 squares those reach, and keeps the half of each whose
-        # sub-faces miss the face's apex (its first vertex); with the cap
-        # one entry short of 72 x 4 it stops at the second level, on the
-        # count before the pruning, and before it measures a 1-face
+        # the walk of the 4-cube keeps the 24 Hasse edges from its facets
+        # whose sub-faces miss the face's apex (its first vertex), of 48,
+        # and 36 of 72 from the 18 squares those reach; _facet_meets never
+        # returns the others.  With the cap one entry short of 36 x 4 it
+        # stops at the second level, on the kept count, and before it
+        # measures a 1-face
         args = kernel_inputs(box(4))
         meets, kept = [], []
         facet_meets, normals = metrics._facet_meets, metrics._normals
@@ -640,13 +652,103 @@ class TestFlagKernel:
         monkeypatch.setattr(metrics, "_facet_meets", counting)
         monkeypatch.setattr(metrics, "_normals", keeping)
         metrics._pyramid_volumes(*args)
-        assert meets == [48, 72]
+        assert meets == [24, 36]
         assert kept == [24, 36]
         meets.clear()
         kept.clear()
-        monkeypatch.setattr(metrics, "_COMBO_CAP", 72 * 4 - 1)
+        monkeypatch.setattr(metrics, "_COMBO_CAP", 36 * 4 - 1)
         monkeypatch.setattr(metrics, "_highest_bit", refuse)
         with pytest.raises(BadParameter):
             metrics._pyramid_volumes(*args)
-        assert meets == [48, 72]
+        assert meets == [24, 36]
         assert kept == [24]
+
+
+def apex_masks(faces):
+    """Each face's first vertex as its one set bit, read off the unpacked
+    rows."""
+    rows = unpack(faces)
+    mask = np.zeros_like(rows)
+    mask[np.arange(len(rows)), rows.argmax(axis=1)] = 1
+    return np.packbits(mask, axis=-1, bitorder="little").view(np.uint64)
+
+
+def assert_pruned_meets(args):
+    """At every level of the face lattices of the kernel's arguments, the
+    meets with the faces' apex masks are those without, less the ones that
+    hold the apex, in the same order.  Every distinct facet, through the
+    apex or not, makes the next level."""
+    An, bn, points, start, bits, centre = args
+    body, row = np.nonzero(bits.any(axis=-1))
+    faces, fbody = bits[body, row], body
+    for k in range(An.shape[1] - 1, 0, -1):
+        low = apex_masks(faces)
+        index, mask = metrics._lowest_bit(faces)
+        assert np.array_equal(index, unpack(faces).argmax(axis=1))
+        assert np.array_equal(mask, low)
+        face, j, meet = polytope._facet_meets(faces, fbody, bits, k)
+        miss = ~(meet & low[face]).any(axis=1)
+        assert not miss.all()
+        pruned = polytope._facet_meets(faces, fbody, bits, k, low)
+        for got, want in zip(pruned, (face, j, meet)):
+            assert np.array_equal(got, want[miss])
+        _, first = np.unique(np.column_stack([fbody[face], meet]), axis=0, return_index=True)
+        faces, fbody = meet[first], fbody[face[first]]
+
+
+class TestApexPruning:
+    """_facet_meets leaves out the facets through a face's apex, and only
+    those."""
+
+    @pytest.mark.parametrize("build", [
+        *(lambda n=n: box(n) for n in (2, 3, 4, 5)),
+        *(lambda n=n: cross_polytope(n) for n in (2, 3, 4)),
+        twenty_four_cell, lambda: hrep(*cut_cube_rows()), twin_row_pentagon,
+        lambda: corner_within_tolerance(10.0)],
+        ids=["cube2", "cube3", "cube4", "cube5", "cross2", "cross3", "cross4",
+             "24-cell", "cut-cube", "twin-row-pentagon", "corner"])
+    def test_named_bodies(self, build):
+        assert_pruned_meets(kernel_inputs(build()))
+
+    def test_small_suite(self, small_suite):
+        for H in [H for hs in small_suite.values() for H in hs] + [
+                duplicated_and_redundant(small_suite)]:
+            assert_pruned_meets(kernel_inputs(H))
+
+    @pytest.mark.parametrize("build", [
+        lambda: ib.random_suite(4, 1, 8)[0], lambda: hrep(*cut_cube_rows())],
+        ids=["random4", "cut-cube"])
+    def test_profile_stacks(self, monkeypatch, build):
+        # every stack a grid-33 profile hands the kernel, with its rows
+        # that are no facets cleared
+        blocks = profile_stacks(monkeypatch, build())
+        assert max(len(args[3]) - 1 for args in blocks) > 1
+        for args in blocks:
+            assert_pruned_meets(args)
+
+    def test_meet_through_the_apex_still_contains(self):
+        # a face of four vertices with apex 0, at k = 2: row 0 meets it in
+        # {0, 1, 2}, through the apex, and so strictly contains row 1's
+        # {1, 2}; rows 2 and 3 meet it in {2, 3} and {0, 3}.  Its facets are
+        # rows 0, 2 and 3, and of them row 2's alone misses the apex.  Row
+        # 1's meet is no facet, and only a meet through the apex shows it
+        bits = np.array([[[0b0111], [0b0110], [0b1100], [0b1001]]], dtype=np.uint64)
+        faces, fbody = np.array([[0b1111]], dtype=np.uint64), np.array([0])
+        assert polytope._facet_meets(faces, fbody, bits, 2)[1].tolist() == [0, 2, 3]
+        face, j, meet = polytope._facet_meets(faces, fbody, bits, 2,
+                                              np.array([[1]], dtype=np.uint64))
+        assert (face.tolist(), j.tolist(), meet.tolist()) == ([0], [2], [[0b1100]])
+
+    def test_lowest_bit_across_words(self):
+        # rows of three words, some words 0: only the first nonzero word
+        # keeps its lowest bit
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 2, size=(400, 192), dtype=np.uint8) * (
+            rng.random((400, 192)) < 0.02)
+        rows[:, 0] = 0
+        rows[np.arange(400), rng.integers(0, 192, 400)] = 1
+        words = np.packbits(rows, axis=-1, bitorder="little").view(np.uint64)
+        index, low = metrics._lowest_bit(words)
+        assert np.array_equal(index, rows.argmax(axis=1))
+        assert np.array_equal(low, apex_masks(words))
+        assert (np.diff(index) != 0).any() and (index >= 64).any() and (index >= 128).any()

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -259,6 +260,37 @@ class TestNeighbourhoodProfile:
         prof = ib.neighbourhood_profile(unit_square, np.int64(5))
         assert np.array_equal(prof.l_vol, ib.neighbourhood_profile(unit_square, 5).l_vol)
 
+    def test_grid_cap_refused_before_the_grid(self, unit_square):
+        # a grid of 10^9 offsets would be 8 GB before the erosions' (E, m)
+        # offsets; every erosion has at least n + 1 rows, so it is refused
+        # before the grid is made
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadParameter, match="grid"):
+                ib.neighbourhood_profile(unit_square, 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e5
+
+    def test_grid_cap_counts_the_vertex_paths(self, monkeypatch, small_suite):
+        # the twenty-row body has more vertex paths than rows, so with the
+        # cap one entry short of 33 x paths the (33, paths) windows are
+        # refused, before the erosions' offsets are made; at the cap the
+        # profile is made
+        H = twenty_row_body(small_suite)
+        rows = polytope._reachable_rows(H)
+        paths = len(polytope._vertex_paths(replace(H, A=H.A[rows], b=H.b[rows]))[2])
+        assert paths > H.m
+        expected = ib.neighbourhood_profile(unmemoized(H), 33).l_vol
+        with monkeypatch.context() as patch:
+            patch.setattr(neighbourhood, "_COMBO_CAP", 33 * paths - 1)
+            patch.setattr(neighbourhood, "_erosion", lambda *a: pytest.fail("offsets made"))
+            with pytest.raises(BadParameter, match="grid"):
+                ib.neighbourhood_profile(unmemoized(H), 33)
+        monkeypatch.setattr(neighbourhood, "_COMBO_CAP", 33 * paths)
+        assert np.array_equal(ib.neighbourhood_profile(unmemoized(H), 33).l_vol, expected)
+
 
 def per_eps_l_vol(H, grid_size):
     """Reference profile: one inner_parallel_body and one volume per offset."""
@@ -379,7 +411,9 @@ class TestWindowedProfile:
         # 2,187,146 bytes (numpy 2.4, a warm run); the blocks of candidates
         # bound the vertex tail and the kernel's walk of the face lattices,
         # so the stacked pass stays within 4 MB of that.  It is now
-        # 1,605,543 bytes, set by the kernel's second level of meets
+        # 1,199,606 bytes, set by the kernel's second level of meets, which
+        # test no meet through a face's apex for maximality (1,600,639
+        # when they did)
         H = twenty_row_body(small_suite)
         body = unmemoized(H)
         tracemalloc.start()
@@ -409,8 +443,10 @@ class TestWindowedProfile:
 
     def test_profile_memory_bounded_by_blocks(self, small_suite):
         # eight times the grid of test_twenty_row_profile_memory: the peak
-        # was 1,724,396 bytes (numpy 2.4, a warm run), against 1,605,543 at
-        # grid 33; with the erosions in one block it was 23.2 MB
+        # was 1,307,193 bytes (numpy 2.4, a warm run), against 1,199,606 at
+        # grid 33, and 1,709,590 while the kernel's meets tested those
+        # through a face's apex; with the erosions in one block it was
+        # 23.2 MB
         body = unmemoized(twenty_row_body(small_suite))
         tracemalloc.start()
         try:
@@ -432,10 +468,11 @@ class TestStackedHelpers:
         pts = x[s] - eps[body, None] * d[s]
         points, start, active = polytope._incidence_from_candidates(
             An, bn, scale, pts, body)
-        keep = polytope._facet_rows(start, active, An.shape[1])
+        keep, bits = polytope._facet_rows(start, active, An.shape[1])
+        assert np.array_equal(bits, polytope._local_bits(active, start))
         vbody = np.repeat(np.arange(len(eps)), np.diff(start))
-        vols, fvols = metrics._pyramid_volumes(An, bn, points, start,
-                                            active & keep[vbody].T, centre)
+        vols, fvols = metrics._pyramid_volumes(
+            An, bn, points, start, polytope._local_bits(active & keep[vbody].T, start), centre)
         return points, start, active, keep, vols, fvols
 
     def test_two_bodies_match_each_alone(self, small_suite):

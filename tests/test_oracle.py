@@ -77,6 +77,16 @@ class TestIntegerArguments:
         assert est == estimate(unit_square, 20_000, 4)
         assert type(est.samples) is int and type(est.seed) is int
 
+    def test_sample_cap_refused_before_any_draw(self, monkeypatch, unit_square, estimate):
+        # the draws take about 8 million samples a second on a hull of 36
+        # facets, so 10^11 samples ran for hours; the cap, 10^9, is about 2
+        # minutes
+        monkeypatch.setattr(oracle, "_box_draws", lambda *a: pytest.fail("samples drawn"))
+        with pytest.raises(BadParameter, match="samples"):
+            estimate(unit_square, oracle._SAMPLE_CAP + 1, 0)
+        with pytest.raises(BadParameter, match="samples"):
+            estimate(unit_square, np.uint64(10**11), 0)
+
 
 class TestMcInnerVolume:
     def test_square_closed_form(self, unit_square):

@@ -853,7 +853,7 @@ class TestFacetRule:
         }[family]()
         for H in bodies:
             V, active = polytope.vertex_incidence(H)
-            rule = polytope._facet_rows(np.array([0, V.count]), active, H.dim)[0]
+            rule = polytope._facet_rows(np.array([0, V.count]), active, H.dim)[0][0]
             assert np.array_equal(rule, affine_rank_facet_rows(H))
 
 
