@@ -6,19 +6,20 @@ again a polytope: the same normals with every offset pulled in by
 eps of the boundary) is therefore the difference of two exact volumes.
 Only the offsets move with eps, and eroding every row of an H-form erodes
 its body, redundant rows included (Matheron 1978).  So a whole profile
-shares one solve of the n-subsets of the rows that can reach the body:
-each gives a vertex path linear in eps and the window of offsets on which
-it is a vertex candidate, and at eps = 0 the body's own candidates.  The
-body and its eroded bodies then form one stack, an (E, m) array of offsets
-over the shared unit normals, which the body leads.  The vertex tail, the
-facet test and the volume kernel take the stack in blocks of several
-hundred candidate vertices, so memory is bounded by the block and by the
-face lattices of its bodies, not by the grid.  The first block gives the
-body's facet rows too, and where some reachable row is not one of them
-the erosions are redone on the facet rows alone.  Every body keeps its own
-vertices and facet rows, and its volume is bit-identical to the one it
-gets alone, which is how :func:`inner_parallel_body` and :func:`volume`
-compute it.
+shares one solve of the lines where the (n - 1)-subsets of the rows that
+can reach the body meet: where a later row crosses a line, and how fast
+that crossing moves with eps, give the n-subset's vertex path, linear in
+eps, and the window of offsets on which it is a vertex candidate, and at
+eps = 0 the body's own candidates.  The body and its eroded bodies then
+form one stack, an (E, m) array of offsets over the shared unit normals,
+which the body leads.  The vertex tail, the facet test and the volume
+kernel take the stack in blocks of several hundred candidate vertices,
+so memory is bounded by the block and by the face lattices of its bodies,
+not by the grid.  The first block gives the body's facet rows too, and
+where some reachable row is not one of them the erosions are redone on
+the facet rows alone.  Every body keeps its own vertices and facet rows,
+and its volume is bit-identical to the one it gets alone, which is how
+:func:`inner_parallel_body` and :func:`volume` compute it.
 
 The envelope
 
@@ -186,10 +187,11 @@ def neighbourhood_profile(H: HalfspaceSystem,
     The body itself (eps = 0) and its erosions at the grid points go through
     one stacked pass (see :func:`_eroded_volumes`).  Every eroded body has
     the unit normals of the body's rows and only its offsets bn - eps move
-    (Matheron 1978), so each n-subset of the rows that can reach the body is
-    solved once for a vertex path and the window of offsets on which that
-    vertex is feasible (see :func:`polytope._vertex_paths`).  The subsets
-    whose window holds a grid point are that body's candidates.  The
+    (Matheron 1978), so each n-subset of the rows that can reach the body
+    has a vertex path and a window of offsets on which that vertex is
+    feasible, read once off the line of its first n - 1 rows (see
+    :func:`polytope._vertex_paths`).  The subsets whose window holds a grid
+    point are that body's candidates.  The
     candidates of all the bodies, each tagged with its body, then go
     together through the vertex tail
     (:func:`polytope._incidence_from_candidates`), the facet test
@@ -266,9 +268,9 @@ def _stacked_volumes(H: HalfspaceSystem, eps: np.ndarray, own=None):
     which ascend from 0 or above, and the facet rows (m,) of the body at
     eps[0], or None where it enters with ``own``.
 
-    An erosion that :func:`_erosion` finds empty has volume 0.  The
-    n-subsets of H's rows are solved once for their vertex paths
-    (:func:`polytope._vertex_paths`), and offsets whose (E, m) erosions or
+    An erosion that :func:`_erosion` finds empty has volume 0.  The vertex
+    paths of the n-subsets of H's rows are read once off the lines of their
+    heads (:func:`polytope._vertex_paths`), and offsets whose (E, m) erosions or
     (E, paths) windows would pass _COMBO_CAP entries are refused before
     either is made.  ``own``, the vertices and incidence
     of H (:func:`polytope.vertex_incidence`), puts the body (eps[0] = 0)

@@ -19,15 +19,16 @@ body.  The convex hull of k points is the vertex enumeration of their
 polar body, where the row of a point deep inside the hull reaches nothing,
 so it decides C(k', n) subsets for the k' points that can be vertices.  A
 body's vertices come from its (n - 1)-subsets, its heads: each head is
-solved once for its line, and the subsets it leads are decided by where
-the later rows cross that line, one entry of a table of products each
-(:func:`_edge_crossings`).  Up to n = 4 a batch of heads is array
-operations, its lines read from cofactors by Cramer's rule; above n = 4
-LU takes them.  A profile's vertex paths (:func:`_vertex_paths`) solve the
-n-subsets of a body's reachable rows once for the body and its erosions,
-with the same cofactors (:func:`_subset_solves`).  The steps after them
-(naming each vertex by the rows it lies on, refining it, testing facets)
-take a stack of bodies that
+solved once for its line (:func:`_head_lines`), and the subsets it leads
+are decided by where the later rows cross that line, one entry of a table
+of products each (:func:`_edge_crossings`).  Up to n = 4 a batch of heads
+is array operations, its lines read from cofactors by Cramer's rule; above
+n = 4 LU takes them.  A profile's vertex paths (:func:`_vertex_paths`), for
+the body and all its erosions at once, come from the same heads' lines,
+each head solved once more for a right-hand side of ones, the rate at
+which erosion moves the offsets: no candidate of a body or of a profile
+solves an n-subset.  The steps after them (naming each vertex by the rows
+it lies on, refining it, testing facets) take a stack of bodies that
 share their unit normals and their scale and differ in their offsets: the
 inner parallel bodies of a profile go through them in one pass, and a
 single body is a stack of one.  They are array operations over all vertices
@@ -319,17 +320,29 @@ def _vertex_paths(H: HalfspaceSystem):
 
     The body eroded by eps is {x : An x <= bn - eps} in H's unit form, so an
     n-subset S of rows meets at v_S(eps) = x_S - eps * d_S, with
-    A_S x_S = b_S and A_S d_S = 1 (Matheron 1978).  Its residuals
-    p - eps * q are linear too, so S is feasible within the facet tolerance
-    exactly on a window lo_S <= eps <= hi_S.  Returns (x, d, lo, hi) for the
-    subsets whose window meets eps >= 0, in subset order; the candidates at
-    one eps are ``x[on] - eps * d[on]`` with ``on = (lo <= eps) & (eps <= hi)``.
+    A_S x_S = b_S and A_S d_S = 1 (Matheron 1978).  Both come from the line
+    of S's head T (:func:`_head_lines`): eroded by eps, the line p_T + t u_T
+    moves to p_T - eps p'_T + t u_T, where [u_T; A_T] p'_T = [0; 1], so
+    x_S = p_T + t_j u_T and d_S = p'_T + t'_j u_T, with
+    t_j = (b_j - a_j . p_T) / (a_j . u_T) and
+    t'_j = (1 - a_j . p'_T) / (a_j . u_T) read from tables of products over
+    the rows and the heads.  The residuals of v_S(eps), p - eps * q, are
+    linear too, so S is feasible within the facet tolerance exactly on a
+    window lo_S <= eps <= hi_S.  Returns (x, d, lo, hi) for the subsets
+    whose window meets eps >= 0, in subset order; the candidates at one eps
+    are ``x[on] - eps * d[on]`` with ``on = (lo <= eps) & (eps <= hi)``.
     """
     An, bn, _ = H.unit_form()
     n = H.dim
     feas_tol = TAU_FACET * H.scale
+    rhs = np.vstack([bn, np.ones_like(bn)])
     paths = [np.empty((0, 2 * n + 2))]
-    for x, d in _subset_solves(An, np.vstack([bn, np.ones_like(bn)])):
+    for U, D, cand, P in _head_lines(An, rhs):
+        f, j = cand.T.nonzero()                   # (head, row) order
+        at = j * D.shape[1] + f                   # entry (j, f) of the (rows, heads) tables
+        # t_j and t'_j, then x_S = p_T + t_j u_T and d_S = p'_T + t'_j u_T
+        tj = (rhs.take(j, axis=1) - (An @ P).reshape(2, -1).take(at, axis=1)) / D.take(at)
+        x, d = (P.take(f, axis=2) + tj[:, None] * U.take(f, axis=1)).transpose(0, 2, 1)
         p = x @ An.T - bn
         q = d @ An.T - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -348,7 +361,7 @@ def _edge_crossings(An, bn, feas_tol):
 
     Each n-subset S of the rows is split into its head T, its first n - 1
     rows, and its last row j.  The rows of T meet on a line p_T + t u_T
-    (:func:`_head_directions`, :func:`_head_points`), which row k crosses at
+    (:func:`_head_lines`), which row k crosses at
     t_k = (b_k - a_k . p_T) / (a_k . u_T), and which is feasible within the
     facet tolerance on the interval of t that the rows' crossings, each
     moved out by tol / |a_k . u_T|, bound.  S is solved iff
@@ -357,17 +370,50 @@ def _edge_crossings(An, bn, feas_tol):
     solution against every row.  So each head is solved once for all the
     subsets it leads, and a subset costs a few entries of (rows, heads)
     tables of products, not a solve and a test against every row (Avis &
-    Fukuda 1992).  The heads go in lexicographic order, in blocks of at
-    most ``_COMBO_CHUNK`` (head, row) entries.
+    Fukuda 1992).
+    """
+    n = An.shape[1]
+    col, top = bn[:, None], (bn + feas_tol)[:, None]
+    out = [np.empty((0, n))]
+    for U, D, cand, (P,) in _head_lines(An, bn[None]):
+        Q = An @ P                                # a_k . p_T
+        D += 0.0                                  # no -0.0, see hi below
+        down = D < 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = (top - Q) / D
+            t = (col - Q) / D
+        # a row parallel to the line (D = 0) bounds it iff it cuts it
+        # off: then its reach is -inf; where its slack is exactly 0 it
+        # is nan, which fmin passes over
+        lo_t = np.maximum.reduce(reach, axis=0, where=down, initial=-np.inf)
+        hi_t = np.fmin.reduce(reach, axis=0, where=~down, initial=np.inf)
+        cand &= (lo_t <= t) & (t <= hi_t)
+        f, j = cand.T.nonzero()                   # (head, row) order
+        out.append((P.take(f, axis=1) + t[j, f] * U.take(f, axis=1)).T)
+    return np.concatenate(out)
+
+
+def _head_lines(An, rhs):
+    """The lines of the heads of An's rows, the (n - 1)-subsets T, block by
+    block: the line of T is p_T + t u_T, where the rows of T meet.
+
+    ``rhs`` (k, m) holds k right-hand sides as rows.  Yields, per block of
+    C heads, ``(U, D, cand, P)``: the directions u_T (n, C)
+    (:func:`_head_directions`), the table D = An U (m, C) of a_j . u_T, the
+    mask ``cand`` (m, C) of the rows j after T's last row with
+    |det A_S| = |a_j . u_T| > 1e-10 for S = (T, j), and the points
+    P (k, n, C) of [u_T; A_T] p = [0; r_T], one (n, C) array per
+    right-hand side r (:func:`_head_points`).  A head of dependent rows,
+    with no such row, is left out.  The heads go in lexicographic order, in
+    blocks of at most ``_COMBO_CHUNK`` (head, row) entries, and the
+    n-subsets they lead are held to ``_COMBO_CAP``.
     """
     m, n = An.shape
     if m < n:
-        return np.empty((0, n))
+        return
     _subset_count(m, n)
     per = max(1, _COMBO_CHUNK // m)
-    col, top = bn[:, None], (bn + feas_tol)[:, None]
     index = np.arange(m)[:, None]
-    out = [np.empty((0, n))]
     # a head's last row must have a later row to pair with
     for chunk in _combo_chunks(m - 1, n - 1):
         for start in range(0, len(chunk), per):
@@ -388,22 +434,7 @@ def _edge_crossings(An, bn, feas_tol):
                 if opp is not None:
                     opp = opp.compress(good, axis=1)
             G[:, 0] = U
-            P = _head_points(G, bn.take(heads.T), opp)
-            Q = An @ P                            # a_k . p_T
-            D += 0.0                              # no -0.0, see hi below
-            down = D < 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                reach = (top - Q) / D
-                t = (col - Q) / D
-            # a row parallel to the line (D = 0) bounds it iff it cuts it
-            # off: then its reach is -inf; where its slack is exactly 0 it
-            # is nan, which fmin passes over
-            lo_t = np.maximum.reduce(reach, axis=0, where=down, initial=-np.inf)
-            hi_t = np.fmin.reduce(reach, axis=0, where=~down, initial=np.inf)
-            cand &= (lo_t <= t) & (t <= hi_t)
-            f, j = cand.T.nonzero()               # (head, row) order
-            out.append((P.take(f, axis=1) + t[j, f] * U.take(f, axis=1)).T)
-    return np.concatenate(out)
+            yield U, D, cand, _head_points(G, rhs.take(heads.T, axis=1), opp)
 
 
 def _head_directions(G):
@@ -423,84 +454,42 @@ def _head_directions(G):
 
 
 def _head_points(G, r, opp):
-    """p_T for each head T: the solution of [u_T; A_T] p = [0; b_T], the
-    point of T's line nearest the origin, as an (n, C) array.
+    """p_T for each head T and right-hand side r: the solution of
+    [u_T; A_T] p = [0; r_T], the point of T's line nearest the origin, as a
+    (k, n, C) array.
 
-    ``G`` (n, n, C) holds the matrices and ``r`` (n - 1, C) the offsets
-    b_T.  The determinant is |u_T|^2.  At n = 2 and 3 Cramer's rule reads
-    b_i a_i / |u|^2 and ((b_i a_k - b_k a_i) x u) / |u|^2; at n = 4 it takes
-    the cofactors of rows 1 to 3, ``opp`` being row 1's table of minors
-    (:func:`_opposite_minors`); above n = 4 LU solves.
+    ``G`` (n, n, C) holds the matrices and ``r`` (k, n - 1, C) the k
+    right-hand sides' entries r_T.  The determinant is |u_T|^2.  At n = 2
+    and 3 Cramer's rule reads r_i a_i / |u|^2 and
+    ((r_i a_k - r_k a_i) x u) / |u|^2; at n = 4 it takes the cofactors of
+    rows 1 to 3, ``opp`` being row 1's table of minors
+    (:func:`_opposite_minors`); above n = 4 LU solves.  Each cofactor is
+    made once for all the right-hand sides.  Cramer's rule is not backward
+    stable, but at these sizes its error stays a small multiple of the
+    condition number times the unit roundoff (Higham 2002, 1.10.1), and
+    each vertex is refined from its active rows afterwards, so a candidate
+    only has to land within the facet tolerance.
     """
     n = G.shape[0]
     if n == 1:
-        return np.zeros_like(G[0])
+        return np.zeros((r.shape[0], 1, G.shape[2]))
     if n > 4:
-        rhs = np.vstack([np.zeros((1, r.shape[1])), r])
-        return np.linalg.solve(G.transpose(2, 1, 0), rhs.T[..., None])[..., 0].T
+        rhs = np.concatenate([np.zeros((r.shape[0], 1, r.shape[2])), r], axis=1)
+        return np.linalg.solve(G.transpose(2, 1, 0), rhs.transpose(2, 1, 0)).transpose(2, 1, 0)
     U = G[:, 0]
     det = U[0] * U[0]
     for j in range(1, n):
         det += U[j] * U[j]
     if n == 2:
-        return G[:, 1] * (r[0] / det)
+        return G[:, 1] * (r[:, 0] / det)[:, None]
     if n == 3:
-        return _minors((r[0] * G[:, 2] - r[1] * G[:, 1]).T, U.T, _CYCLE) / det
-    x = _cofactor_row(G, 1, opp) * r[0]
+        a = r[:, 0, None] * G[:, 2] - r[:, 1, None] * G[:, 1]
+        return _minors(a.transpose(0, 2, 1), U.T, _CYCLE).transpose(1, 0, 2) / det
+    x = _cofactor_row(G, 1, opp) * r[:, 0, None]
     opp = _opposite_minors(G, 2)
     for i in (2, 3):
-        x += _cofactor_row(G, i, opp) * r[i - 1]
+        x += _cofactor_row(G, i, opp) * r[:, i - 1, None]
     return x / det
-
-
-def _subset_solves(An, rhs):
-    """Solutions of A_S y = r_S for the n-subsets S with invertible A_S: the
-    vertex paths of a profile (:func:`_vertex_paths`).
-
-    ``rhs`` holds k right-hand sides as rows, (k, m).  Yields one (k, C, n)
-    array per chunk of subsets, in subset order.  A_S counts as invertible
-    when |det A_S| > 1e-10.  Up to n = 4 the determinant is the expansion
-    along the first row by its cofactors (:func:`_first_row_det`), and the
-    subsets it keeps get the cofactors of their other rows, from which
-    Cramer's rule reads each solution: one pass of array operations over
-    the chunk, where LU would make one LAPACK call per subset.  Cramer's
-    rule is not backward stable, but at these sizes its error stays a small
-    multiple of the condition number times the unit roundoff (Higham 2002,
-    1.10.1), and each vertex is refined from its active rows afterwards, so
-    a candidate only has to land within the facet tolerance.  Above n = 4
-    the subsets are solved by LU.  Rows are gathered with ``take`` and
-    selected with ``compress``.
-    """
-    m, n = An.shape
-    AT = np.ascontiguousarray(An.T)
-    for chunk in _combo_chunks(m, n):
-        if n > 4:
-            sub = An.take(chunk, axis=0)
-            good = np.abs(np.linalg.det(sub)) > 1e-10
-            if good.any():
-                yield np.linalg.solve(sub.compress(good, axis=0),
-                                      rhs.T.take(chunk.compress(good, axis=0), axis=0)
-                                      ).transpose(2, 0, 1)
-            continue
-        # G[j, i]: entry (i, j) of every A_S of the chunk, contiguous over S
-        G = AT.take(chunk.T, axis=1)
-        opp = _opposite_minors(G, 0)
-        det, cof = _first_row_det(G, opp)
-        good = np.abs(det) > 1e-10
-        if not good.all():
-            G, cof = G.compress(good, axis=2), cof.compress(good, axis=1)
-            det, chunk = det.compress(good), chunk.compress(good, axis=0)
-            opp = opp.compress(good, axis=1)
-        if not det.size:
-            continue
-        r = rhs.take(chunk.T, axis=1)                 # (k, n, C)
-        x = np.zeros((rhs.shape[0], n, det.size))
-        x += cof * r[:, 0, None]
-        for i in range(1, n):
-            if i == 2:
-                opp = _opposite_minors(G, 2)
-            x += _cofactor_row(G, i, opp) * r[:, i, None]
-        yield (x / det).transpose(0, 2, 1)
 
 
 _SIGNS = np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])
@@ -509,21 +498,6 @@ _CYCLE = ((1, 2), (2, 0), (0, 1))
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # the columns other than j, ascending, for each column j of a 4 x 4 matrix
 _REST = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-
-
-def _first_row_det(G, opp):
-    """Determinants of stacked n x n matrices, n <= 4, with the cofactors
-    of their first row: det = sum_j a_0j C_0j, summed left to right.
-
-    ``G[j, i]`` (n, n, C) holds entry (i, j) of every matrix; the cofactors
-    are :func:`_cofactor_row`'s, an (n, C) array over j, and ``opp`` its
-    table of minors for row 0.
-    """
-    cof = _cofactor_row(G, 0, opp)
-    det = G[0, 0] * cof[0]
-    for j in range(1, G.shape[0]):
-        det += G[j, 0] * cof[j]
-    return det, cof
 
 
 def _cofactor_row(G, i, opp):

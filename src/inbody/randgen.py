@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .errors import BadParameter, GeometryError
-from .oracle import _box_draws
+from .oracle import _SAMPLE_CAP, _box_draws
 from .polytope import HalfspaceSystem, validate_body
 
 
@@ -54,9 +54,13 @@ def random_suite(n: int, count: int, seed: int) -> list[HalfspaceSystem]:
 
 def sample_interior(H: HalfspaceSystem, count: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Uniform interior points by rejection from the bounding box."""
-    if count < 0:
-        raise BadParameter("count must be non-negative")
+    """Uniform interior points by rejection from the bounding box.
+
+    ``count`` is refused before any draw unless it is an integer from 0 to
+    the oracle's cap, as :func:`oracle._estimate` refuses a sample count.
+    """
+    if not isinstance(count, (int, np.integer)) or not 0 <= count <= _SAMPLE_CAP:
+        raise BadParameter(f"count must be an integer from 0 to {_SAMPLE_CAP:,}")
     if count == 0:
         return np.empty((0, H.dim))
     out = []

@@ -371,6 +371,22 @@ class TestWindowedProfile:
         ib.neighbourhood_profile(H, 33)
         assert len(solves) == 1 and others == [[], []]
 
+    def test_no_n_subset_solved(self, monkeypatch):
+        # the profile reads its vertex paths off the lines of its heads:
+        # of the subsets of its 12 reachable rows (of 20) it asks only for
+        # the 3-subsets of the first 11, and for no 4-subset
+        H = unmemoized(ib.random_suite(4, 1, 29)[0])
+        asked = []
+        real = polytope._combo_chunks
+
+        def recorded(m, n):
+            asked.append((m, n))
+            return real(m, n)
+
+        monkeypatch.setattr(polytope, "_combo_chunks", recorded)
+        ib.neighbourhood_profile(H, 33)
+        assert asked == [(len(polytope._reachable_rows(H)) - 1, H.dim - 1)] == [(11, 3)]
+
     def test_vertex_born_inside_the_grid(self):
         H = cut_square()
         born = 0.1 / (2.0 - np.sqrt(2.0))

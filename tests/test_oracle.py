@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import inbody as ib
-from inbody import oracle
+from inbody import oracle, randgen
 from inbody.errors import BadParameter
 from tests.conftest import box, sphere_cloud
 
@@ -136,6 +136,19 @@ class TestSampleInterior:
     def test_negative_count_rejected(self):
         with pytest.raises(BadParameter, match="count"):
             ib.sample_interior(ib.pancake_family(2, 4), -5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("count", [2.5, np.float64(3.0), float("nan"),
+                                       oracle._SAMPLE_CAP + 1, np.uint64(10**11)])
+    def test_bad_count_refused_before_any_draw(self, monkeypatch, unit_square, count):
+        # a float count is refused, not truncated, and a count above the
+        # oracle's cap is refused before the draws ask for four times its
+        # points at once
+        monkeypatch.setattr(randgen, "_box_draws", lambda *a: pytest.fail("points drawn"))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(BadParameter, match="count"):
+            ib.sample_interior(unit_square, count, rng)
+        assert rng.bit_generator.state == state
 
     def test_zero_count_draws_nothing(self):
         # a strip too thin for the first block of draws to hit it

@@ -233,6 +233,11 @@ def exact_least_squares(A, b):
     return [M[i][n] / M[i][i] for i in range(n)]
 
 
+def exact_error(v, exact):
+    """The largest difference of a float vector from exact Fractions."""
+    return max(abs(Fraction(float(a)) - y) for a, y in zip(v, exact))
+
+
 class TestNonSimpleRefine:
     @pytest.mark.parametrize("which", ["cross4", "24-cell"])
     @pytest.mark.parametrize("shift", [None, (0.1, -0.2, 0.3, 0.05)])
@@ -249,39 +254,39 @@ class TestNonSimpleRefine:
         assert np.all(active.sum(axis=0) > 4)
         for k in range(V.count):
             exact = exact_least_squares(An[active[:, k]], bn[active[:, k]])
-            err = max(abs(Fraction(float(x)) - y) for x, y in zip(V.points[k], exact))
-            assert err <= 1e-15 * H.scale
+            assert exact_error(V.points[k], exact) <= 1e-15 * H.scale
 
 
 def lapack_subset_solves(An, rhs):
     """Reference: every n-subset whose LU determinant exceeds 1e-10 in
-    absolute value, solved by LU, one LAPACK call per subset, yielded as
-    _subset_solves yields (k, C, n)."""
+    absolute value, solved by LU, one LAPACK call per subset, for the k
+    right-hand sides ``rhs`` (k, m) holds as rows.  Yields the subsets
+    (C, n) and their solutions (k, C, n), chunk by chunk."""
     m, n = An.shape
     for chunk in polytope._combo_chunks(m, n):
         sub = An[chunk]
         good = np.abs(np.linalg.det(sub)) > 1e-10
         if good.any():
-            yield np.linalg.solve(sub[good], rhs.T[chunk[good]]).transpose(2, 0, 1)
+            yield chunk[good], np.linalg.solve(sub[good], rhs.T[chunk[good]]).transpose(2, 0, 1)
 
 
-def per_row_subset_solves(An, rhs):
-    """Reference for _subset_solves: the same Cramer's rule, with every
-    cofactor row making its own table of 2 x 2 minors at n = 4."""
-    m, n = An.shape
-    for chunk in polytope._combo_chunks(m, n):
-        G = np.ascontiguousarray(An.T).take(chunk.T, axis=1)
-        det, cof = polytope._first_row_det(G, polytope._opposite_minors(G, 0))
-        good = np.abs(det) > 1e-10
-        G, cof, det, chunk = G[..., good], cof[:, good], det[good], chunk[good]
-        if det.size:
-            r = rhs[:, chunk.T]
-            x = np.zeros((rhs.shape[0], n, det.size))
-            x += cof * r[:, 0, None]
-            for i in range(1, n):
-                opp = polytope._opposite_minors(G, i)
-                x += polytope._cofactor_row(G, i, opp) * r[:, i, None]
-            yield (x / det).transpose(0, 2, 1)
+def lapack_vertex_paths(H):
+    """Reference for _vertex_paths: every n-subset of H's rows solved by LU
+    for x and d, with right-hand sides b and 1, then the window rule of the
+    residuals p - eps q.  Returns (subsets, x, d, lo, hi) for the subsets
+    whose window meets eps >= 0, in subset order."""
+    An, bn, _ = H.unit_form()
+    tol = polytope.TAU_FACET * H.scale
+    out = []
+    for subsets, (x, d) in lapack_subset_solves(An, np.vstack([bn, np.ones_like(bn)])):
+        p, q = x @ An.T - bn, d @ An.T - 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (p - tol) / q
+        lo = np.where(q > 0, t, -np.inf).max(axis=1)
+        hi = np.where(q < 0, t, np.inf).min(axis=1)
+        on = (lo <= hi) & (hi >= 0) & ~((q == 0) & (p > tol)).any(axis=1)
+        out.append((subsets[on], x[on], d[on], lo[on], hi[on]))
+    return tuple(np.concatenate(a) for a in zip(*out))
 
 
 def cofactor_families(small_suite):
@@ -329,44 +334,49 @@ EDGE_FAMILIES = FAMILIES + ["n2-and-n5", "twin-row-pentagon", "corner", "duplica
                             "cli-vform-polars", "cli-vform-eroded", "found-hull"]
 
 
-def first_row_expansion(M):
-    """det M of 4 x 4 matrices (..., 4, 4) along the first row, sum_j a_0j C_0j
-    left to right, each cofactor's 3 x 3 minor expanded along row 1 by the
-    2 x 2 minors of rows 2 and 3."""
-    a = [[M[..., i, j] for j in range(4)] for i in range(4)]
-
-    def low(i, j):
-        return a[2][i] * a[3][j] - a[2][j] * a[3][i]
-
-    cof = [a[1][1] * low(2, 3) - a[1][2] * low(1, 3) + a[1][3] * low(1, 2),
-           -(a[1][0] * low(2, 3) - a[1][2] * low(0, 3) + a[1][3] * low(0, 2)),
-           a[1][0] * low(1, 3) - a[1][1] * low(0, 3) + a[1][3] * low(0, 1),
-           -(a[1][0] * low(1, 2) - a[1][1] * low(0, 2) + a[1][2] * low(0, 1))]
-    return a[0][0] * cof[0] + a[0][1] * cof[1] + a[0][2] * cof[2] + a[0][3] * cof[3]
-
-
-def assert_first_row_det(An):
-    """The kernel's determinant of every n-subset of the rows An, taken from
-    the chunk's gathered rows, against the written-out ones: bit for bit
-    against written_out_det up to n = 3, and at n = 4 bit for bit against
-    first_row_expansion, within 4e-16 of written_out_det's Laplace split and
-    with its mask.  Returns the determinants."""
+def head_matrices(An):
+    """The heads of the rows An, their (n - 1)-subsets in lexicographic
+    order, and the matrices G (n, n, heads) of [x; A_T] as _head_lines
+    gathers them, row 0 left to fill."""
     m, n = An.shape
-    combos = polytope._combo_array(m, n)
-    G = np.ascontiguousarray(An.T).take(combos.T, axis=1)
-    det, _ = polytope._first_row_det(G, polytope._opposite_minors(G, 0))
-    ref = written_out_det(An[combos])
-    if n < 4:
-        assert np.array_equal(det, ref)
-    else:
-        assert np.array_equal(det, first_row_expansion(An[combos]))
-        assert np.abs(det - ref).max() <= 4e-16
-        assert np.array_equal(np.abs(det) > 1e-10, np.abs(ref) > 1e-10)
+    heads = polytope._combo_array(m - 1, n - 1)
+    G = np.empty((n, n, len(heads)))
+    G[:, 1:] = An.T.take(heads.T, axis=1)
+    return heads, G
+
+
+def head_dets(An):
+    """det [a_j; A_T] = a_j . u_T of every n-subset S = (T, j) of the rows
+    An, in subset order, as the heads' lines take them: u_T from the
+    cofactors of each head T (_head_directions), the products from one
+    table An U."""
+    m, n = An.shape
+    heads, G = head_matrices(An)
+    U = polytope._head_directions(G)[0]
+    later = np.arange(m)[:, None] > (heads[:, -1] if n > 1 else -1)
+    f, j = later.T.nonzero()
+    return (An @ U)[j, f]
+
+
+def assert_head_dets(An):
+    """The heads' determinants of every n-subset of the rows An against the
+    written-out ones: within 4e-16 in absolute value (3.3e-16 measured on
+    the cofactor families, whose rows are unit) and with their mask,
+    and _head_lines keeps one (head, row) entry per subset the mask keeps.
+    Returns the heads' determinants."""
+    m, n = An.shape
+    det = head_dets(An)
+    ref = written_out_det(An[polytope._combo_array(m, n)])
+    assert np.abs(np.abs(det) - np.abs(ref)).max() <= 4e-16
+    assert np.array_equal(np.abs(det) > 1e-10, np.abs(ref) > 1e-10)
+    kept = sum(int(cand.sum()) for _, _, cand, _ in polytope._head_lines(An, np.zeros((1, m))))
+    assert kept == np.count_nonzero(np.abs(ref) > 1e-10)
     return det
 
 
 class TestCofactorKernel:
-    """Cramer's rule from the cofactors names the vertices LU names."""
+    """The heads' lines, from their cofactors, name the vertices and the
+    vertex paths that LU names."""
 
     @pytest.mark.parametrize("family", EDGE_FAMILIES)
     def test_incidence_matches_lapack(self, small_suite, family):
@@ -377,77 +387,87 @@ class TestCofactorKernel:
             assert np.array_equal(V.points, points)
             assert np.array_equal(active, active_ref)
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_window_masks_match_lapack(self, monkeypatch, small_suite, family):
-        # the subsets each eroded body of a 33-point profile takes
-        for H in cofactor_families(small_suite)[family]():
-            if H.dim < 2:
-                continue
-            Hm = ib.remove_redundant_halfspaces(H)
-            eps = np.linspace(0.0, ib.incentre(H).inradius, 33)[1:, None]
-            _, _, lo, hi = polytope._vertex_paths(fresh(Hm))
-            with monkeypatch.context() as patch:
-                patch.setattr(polytope, "_subset_solves", lapack_subset_solves)
-                _, _, lo_ref, hi_ref = polytope._vertex_paths(fresh(Hm))
-            assert np.array_equal((lo <= eps) & (eps <= hi),
-                                  (lo_ref <= eps) & (eps <= hi_ref))
+    @pytest.mark.parametrize("family", EDGE_FAMILIES)
+    def test_window_masks_match_lapack(self, small_suite, family):
+        # the subsets each body of a 33-point profile takes, on the
+        # reachable rows that a fresh body's profile erodes and on the
+        # minimal form: the same subsets as LU's, and the same masks
+        for H in edge_line_families(small_suite)[family]():
+            rows = polytope._reachable_rows(H)
+            for body in (dataclasses.replace(H, A=H.A[rows], b=H.b[rows]),
+                         ib.remove_redundant_halfspaces(H)):
+                eps = np.linspace(0.0, H.cheb_radius, 33)[:, None]
+                _, _, lo, hi = polytope._vertex_paths(fresh(body))
+                _, _, _, lo_ref, hi_ref = lapack_vertex_paths(body)
+                assert lo.shape == lo_ref.shape
+                assert np.array_equal((lo <= eps) & (eps <= hi),
+                                      (lo_ref <= eps) & (eps <= hi_ref))
 
     @pytest.mark.parametrize("family", ["small-suite", "24-cell"])
-    def test_shared_minors_tables(self, monkeypatch, small_suite, family):
-        # at n = 4 rows 0 and 1 share one table of minors, and rows 2 and 3
-        # another, with the same numbers as a table per row
+    def test_shared_minors_tables(self, small_suite, family):
+        # at n = 4 the heads' points take the cofactors of rows 1 to 3 from
+        # two tables of minors, row 1 sharing row 0's: the same numbers as
+        # a table per row
         for H in cofactor_families(small_suite)[family]():
             if H.dim != 4:
                 continue
-            paths = polytope._vertex_paths(fresh(H))
-            with monkeypatch.context() as patch:
-                patch.setattr(polytope, "_subset_solves", per_row_subset_solves)
-                paths_ref = polytope._vertex_paths(fresh(H))
-            for x, x_ref in zip(paths, paths_ref):
-                assert np.array_equal(x, x_ref)
+            An, bn, _ = H.unit_form()
+            heads, G = head_matrices(An)
+            U, opp = polytope._head_directions(G)
+            keep = np.abs(U).max(axis=0) > 1e-10
+            G, U, opp, heads = G[..., keep], U[:, keep], opp[:, keep], heads[keep]
+            G[:, 0] = U
+            det = U[0] * U[0]
+            for j in range(1, 4):
+                det += U[j] * U[j]
+            r = np.stack([bn[heads.T], np.ones((3, len(heads)))])
+            cof = [polytope._cofactor_row(G, i, polytope._opposite_minors(G, i))
+                   for i in (1, 2, 3)]
+            ref = cof[0] * r[:, 0, None]
+            for i in (1, 2):
+                ref += cof[i] * r[:, i, None]
+            assert np.array_equal(polytope._head_points(G, r, opp), ref / det)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_invertibility_mask_is_det_mask(self, small_suite, family):
-        # the determinants behind the mask, expanded along the first row of
-        # the chunk's gathered rows, are the written-out ones (see
-        # assert_first_row_det), and the kernel yields one solution per
-        # subset the mask keeps
+        # the determinants behind the mask, a_j . u_T, are the written-out
+        # ones, and the heads keep one entry per subset the mask keeps (see
+        # assert_head_dets)
         for H in cofactor_families(small_suite)[family]():
-            An, bn, _ = H.unit_form()
-            det = assert_first_row_det(An)
-            kept = sum(x.shape[1] for x in polytope._subset_solves(An, bn[None]))
-            assert kept == np.count_nonzero(np.abs(det) > 1e-10)
+            assert_head_dets(H.unit_form()[0])
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_near_singular_mask(self, n):
-        # a row tilted 1e-11 off another gives |det| below the cutoff, one
-        # tilted 1e-9 above it
+        # a row tilted 1e-11 off another gives |a_j . u_T| below the cutoff,
+        # one tilted 1e-9 above it
         for tilt in (1e-11, 1e-9):
             A = np.vstack([np.eye(n), -np.eye(n), np.eye(n)[0] + tilt * np.eye(n)[-1]])
             An = A / np.linalg.norm(A, axis=1)[:, None]
-            det = assert_first_row_det(An)
+            det = assert_head_dets(An)
             combos = polytope._combo_array(len(An), n)
             near = np.abs(det[(combos == 0).any(axis=1) & (combos == 2 * n).any(axis=1)])
             assert (near.max() <= 1e-10) == (tilt < 1e-10)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_feasible_candidates_near_exact(self, small_suite, family):
-        # against the exact solution of the float rows: the measured error
-        # is at most 2.9e-14 * scale on these bodies, and LU's 1.7e-14
+        # the paths of the body's own candidates (eps = 0 in their window)
+        # against the exact solutions of their subsets' float rows, paired
+        # with the subsets by LU's order: x is off by at most 1.0e-14 * scale
+        # on these bodies (LU by 1.7e-14), and d by 2.8e-14 times its
+        # largest entry (LU by 2.7e-14)
         for H in cofactor_families(small_suite)[family]():
             An, bn, _ = H.unit_form()
-            m, n = An.shape
-            combos = polytope._combo_array(m, n)
-            combos = combos[np.abs(np.linalg.det(An[combos])) > 1e-10]
-            sols = np.vstack([x for (x,) in polytope._subset_solves(An, bn[None])])
-            tol = polytope.TAU_FACET * H.scale
-            feasible = np.flatnonzero(np.all(sols @ An.T - bn <= tol, axis=1))
-            assert feasible.size >= H.dim + 1
-            for k in feasible:
-                rows = combos[k]
-                exact = exact_least_squares(An[rows], bn[rows])
-                err = max(abs(Fraction(float(x)) - y) for x, y in zip(sols[k], exact))
-                assert err <= 1e-13 * H.scale
+            x, d, lo, hi = polytope._vertex_paths(fresh(H))
+            subsets = lapack_vertex_paths(H)[0]
+            assert len(subsets) == len(x)
+            own = np.flatnonzero((lo <= 0.0) & (0.0 <= hi))
+            assert own.size >= H.dim + 1
+            for k in own:
+                rows = subsets[k]
+                exact_x = exact_least_squares(An[rows], bn[rows])
+                exact_d = exact_least_squares(An[rows], np.ones(H.dim))
+                assert exact_error(x[k], exact_x) <= 1e-13 * H.scale
+                assert exact_error(d[k], exact_d) <= 1e-13 * max(map(abs, exact_d))
 
 
 class TestEdgeLines:
@@ -484,10 +504,7 @@ class TestEdgeLines:
         for H in edge_line_families(small_suite)[family]():
             if H.dim < 3:
                 continue
-            An, _, _ = H.unit_form()
-            heads = polytope._combo_array(H.m - 1, H.dim - 1)
-            G = np.empty((H.dim, H.dim, len(heads)))
-            G[:, 1:] = An.T.take(heads.T, axis=1)
+            _, G = head_matrices(H.unit_form()[0])
             assert (polytope._head_directions(G)[0] == 0.0).all(axis=0).any()
             with np.errstate(divide="raise", invalid="raise", over="raise"):
                 V, _ = polytope.vertex_incidence(fresh(H))
@@ -531,7 +548,7 @@ def exhaustive_incidence(H):
     An, bn, _ = H.unit_form()
     feas_tol = polytope.TAU_FACET * H.scale
     candidates = [np.empty((0, H.dim))]
-    for (sols,) in lapack_subset_solves(An, bn[None]):
+    for _, (sols,) in lapack_subset_solves(An, bn[None]):
         feas = np.all(sols @ An.T - bn <= feas_tol, axis=1)
         candidates.append(sols.compress(feas, axis=0))
     pts = np.vstack(candidates)
